@@ -6,6 +6,11 @@ V under the Q8 action.  Assembly asserts the counting identities and full
 first orthogonality before returning, and attaches a Frobenius-Schur
 indicator to every row.
 
+TABLE_CHECKS, at the end, is the one ordered registry of named table
+checks: `verify` records its verdicts in every report, `selftest` prints
+them, and `serialize` validates cached documents with its integer
+predicates.
+
 Characters of V are labelled by pairs (a, b) of residues: the label (a, b)
 sends v to zeta_p^(a v0 + b v1).  A matrix M moves labels by the
 inverse-transpose, matching the convention that M sends the character
@@ -19,7 +24,8 @@ from math import lcm
 
 from .cyclotomic import ZERO, Cyclotomic
 from .errors import InvariantError, UsageError
-from .groups import DEFAULT_PRIME_BOUND, build_group, conjugacy_classes
+from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
+                     count_square_roots_of_identity, square_locus)
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
 
@@ -209,8 +215,14 @@ class CharRow:
     indicator: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
+    """Rows certified by `assemble_character_table`, the only code that makes one.
+
+    Assembly raises unless first orthogonality holds, and the frozen
+    dataclass keeps the certified rows from being swapped afterwards.
+    """
+
     class_table: object
     rows: tuple
 
@@ -225,6 +237,11 @@ class CharacterTable:
     @cached_property
     def row_index_by_name(self):
         return {r.name: i for i, r in enumerate(self.rows)}
+
+    @cached_property
+    def square_locus(self):
+        """{g : g^2 in V}, computed once per table."""
+        return square_locus(self.class_table.group)
 
     @cached_property
     def psi_index(self):
@@ -284,7 +301,7 @@ def assemble_character_table(ct):
     if len(named) != ct.n_classes:
         raise InvariantError(
             f"row count {len(named)} != class count {ct.n_classes}")
-    if sum(d * d for _, _, d in named) != ct.order:
+    if not degree_sum_holds(ct.order, [d for _, _, d in named]):
         raise InvariantError("degrees squared do not sum to |G|")
     for name, values, degree in named:
         if values[0] != degree:
@@ -324,3 +341,111 @@ def tensor_square_decompose(table, row):
     if sum(m * table.row(nm).degree for nm, m in out.items()) != row.degree ** 2:
         raise InvariantError("tensor square multiplicities do not weight-sum to degree^2")
     return out
+
+
+# -- table invariants ------------------------------------------------------------
+#
+# The integer predicates take plain numbers so that a cached table document
+# can be validated without rebuilding the table.
+
+
+def family_class_count(p):
+    """Classes (and irreducible characters) of G: 5 + (p^2 - 1)/8."""
+    return 5 + (p * p - 1) // 8
+
+
+def class_partition_holds(order, sizes, centralizers):
+    """Class sizes sum to |G|, divide it, and |K| |C(K)| = |G| for every class."""
+    # products before the modulus, so a zero size fails instead of raising
+    return (sum(sizes) == order
+            and all(s * c == order for s, c in zip(sizes, centralizers))
+            and all(order % s == 0 for s in sizes))
+
+
+def degree_sum_holds(order, degrees):
+    """The squared degrees sum to |G|."""
+    return sum(d * d for d in degrees) == order
+
+
+def fs_sum_rule(p, degrees, indicators):
+    """(holds, total): sum of indicator * degree = #{g : g^2 = 1} = 1 + p^2."""
+    total = sum(i * d for d, i in zip(degrees, indicators))
+    return total == 1 + p * p, total
+
+
+def quaternionic_row_unique(degrees, indicators):
+    """The only indicator -1 sits on the unique degree-2 row."""
+    return (list(degrees).count(2) == 1
+            and [d for d, i in zip(degrees, indicators) if i == -1] == [2])
+
+
+def _first_orthogonality(table):
+    # assembly raised unless it held, and the frozen table keeps those rows
+    return True, "all row pairs exactly orthonormal"
+
+
+def _second_orthogonality(table):
+    try:
+        check_second_orthogonality(table.class_table, [r.values for r in table.rows])
+    except InvariantError as e:
+        return False, str(e)
+    return True, "all class pairs match centralizer orders"
+
+
+def _degree_sum(table):
+    order = table.order
+    return (degree_sum_holds(order, [r.degree for r in table.rows]),
+            f"sum of degree^2 = {order} = |G|")
+
+
+def _class_partition(table):
+    ct = table.class_table
+    return (class_partition_holds(ct.order, ct.sizes, ct.centralizer_orders),
+            f"{ct.n_classes} classes, sizes {sorted(ct.sizes)}")
+
+
+def _sum_rule(table):
+    p = table.prime
+    holds, total = fs_sum_rule(p, [r.degree for r in table.rows],
+                               [r.indicator for r in table.rows])
+    roots = count_square_roots_of_identity(table.class_table)
+    return holds and roots == total, f"sum rule: {total} = 1 + {p}^2"
+
+
+def _square_locus(table):
+    """{g : g^2 in V} is exactly V together with the z-coset of V."""
+    group = table.class_table.group
+    z = group.quaternion.z.entries()
+    expected = {e for e in group.elements if e[2:] in (IDENTITY_MATRIX, z)}
+    locus = table.square_locus
+    return (locus == expected and len(locus) == 2 * table.prime ** 2,
+            f"|{{g : g^2 in V}}| = {len(locus)} = 2 p^2")
+
+
+def _core_involution_squares(table):
+    group = table.class_table.group
+    z = group.quaternion.z.entries()
+    return (all(group.mul(e, e) == group.identity
+                for e in group.elements if e[2:] == z),
+            "every (v z)^2 = 1")
+
+
+def _induced_vanish_off_core(table):
+    ct = table.class_table
+    off_core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX]
+    return (all(r.values[k].is_zero()
+                for r in table.rows if r.name.startswith("ind_") for k in off_core),
+            "every induced row is zero outside V")
+
+
+# name -> fn(table) -> (ok, detail); the order is the order of Report.checks
+TABLE_CHECKS = (
+    ("first_orthogonality", _first_orthogonality),
+    ("second_orthogonality", _second_orthogonality),
+    ("degree_sum", _degree_sum),
+    ("class_partition", _class_partition),
+    ("sum_rule", _sum_rule),
+    ("square_locus", _square_locus),
+    ("core_involution_squares", _core_involution_squares),
+    ("induced_vanish_off_core", _induced_vanish_off_core),
+)

@@ -10,18 +10,16 @@ import csv
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .characters import character_table
 from .errors import InvariantError, UsageError
 from .groups import DEFAULT_PRIME_BOUND
-from .modp import is_odd_prime
 from .selftest import run_selftest
 from .serialize import (canonical_json, document_values, load_cached_table,
                         report_document, scan_document, store_cached_table,
                         table_document, write_atomic)
-from .verify import scan_one_prime, verify_prime
+from .verify import scan_primes, verify_prime
 
 CACHE_ENV = "Q8FAMILY_CACHE_DIR"
 
@@ -270,26 +268,9 @@ def cmd_table(cfg):
     return 0
 
 
-def _scan_worker(job):
-    p, bound, alt = job
-    return scan_one_prime(p, bound, alt)
-
-
 def cmd_scan(cfg):
     lo, hi = cfg.prime_range
-    primes = [p for p in range(lo, hi + 1) if is_odd_prime(p)]
-    if not primes:
-        raise UsageError(f"no odd primes in range {lo}..{hi}")
-    for p in primes:
-        if p > cfg.bound:
-            raise UsageError(f"p={p} exceeds the prime bound {cfg.bound}")
-    jobs = [(p, cfg.bound, cfg.alt_subgroup) for p in primes]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            summaries = list(pool.map(_scan_worker, jobs))
-    else:
-        summaries = [_scan_worker(j) for j in jobs]
-    summaries.sort(key=lambda r: r["prime"])
+    summaries = scan_primes(lo, hi, cfg.bound, cfg.alt_subgroup, cfg.jobs)
     if cfg.fmt == "json":
         _emit(cfg, canonical_json(scan_document(lo, hi, summaries)))
     else:

@@ -17,8 +17,6 @@ from math import lcm
 
 from .errors import InvariantError
 
-Rational = Fraction
-
 
 def _as_coeff(c):
     """Normalize a coefficient: integral Fractions become ints, floats are rejected."""
@@ -123,16 +121,12 @@ class Cyclotomic:
 
     # -- conversions -------------------------------------------------------
 
-    @classmethod
-    def from_rational(cls, value):
-        return cls(1, [value])
-
     def coeffs_at(self, m):
         """Raw power-basis coefficients of this value at order m (needs n | m).
 
-        Unlike `lift`, the result is not re-canonicalized, so it always has
-        exactly phi(m) entries; rational values stay padded rather than
-        demoting back to order 1.
+        The result is not re-canonicalized, so it always has exactly phi(m)
+        entries; rational values stay padded rather than demoting back to
+        order 1.
         """
         if m == self.n:
             return self.coeffs
@@ -149,16 +143,6 @@ class Cyclotomic:
         if len(out) < phi:
             out = out + [0] * (phi - len(out))
         return tuple(out)
-
-    def lift(self, m):
-        """This value viewed in Q(zeta_m); requires n | m.
-
-        The result is canonical, so a rational value comes back at order 1
-        no matter the m requested.
-        """
-        if m == self.n:
-            return self
-        return Cyclotomic(m, self.coeffs_at(m))
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""

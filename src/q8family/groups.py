@@ -155,12 +155,6 @@ class SemidirectGroup:
         """h ** g = g h g^-1."""
         return self.mul(self.mul(g, h), self.inv(g))
 
-    def matrix_part(self, g):
-        return g[2:]
-
-    def vector_part(self, g):
-        return g[:2]
-
     def in_core(self, g):
         """True when g lies in V, i.e. its matrix part is the identity."""
         return g[2:] == (1, 0, 0, 1)

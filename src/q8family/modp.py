@@ -77,14 +77,5 @@ class Mat2(NamedTuple):
         p = self.p
         return Mat2(-self.a % p, -self.b % p, -self.c % p, -self.d % p, p)
 
-    def apply(self, v):
-        """Matrix-vector action on a pair of residues."""
-        p = self.p
-        return ((self.a * v[0] + self.b * v[1]) % p,
-                (self.c * v[0] + self.d * v[1]) % p)
-
-    def is_identity(self):
-        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)

@@ -2,21 +2,22 @@
 
 This is the slow-but-independent path: the element-wise indicator sum, the
 averaging form of induction, brute-force counts.  Each check reports one
-line; the CLI turns any failure into exit code 3.
+line; the CLI turns any failure into exit code 3.  The table-level lines
+(class partition, degree sum, both orthogonality relations, square locus,
+vanishing off V and the sum rule) take their verdicts and details from the
+shared registry `characters.TABLE_CHECKS`.
 """
 
 import random
 from dataclasses import dataclass
 
-from .characters import (IDENTITY_MATRIX, Q8_ROWS, assemble_character_table,
-                         check_first_orthogonality, check_second_orthogonality,
-                         default_label, fs_indicator_direct, label_orbit,
+from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
+                         assemble_character_table, default_label,
+                         family_class_count, fs_indicator_direct, label_orbit,
                          label_orbits, stabilizer_in_q, tensor_square_decompose)
 from .cyclotomic import ZERO, Cyclotomic, cyclotomic_polynomial, root_of_unity
-from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     count_square_roots_of_identity, require_odd_prime,
-                     square_locus)
+                     count_square_roots_of_identity, require_odd_prime)
 
 ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging oracle on all rows up to here
@@ -104,13 +105,12 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("z_inverts_core", inverts, "conjugation by z negates every v in V")
 
     ct = conjugacy_classes(group)
-    check("class_partition",
-          sum(ct.sizes) == order
-          and all(order % s == 0 for s in ct.sizes)
-          and all(s * c == order for s, c in zip(ct.sizes, ct.centralizer_orders)),
-          f"{ct.n_classes} classes, sizes {sorted(ct.sizes)}")
-    expected_classes = 5 + (p * p - 1) // 8
-    check("class_count", ct.n_classes == expected_classes,
+    table = assemble_character_table(ct)
+    rows = table.rows
+    verdict = {name: fn(table) for name, fn in TABLE_CHECKS}
+
+    check("class_partition", *verdict["class_partition"])
+    check("class_count", ct.n_classes == family_class_count(p),
           f"{ct.n_classes} = 5 + ({p}^2-1)/8")
 
     sq_ok = all(
@@ -122,14 +122,9 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("square_roots_count", roots == 1 + p * p,
           f"{roots} solutions of g^2 = 1; predicted 1 + p^2 = {1 + p * p}")
 
-    z_entries = q.z.entries()
-    locus = square_locus(group)
-    expected_locus = {e for e in group.elements
-                      if e[2:] in (IDENTITY_MATRIX, z_entries)}
-    vz_ok = all(group.mul(e, e) == ident
-                for e in group.elements if e[2:] == z_entries)
-    check("square_locus", locus == expected_locus and len(locus) == 2 * p * p and vz_ok,
-          f"|{{g : g^2 in V}}| = {len(locus)} = 2 p^2; every (v z)^2 = 1")
+    locus_ok, locus_detail = verdict["square_locus"]
+    vz_ok, vz_detail = verdict["core_involution_squares"]
+    check("square_locus", locus_ok and vz_ok, f"{locus_detail}; {vz_detail}")
 
     nontrivial = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
     stab_ok = all(len(stabilizer_in_q(q, l)) == 1 for l in nontrivial)
@@ -145,32 +140,11 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("q8_table", q8_table_checks(q),
           "5 rows orthonormal over Q8; degree-2 values (2, -2, 0, 0, 0)")
 
-    table = assemble_character_table(ct)
-    rows = table.rows
     check("row_count", len(rows) == ct.n_classes,
           f"{len(rows)} rows = {ct.n_classes} classes")
-    check("degree_sum", sum(r.degree ** 2 for r in rows) == order,
-          f"sum of degree^2 = {order} = |G|")
-
-    values_list = [r.values for r in rows]
-    try:
-        check_first_orthogonality(ct, values_list)
-        check("first_orthogonality", True, "all row pairs exactly orthonormal")
-    except InvariantError as e:
-        check("first_orthogonality", False, str(e))
-    try:
-        check_second_orthogonality(ct, values_list)
-        check("second_orthogonality", True, "all class pairs match centralizer orders")
-    except InvariantError as e:
-        check("second_orthogonality", False, str(e))
-
-    induced_rows = [r for r in rows if r.name.startswith("ind_")]
-    vanish = all(
-        r.values[k].is_zero()
-        for r in induced_rows
-        for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX)
-    check("induced_vanish_off_core", vanish,
-          "every induced row is zero outside V")
+    for name in ("degree_sum", "first_orthogonality", "second_orthogonality",
+                 "induced_vanish_off_core"):
+        check(name, *verdict[name])
 
     if p <= FULL_ORACLE_PRIME_LIMIT:
         oracle_labels = list(orbits)
@@ -191,9 +165,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           negatives == ["psi"] and all(r.indicator == 1 for r in rows if r.name != "psi"),
           "exactly one indicator -1, on the degree-2 row")
 
-    fs_sum = sum(r.indicator * r.degree for r in rows)
-    check("fs_sum_rule", fs_sum == roots == 1 + p * p,
-          f"sum rule: {fs_sum} = 1 + {p}^2")
+    check("fs_sum_rule", *verdict["sum_rule"])
 
     orders_ok = all(v.n in (1, p) for r in rows for v in r.values)
     inflated_ok = all(

@@ -9,15 +9,20 @@ The table document schema (versioned by its "format" field):
 
 Values appear in class order; coefficient numerators and denominators are
 exact decimal strings.  Writes go through a temp file plus rename so a
-crashed run never leaves partial JSON behind.
+crashed run never leaves partial JSON behind.  A cached document is served
+only when its integer fields satisfy the table invariants; the values
+themselves are not re-checked on load.
 """
 
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from .characters import (class_partition_holds, degree_sum_holds,
+                         family_class_count, fs_sum_rule, quaternionic_row_unique)
 from .cyclotomic import Cyclotomic
 
 TABLE_FORMAT = 1
@@ -62,25 +67,6 @@ def document_values(doc):
         [Cyclotomic.from_json_obj(v) for v in ch["values"]]
         for ch in doc["characters"]
     ]
-
-
-def table_documents_equivalent(a, b):
-    """Deep exact equality: integers verbatim, values as cyclotomic numbers."""
-    if (a["format"], a["prime"], a["group_order"]) != (b["format"], b["prime"], b["group_order"]):
-        return False
-    if a["classes"] != b["classes"]:
-        return False
-    chars_a, chars_b = a["characters"], b["characters"]
-    if len(chars_a) != len(chars_b):
-        return False
-    for ca, cb in zip(chars_a, chars_b):
-        if (ca["name"], ca["degree"], ca["indicator"]) != (cb["name"], cb["degree"], cb["indicator"]):
-            return False
-        va = [Cyclotomic.from_json_obj(v) for v in ca["values"]]
-        vb = [Cyclotomic.from_json_obj(v) for v in cb["values"]]
-        if len(va) != len(vb) or any(x != y for x, y in zip(va, vb)):
-            return False
-    return True
 
 
 def report_document(report):
@@ -153,8 +139,43 @@ def cache_path(cache_dir, p):
     return Path(cache_dir) / f"table_p{p}.json"
 
 
+def table_document_problem(doc, p):
+    """The first integer invariant the table document for p breaks, or None."""
+    try:
+        classes, chars = doc["classes"], doc["characters"]
+        order = doc["group_order"]
+        sizes = [c["size"] for c in classes]
+        cents = [c["centralizer"] for c in classes]
+        degrees = [ch["degree"] for ch in chars]
+        indicators = [ch["indicator"] for ch in chars]
+        value_counts = [len(ch["values"]) for ch in chars]
+    except (KeyError, TypeError):
+        return "missing or malformed fields"
+    if not all(type(x) is int for x in [order, *sizes, *cents, *degrees, *indicators]):
+        return "non-integer order, size, centralizer, degree or indicator"
+    if order != 8 * p * p:
+        return f"group order {order} != 8 p^2"
+    if not len(classes) == len(chars) == family_class_count(p):
+        return f"{len(classes)} classes and {len(chars)} rows, not 5 + (p^2-1)/8"
+    if not class_partition_holds(order, sizes, cents):
+        return "class sizes and centralizers do not partition G"
+    if not degree_sum_holds(order, degrees):
+        return "degrees squared do not sum to |G|"
+    if any(n != len(classes) for n in value_counts):
+        return "a row does not have one value per class"
+    if not fs_sum_rule(p, degrees, indicators)[0]:
+        return "indicator-weighted degrees do not sum to 1 + p^2"
+    if not quaternionic_row_unique(degrees, indicators):
+        return "indicator -1 is not on the unique degree-2 row alone"
+    return None
+
+
 def load_cached_table(cache_dir, p):
-    """The cached document for p, or None if absent, stale or unreadable."""
+    """The cached document for p, or None if absent, stale, unreadable or invalid.
+
+    An invalid document is reported on stderr and then treated as a miss,
+    so the caller recomputes and overwrites it.
+    """
     path = cache_path(cache_dir, p)
     try:
         with open(path) as fh:
@@ -164,6 +185,10 @@ def load_cached_table(cache_dir, p):
     if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
         return None
     if doc.get("prime") != p:
+        return None
+    problem = table_document_problem(doc, p)
+    if problem is not None:
+        print(f"cache rejected: {path}: {problem}", file=sys.stderr)
         return None
     return doc
 

@@ -5,26 +5,27 @@ character of V = C_p x C_p, the induced character of G = V : Q8 is
 irreducible, has Frobenius-Schur indicator +1, and its square contains the
 quaternionic degree-2 character.  A Report records the exact quantities
 behind each of the three claims plus the structural health checks of the
-table they were read from.
+table they were read from.  Those checks are the entries of
+`characters.TABLE_CHECKS`; they and psi's element-wise indicator are
+computed once per table and shared by every label of the prime.
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
-from .characters import (assemble_character_table, check_first_orthogonality,
-                         check_second_orthogonality, default_label,
+from .characters import (TABLE_CHECKS, assemble_character_table, default_label,
                          fs_indicator, fs_indicator_direct, inner_product,
                          label_orbit, label_orbits, normalize_label,
-                         restriction_to_core_inner, stabilizer_in_q,
-                         tensor_square_decompose)
+                         quaternionic_row_unique, restriction_to_core_inner,
+                         stabilizer_in_q, tensor_square_decompose)
 from .errors import InvariantError, UsageError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     conjugated_subgroup, count_square_roots_of_identity,
-                     quaternion_subgroup, require_odd_prime, square_locus)
+                     conjugated_subgroup, quaternion_subgroup, require_odd_prime)
 from .modp import Mat2, is_odd_prime
-
-CLAIM_NAMES = ("induced_irreducible", "indicator_one", "square_contains_psi")
 
 
 @dataclass
@@ -62,57 +63,23 @@ class Report:
         return ok
 
 
+class TableFacts(NamedTuple):
+    """The label-independent part of a report, computed once per table."""
+
+    checks: dict
+    square_locus_size: int
+    indicator_psi_direct: int
+
+
 def run_table_checks(table):
-    """Structural checks at table level; independent of the chosen label."""
-    ct = table.class_table
-    group = ct.group
-    p = ct.p
-    values_list = [r.values for r in table.rows]
-    checks = {}
-
-    def _passed(name, fn):
-        try:
-            fn()
-        except InvariantError:
-            checks[name] = False
-        else:
-            checks[name] = True
-
-    _passed("first_orthogonality",
-            lambda: check_first_orthogonality(ct, values_list))
-    _passed("second_orthogonality",
-            lambda: check_second_orthogonality(ct, values_list))
-    checks["degree_sum"] = sum(r.degree ** 2 for r in table.rows) == ct.order
-    checks["class_partition"] = (
-        sum(ct.sizes) == ct.order
-        and all(ct.order % s == 0 for s in ct.sizes)
-        and all(s * c == ct.order for s, c in zip(ct.sizes, ct.centralizer_orders))
-    )
-
-    sq_count = count_square_roots_of_identity(ct)
-    checks["sum_rule"] = (
-        sum(r.indicator * r.degree for r in table.rows) == sq_count
-        and sq_count == 1 + p * p
-    )
-
-    # {g : g^2 in V} must be exactly V together with the z-coset of V
-    z = group.quaternion.z.entries()
-    expected = {e for e in group.elements if e[2:] in ((1, 0, 0, 1), z)}
-    locus = square_locus(group)
-    checks["square_locus"] = locus == expected and len(locus) == 2 * p * p
-    ident = group.identity
-    checks["core_involution_squares"] = all(
-        group.mul(e, e) == ident for e in group.elements if e[2:] == z)
-
-    checks["induced_vanish_off_core"] = all(
-        r.values[k].is_zero()
-        for r in table.rows if r.name.startswith("ind_")
-        for k in range(ct.n_classes) if ct.rep_element(k)[2:] != (1, 0, 0, 1))
-
-    return checks, len(locus)
+    """Every registry check on the table, plus psi's element-wise indicator."""
+    checks = {name: fn(table)[0] for name, fn in TABLE_CHECKS}
+    psi = table.rows[table.psi_index]
+    return TableFacts(checks, len(table.square_locus),
+                      fs_indicator_direct(table.class_table, psi.values))
 
 
-def verify_label(table, label, table_checks=None, locus_size=None):
+def verify_label(table, label, facts=None):
     """Check the three claims for one label against an already-built table."""
     ct = table.class_table
     p = ct.p
@@ -120,8 +87,8 @@ def verify_label(table, label, table_checks=None, locus_size=None):
     if label == (0, 0):
         raise UsageError("label must be nontrivial")
     t0 = time.perf_counter()
-    if table_checks is None:
-        table_checks, locus_size = run_table_checks(table)
+    if facts is None:
+        facts = run_table_checks(table)
 
     q = ct.group.quaternion
     stab = stabilizer_in_q(q, label)
@@ -132,8 +99,6 @@ def verify_label(table, label, table_checks=None, locus_size=None):
     norm = inner_product(ct, chi.values, chi.values)
     ind_chi = fs_indicator(ct, chi.values)
     ind_chi_direct = fs_indicator_direct(ct, chi.values)
-    ind_psi = fs_indicator(ct, psi.values)
-    ind_psi_direct = fs_indicator_direct(ct, psi.values)
     decomposition = tensor_square_decompose(table, chi)
     psi_mult = decomposition[psi.name]
 
@@ -154,11 +119,10 @@ def verify_label(table, label, table_checks=None, locus_size=None):
         "indicator_one": ind_chi == 1 and ind_chi_direct == 1,
         "square_contains_psi": psi_mult >= 1,
     }
-    checks = dict(table_checks)
+    checks = dict(facts.checks)
     checks["indicator_breakdown"] = breakdown["consistent"]
-    checks["unique_quaternionic_row"] = (
-        sorted(r.indicator for r in table.rows).count(-1) == 1
-        and psi.indicator == -1)
+    checks["unique_quaternionic_row"] = quaternionic_row_unique(
+        [r.degree for r in table.rows], [r.indicator for r in table.rows])
 
     elapsed = time.perf_counter() - t0
     return Report(
@@ -174,14 +138,14 @@ def verify_label(table, label, table_checks=None, locus_size=None):
         induced_norm=norm,
         indicator_induced=ind_chi,
         indicator_induced_direct=ind_chi_direct,
-        indicator_psi=ind_psi,
-        indicator_psi_direct=ind_psi_direct,
+        indicator_psi=psi.indicator,
+        indicator_psi_direct=facts.indicator_psi_direct,
         psi_multiplicity=psi_mult,
         decomposition=decomposition,
         indicator_breakdown=breakdown,
         claims=claims,
         checks=checks,
-        square_locus_size=locus_size,
+        square_locus_size=facts.square_locus_size,
         timings={"verification_seconds": elapsed},
     )
 
@@ -251,10 +215,12 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     return report
 
 
-def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
+def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
     """Verify every orbit-representative label for every odd prime in [lo, hi].
 
-    Returns a list of per-prime summary dicts, each deterministic apart
+    Every prime is checked against the bound before any work starts.  With
+    jobs > 1 the primes run in that many worker processes.  Returns a list
+    of per-prime summary dicts in prime order, each deterministic apart
     from its "seconds" entry.
     """
     if lo > hi or lo < 1:
@@ -262,6 +228,12 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     primes = [p for p in range(lo, hi + 1) if is_odd_prime(p)]
     if not primes:
         raise UsageError(f"no odd primes in range {lo}..{hi}")
+    for p in primes:
+        require_odd_prime(p, bound)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(scan_one_prime, primes, repeat(bound),
+                                 repeat(alt_subgroup)))
     return [scan_one_prime(p, bound, alt_subgroup) for p in primes]
 
 
@@ -269,12 +241,14 @@ def scan_one_prime(p, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     """Verify all orbit representatives for one prime; summary dict."""
     t0 = time.perf_counter()
     table, _ = build_table_timed(p, None, bound)
-    table_checks, locus_size = run_table_checks(table)
+    facts = run_table_checks(table)
     reps = label_orbits(table.class_table.group.quaternion)
     failures = []
     mults = []
     for rep_label in reps:
-        report = verify_label(table, rep_label, table_checks, locus_size)
+        report = verify_label(table, rep_label, facts)
+        if rep_label == default_label(p):
+            default_report = report
         mults.append(report.psi_multiplicity)
         if not report.overall_pass:
             failures.append({"label": list(rep_label),
@@ -289,8 +263,7 @@ def scan_one_prime(p, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
         "seconds": time.perf_counter() - t0,
     }
     if alt_subgroup:
-        ref = verify_label(table, default_label(p), table_checks, locus_size)
-        alt = _alt_subgroup_summary(p, default_label(p), ref, bound)
+        alt = _alt_subgroup_summary(p, default_label(p), default_report, bound)
         summary["alt_subgroup_pass"] = alt["pass"]
         summary["pass"] = summary["pass"] and alt["pass"]
     return summary

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 from q8family import cli
-from q8family.serialize import (load_cached_table, table_documents_equivalent)
+from q8family.serialize import load_cached_table
 from q8family.verify import verify_prime
 
 # ---------------------------------------------------------------- verify
@@ -127,7 +127,7 @@ class TestTableCache:
         assert "cache hit" not in fresh.err
         cached_doc = load_cached_table(cache, 3)
         assert cached_doc is not None
-        assert table_documents_equivalent(cached_doc, json.loads(fresh.out))
+        assert cached_doc == json.loads(fresh.out)
 
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
@@ -151,6 +151,27 @@ class TestTableCache:
                          "--cache", cache]) == 0
         assert "cache hit" not in capsys.readouterr().err
         assert load_cached_table(cache, 3)["format"] == 1
+
+    def test_tampered_cache_rejected_and_rewritten(self, tmp_path, capsys):
+        cache = str(tmp_path)
+        assert cli.main(["table", "--prime", "5", "--format", "json",
+                         "--cache", cache]) == 0
+        genuine = capsys.readouterr().out
+        path = tmp_path / "table_p5.json"
+        doc = json.loads(path.read_text())
+        psi = next(ch for ch in doc["characters"] if ch["degree"] == 2)
+        psi["indicator"] = -psi["indicator"]
+        psi["values"][-1] = {"n": 1, "coeffs": [["7", "1"]]}
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+
+        assert cli.main(["table", "--prime", "5", "--format", "json",
+                         "--cache", cache]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == genuine
+        assert "cache hit" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache rejected:")
+        assert path.read_text() == genuine
 
     def test_cache_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))

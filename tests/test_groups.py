@@ -50,7 +50,7 @@ class TestQuaternionSubgroup:
         assert q.z == Mat2.identity(p).neg()
         assert q.z * q.z == Mat2.identity(p)
         assert q.z != Mat2.identity(p)
-        invs = [m for m in q.elements if m * m == Mat2.identity(p) and not m.is_identity()]
+        invs = [m for m in q.elements if m * m == Mat2.identity(p) and m != Mat2.identity(p)]
         assert invs == [q.z]
 
     def test_rejects_bad_primes(self):

@@ -34,11 +34,6 @@ class TestMat2:
         assert m * m.inv() == Mat2.identity(7)
         assert m.inv() * m == Mat2.identity(7)
 
-    def test_apply(self):
-        m = Mat2.make(0, -1, 1, 0, 5)
-        assert m.apply((1, 0)) == (0, 1)
-        assert m.apply((0, 1)) == (4, 0)
-
     def test_transpose_neg(self):
         m = Mat2.make(1, 2, 3, 4, 5)
         assert m.transpose().entries() == (1, 3, 2, 4)

@@ -1,0 +1,170 @@
+"""Fault injection: each entry of the table-check registry catches its fault.
+
+Every case corrupts one thing in a genuine p=5 table and asserts that the
+targeted registry entry reports False, both directly and as recorded by
+`verify.run_table_checks`.  First orthogonality is asserted by assembly
+itself, so its fault is a corrupted row that assembly must refuse.  The
+same integer invariants guard cached table documents.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+from q8family import characters
+from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS,
+                                 assemble_character_table)
+from q8family.cyclotomic import ONE
+from q8family.errors import InvariantError
+from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
+from q8family.serialize import table_document, table_document_problem
+from q8family.verify import run_table_checks
+
+
+def _with_row(table, name, **changes):
+    rows = tuple(replace(r, **changes) if r.name == name else r for r in table.rows)
+    return replace(table, rows=rows)
+
+
+def _with_classes(table, **changes):
+    return replace(table, class_table=replace(table.class_table, **changes))
+
+
+def _bump_first(seq):
+    return (seq[0] + 1,) + tuple(seq[1:])
+
+
+def _wrong_centralizer(table):
+    return _with_classes(table, centralizer_orders=_bump_first(table.class_table.centralizer_orders))
+
+
+def _wrong_size(table):
+    return _with_classes(table, sizes=_bump_first(table.class_table.sizes))
+
+
+def _wrong_degree(table):
+    return _with_row(table, "triv", degree=3)
+
+
+def _flipped_psi_indicator(table):
+    return _with_row(table, "psi", indicator=1)
+
+
+def _wrong_central_involution(table):
+    """The group's z replaced by X, so V<z> names the wrong coset."""
+    group = table.class_table.group
+    q = group.quaternion
+    return _with_classes(table, group=SemidirectGroup(replace(q, z=q.x)))
+
+
+def _induced_value_off_core(table):
+    ct = table.class_table
+    off = next(k for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX)
+    row = next(r for r in table.rows if r.name.startswith("ind_"))
+    values = row.values[:off] + (ONE,) + row.values[off + 1:]
+    return _with_row(table, row.name, values=values)
+
+
+CORRUPTIONS = {
+    "second_orthogonality": _wrong_centralizer,
+    "degree_sum": _wrong_degree,
+    "class_partition": _wrong_size,
+    "sum_rule": _flipped_psi_indicator,
+    "square_locus": _wrong_central_involution,
+    "core_involution_squares": _wrong_central_involution,
+    "induced_vanish_off_core": _induced_value_off_core,
+}
+
+
+def test_registry_order_is_the_report_order():
+    assert [name for name, _ in TABLE_CHECKS] == [
+        "first_orthogonality", "second_orthogonality", "degree_sum",
+        "class_partition", "sum_rule", "square_locus",
+        "core_involution_squares", "induced_vanish_off_core"]
+
+
+def test_every_entry_has_a_fault_case():
+    names = {name for name, _ in TABLE_CHECKS}
+    assert names == set(CORRUPTIONS) | {"first_orthogonality"}
+
+
+def test_genuine_table_passes_every_entry(table5):
+    for name, fn in TABLE_CHECKS:
+        ok, detail = fn(table5)
+        assert ok, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_entry_reports_its_fault(table5, name):
+    bad = CORRUPTIONS[name](table5)
+    ok, _ = dict(TABLE_CHECKS)[name](bad)
+    assert ok is False
+    assert run_table_checks(bad).checks[name] is False
+
+
+def test_corrupted_row_refused_by_assembly(monkeypatch):
+    genuine = characters.induced_values
+
+    def corrupted(label, ct):
+        values = genuine(label, ct)
+        return values[:-1] + (values[-1] + 1,)
+
+    monkeypatch.setattr(characters, "induced_values", corrupted)
+    ct = conjugacy_classes(build_group(5))
+    with pytest.raises(InvariantError, match="first orthogonality"):
+        assemble_character_table(ct)
+
+
+def test_certified_rows_cannot_be_swapped(table5):
+    with pytest.raises(AttributeError):
+        table5.rows = table5.rows[::-1]
+
+
+# -- cached documents ------------------------------------------------------------
+
+
+def _char(doc, name):
+    return next(ch for ch in doc["characters"] if ch["name"] == name)
+
+
+def _drop_last_row_and_class(doc):
+    doc["classes"].pop()
+    doc["characters"].pop()
+
+
+def _move_identity_class_size(doc):
+    # sizes still sum to |G|, and the zero size must not reach a modulus
+    doc["classes"][1]["size"] += doc["classes"][0]["size"]
+    doc["classes"][0]["size"] = 0
+
+
+def _move_minus_one_indicator(doc):
+    # keeps the sum rule: psi gains 2 * 2, linX and linY lose 2 * 1 each
+    _char(doc, "psi")["indicator"] = 1
+    _char(doc, "linX")["indicator"] = -1
+    _char(doc, "linY")["indicator"] = -1
+
+
+DOCUMENT_CORRUPTIONS = {
+    "missing": lambda doc: doc.pop("classes"),
+    "non-integer": lambda doc: doc["classes"][0].update(size="1"),
+    "group order": lambda doc: doc.update(group_order=doc["group_order"] + 1),
+    "rows": _drop_last_row_and_class,
+    "partition": _move_identity_class_size,
+    "degrees squared": lambda doc: _char(doc, "triv").update(degree=3),
+    "one value per class": lambda doc: _char(doc, "psi")["values"].pop(),
+    "1 + p^2": lambda doc: _char(doc, "linX").update(indicator=0),
+    "degree-2 row": _move_minus_one_indicator,
+}
+
+
+def test_genuine_document_has_no_problem(table5):
+    assert table_document_problem(table_document(table5), 5) is None
+
+
+@pytest.mark.parametrize("expected", sorted(DOCUMENT_CORRUPTIONS))
+def test_document_problem_found(table5, expected):
+    doc = json.loads(json.dumps(table_document(table5)))
+    DOCUMENT_CORRUPTIONS[expected](doc)
+    assert expected in table_document_problem(doc, 5)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from q8family import verify
 from q8family.characters import label_orbits
 from q8family.errors import UsageError
 from q8family.verify import (build_table_timed, run_table_checks, scan_one_prime,
@@ -41,11 +42,11 @@ class TestVerifyPrime:
 
     def test_p5_every_orbit_rep_passes(self):
         table, _ = build_table_timed(5)
-        checks, locus = run_table_checks(table)
+        facts = run_table_checks(table)
         reps = label_orbits(table.class_table.group.quaternion)
         assert len(reps) == 3
         for rep in reps:
-            report = verify_label(table, rep, checks, locus)
+            report = verify_label(table, rep, facts)
             assert report.overall_pass
             assert report.psi_multiplicity >= 1
 
@@ -119,6 +120,14 @@ class TestScan:
     def test_empty_range_rejected(self):
         with pytest.raises(UsageError, match="no odd primes"):
             scan_primes(8, 9)
+
+    def test_bound_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a prime was verified before the bound check")
+
+        monkeypatch.setattr(verify, "scan_one_prime", no_work)
+        with pytest.raises(UsageError, match="p=11 exceeds the prime bound 7"):
+            scan_primes(3, 13, bound=7)
 
     def test_inverted_range_rejected(self):
         with pytest.raises(UsageError, match="bad prime range"):
