@@ -6,6 +6,12 @@ V under the Q8 action.  Assembly asserts the counting identities and full
 first orthogonality before returning, and attaches a Frobenius-Schur
 indicator to every row.
 
+Every inner product, both orthogonality relations and the tensor-square
+multiplicities are decided in a prime field F_l by `modular.image_of`,
+which checks the rows Galois-closed first; its docstring gives the
+argument why one residue decides each exact sum.  The indicator and
+restriction sums are linear and stay in exact `Cyclotomic` arithmetic.
+
 TABLE_CHECKS, at the end, is the one ordered registry of named table
 checks: `verify` records its verdicts in every report, `selftest` prints
 them, and `serialize` validates cached documents with its integer
@@ -21,11 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .cyclotomic import ZERO, Cyclotomic
 from .errors import InvariantError, UsageError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
                      count_square_roots_of_identity, square_locus)
+from .modular import image_of
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
 
@@ -138,16 +146,13 @@ def inflated_values(q8_values, ct):
 
 
 def inner_product(ct, f, g):
-    """Exact <f, g> = (1/|G|) sum over classes |K| f(K) conj(g(K))."""
-    total = ZERO
-    for size, fv, gv in zip(ct.sizes, f, g):
-        if fv.is_zero() or gv.is_zero():
-            continue
-        total = total + size * (fv * gv.conjugate())
-    r = total.as_rational()
-    if r is None:
-        raise InvariantError("inner product of class functions is not rational")
-    return r / ct.order
+    """Exact <f, g> = (1/|G|) sum over classes |K| f(K) conj(g(K)).
+
+    f and g must be Galois-closed; table rows share the table's image.
+    """
+    image = image_of(ct, (f, g))
+    return Fraction(image.exact_sum(image.residues[image.position(f)],
+                                    image.conjugates[image.position(g)]), ct.order)
 
 
 def restriction_to_core_inner(ct, values):
@@ -244,6 +249,11 @@ class CharacterTable:
         return square_locus(self.class_table.group)
 
     @cached_property
+    def square_roots_count(self):
+        """#{g : g^2 = 1}, counted once per table."""
+        return count_square_roots_of_identity(self.class_table)
+
+    @cached_property
     def psi_index(self):
         """Index of the unique degree-2 row."""
         hits = [i for i, r in enumerate(self.rows) if r.degree == 2]
@@ -265,29 +275,34 @@ class CharacterTable:
 
 def check_first_orthogonality(ct, values_list):
     """<row_i, row_j> = delta_ij, exactly, for all pairs."""
-    for i, f in enumerate(values_list):
-        for j in range(i, len(values_list)):
-            got = inner_product(ct, f, values_list[j])
-            want = Fraction(1) if i == j else Fraction(0)
-            if got != want:
-                raise InvariantError(
-                    f"first orthogonality fails at rows ({i}, {j}): got {got}")
+    try:
+        image = image_of(ct, values_list)
+    except InvariantError as e:
+        raise InvariantError(f"first orthogonality fails: {e}") from e
+    rows = [image.position(f) for f in values_list]
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            got = image.exact_sum(image.residues[a], image.conjugates[rows[j]])
+            if got != (ct.order if i == j else 0):
+                raise InvariantError(f"first orthogonality fails at rows ({i}, {j}): "
+                                     f"got {Fraction(got, ct.order)}")
 
 
 def check_second_orthogonality(ct, values_list):
-    """Column relations: sum over rows of chi(K) conj(chi(K')) = delta |C(K)|."""
-    conj_cols = [
-        [vals[k].conjugate() for vals in values_list] for k in range(ct.n_classes)
-    ]
+    """Column relations: sum over rows of chi(K) conj(chi(K')) = delta |C(K)|.
+
+    Both orders of every class pair are checked mod l, which the modular
+    kernel's argument needs to decide each relation exactly.
+    """
+    image = image_of(ct, values_list)
+    rows = [image.position(f) for f in values_list]
+    cols = list(zip(*(image.residues[i] for i in rows)))
+    conj_cols = list(zip(*(image.conjugates[i] for i in rows)))
     for k in range(ct.n_classes):
         for k2 in range(k, ct.n_classes):
-            total = ZERO
-            for vals, cv in zip(values_list, conj_cols[k2]):
-                v = vals[k]
-                if not (v.is_zero() or cv.is_zero()):
-                    total = total + v * cv
             want = ct.centralizer_orders[k] if k == k2 else 0
-            if total != want:
+            if ((sum(map(mul, cols[k], conj_cols[k2])) - want) % image.ell
+                    or (sum(map(mul, cols[k2], conj_cols[k])) - want) % image.ell):
                 raise InvariantError(
                     f"second orthogonality fails at classes ({k}, {k2})")
 
@@ -330,10 +345,12 @@ def tensor_square_decompose(table, row):
     squared degree; anything else means the table is corrupt.
     """
     ct = table.class_table
-    squared = tuple(v * v for v in row.values)
+    image = image_of(ct, [r.values for r in table.rows] + [row.values])
+    squared = [x * x % image.ell for x in image.residues[image.position(row.values)]]
     out = {}
     for r in table.rows:
-        m = inner_product(ct, squared, r.values)
+        m = Fraction(image.exact_sum(squared, image.conjugates[image.position(r.values)]),
+                     ct.order)
         mi = _rational_integer(m, f"multiplicity of {r.name}")
         if mi < 0:
             raise InvariantError(f"negative multiplicity {mi} of {r.name}")
@@ -408,8 +425,7 @@ def _sum_rule(table):
     p = table.prime
     holds, total = fs_sum_rule(p, [r.degree for r in table.rows],
                                [r.indicator for r in table.rows])
-    roots = count_square_roots_of_identity(table.class_table)
-    return holds and roots == total, f"sum rule: {total} = 1 + {p}^2"
+    return holds and table.square_roots_count == total, f"sum rule: {total} = 1 + {p}^2"
 
 
 def _square_locus(table):

@@ -179,6 +179,8 @@ class ClassTable:
     centralizer_orders: tuple
     class_of: tuple        # element index -> class index
     square_map: tuple      # class index -> class index of rep^2
+    # the last `modular.image_of` result; `dataclasses.replace` starts afresh
+    modular_image: object = field(default=None, init=False, repr=False)
 
     @property
     def p(self):

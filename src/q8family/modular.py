@@ -1,0 +1,164 @@
+"""Exact inner products of Galois-closed class functions, decided in F_l.
+
+Every value of a character of G = (C_p x C_p) : Q8 lies in Z[zeta_p].  The
+sums that certify the table are integers or small elements of Z[zeta_p],
+so they can be read off from their images under a ring map
+Z[zeta_p] -> F_l (Dixon, "High speed computation of group characters",
+Numer. Math. 10, 1967; Schneider, "Dixon's character table algorithm
+revisited", J. Symb. Comput. 9, 1990).  Why one residue decides each sum,
+with every step checked at run time when an image is built:
+
+1. Galois closure, checked on exact coefficients.  Let g generate
+   (Z/p)^*, sigma_g the automorphism zeta -> zeta^g, and pi the class
+   permutation induced by v -> g v on V (the identity off V).  pi must be
+   a bijection preserving class sizes and centralizer orders; every value
+   must have order 1 or p and integer coefficients; and
+   sigma_g(f(K)) = f(pi K) for every function f and class K.  Then every
+   S = sum_K |K| f(K) conj(h(K)) over such functions, and over f = chi^2
+   too, is fixed by sigma_g (sum over pi K instead of K), so S is a
+   rational algebraic integer: an integer.
+2. Bound.  With M the largest l1-norm of a power-basis coefficient vector,
+   |S| <= sum_K |K| |f(K)|_1 |h(K)|_1 <= |G| M^3.
+3. Modulus.  l is a prime with l = 1 (mod p) and l > 2B, and w has order
+   p mod l.  zeta -> w is a ring map sending S to S mod l, and the residue
+   of absolute value below l/2 is S itself.
+4. Second orthogonality.  A column sum T(K, K') = sum_chi chi(K)
+   conj(chi(K')) is not rational, but sigma_g T(K, K') = T(pi K, pi K')
+   and pi preserves centralizer orders, so checking D = T - delta |C(K)|
+   against w for every ordered pair of classes checks D at all p - 1
+   primes of Z[zeta_p] above l.  Then every coefficient of D is divisible
+   by l; each is at most n M^2 + max |C(K)| <= B < l/2 in absolute value
+   (n functions), so D = 0.
+
+`image_of` keeps the last image on its class table and serves it again
+while the requested functions are all, by identity, functions it was
+built from, so a table assembled once shares one embedding across both
+orthogonality checks and every label.  Functions are held by reference
+and must be tuples to be shared; a table rebuilt with other rows gets a
+fresh image.
+"""
+
+from operator import mul
+
+from .errors import InvariantError
+from .modp import is_odd_prime
+
+
+def primitive_root(p):
+    """The least generator of (Z/p)^* for an odd prime p."""
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and (q == 2 or is_odd_prime(q))]
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+    raise InvariantError(f"no primitive root mod {p}")
+
+
+def split_prime(p, bound):
+    """(l, w): the least prime l = 1 (mod p) with l > 2 bound, and w of order p mod l."""
+    ell = 2 * bound + 1
+    ell += (1 - ell) % p
+    while not is_odd_prime(ell):
+        ell += p
+    for a in range(2, ell):
+        w = pow(a, (ell - 1) // p, ell)
+        if w != 1:
+            return ell, w
+    raise InvariantError(f"no element of order {p} mod {ell}")
+
+
+def galois_class_permutation(ct):
+    """(g, pi): a generator g of (Z/p)^* and the class permutation of v -> g v.
+
+    pi is the identity off V.  Raises unless pi is a bijection that
+    preserves class sizes and centralizer orders.
+    """
+    p = ct.p
+    g = primitive_root(p)
+    perm = []
+    for k in range(ct.n_classes):
+        e = ct.rep_element(k)
+        if ct.group.in_core(e):
+            perm.append(ct.class_of_element((g * e[0] % p, g * e[1] % p) + e[2:]))
+        else:
+            perm.append(k)
+    if sorted(perm) != list(range(ct.n_classes)):
+        raise InvariantError("the Galois action on V does not permute the classes")
+    if any(ct.sizes[pk] != ct.sizes[k] for k, pk in enumerate(perm)):
+        raise InvariantError("the Galois class permutation does not preserve class sizes")
+    if any(ct.centralizer_orders[pk] != ct.centralizer_orders[k] for k, pk in enumerate(perm)):
+        raise InvariantError("the Galois class permutation does not preserve centralizer orders")
+    return g, perm
+
+
+def _integral_coeffs(value, p):
+    """Power-basis coefficients of a value of Z[zeta_p], padded to p - 1 entries."""
+    if value.n not in (1, p):
+        raise InvariantError(f"value {value} does not lie in Q(zeta_{p})")
+    coeffs = value.coeffs_at(p)
+    if any(type(c) is not int for c in coeffs):
+        raise InvariantError(f"value {value} does not lie in Z[zeta_{p}]")
+    return coeffs
+
+
+def _galois_image(coeffs, p, g):
+    """Power-basis coefficients of sigma_g(x), for x with the given coefficients."""
+    spread = [0] * p
+    for i, c in enumerate(coeffs):
+        spread[i * g % p] = c
+    top = spread[-1]
+    return tuple(c - top for c in spread[:-1])
+
+
+class ModularImage:
+    """Galois-closed class functions of one class table, sent into F_l.
+
+    `residues[i][K]` is the image of f_i(K) under zeta -> w, and
+    `conjugates[i][K]` that of conj(f_i(K)), under zeta -> w^-1.
+    """
+
+    def __init__(self, ct, functions):
+        p = ct.p
+        g, perm = galois_class_permutation(ct)
+        coeffs = [[_integral_coeffs(v, p) for v in f] for f in functions]
+        for i, row in enumerate(coeffs):
+            if len(row) != ct.n_classes:
+                raise InvariantError(f"class function {i} has {len(row)} values, "
+                                     f"not one per class ({ct.n_classes})")
+            for k, c in enumerate(row):
+                if _galois_image(c, p, g) != row[perm[k]]:
+                    raise InvariantError(
+                        f"class function {i} is not Galois-closed at class {k}, "
+                        "so its inner products are not rational")
+        m = max((sum(map(abs, c)) for row in coeffs for c in row), default=0)
+        self.bound = max(ct.order * m ** 3,
+                         len(functions) * m * m + max(ct.centralizer_orders), 1)
+        self.ell, self.w = split_prime(p, self.bound)
+        powers = [pow(self.w, i, self.ell) for i in range(p)]
+        inverse_powers = powers[:1] + powers[:0:-1]
+        self.sizes = ct.sizes
+        self.residues = [[sum(map(mul, c, powers)) % self.ell for c in row] for row in coeffs]
+        self.conjugates = [[sum(map(mul, c, inverse_powers)) % self.ell for c in row]
+                           for row in coeffs]
+        self._functions = tuple(functions)  # keeps every id below alive
+        self._position = {id(f): i for i, f in enumerate(self._functions)}
+
+    def position(self, f):
+        """Index of f among the functions this image was built from, else None."""
+        return self._position.get(id(f))
+
+    def covers(self, functions):
+        """True when every function is one of this image's, all immutable tuples."""
+        return all(type(f) is tuple and id(f) in self._position for f in functions)
+
+    def exact_sum(self, residues, conjugates):
+        """The integer sum_K |K| f(K) conj(h(K)) from the images of f and conj(h)."""
+        s = sum(map(mul, map(mul, self.sizes, residues), conjugates)) % self.ell
+        return s - self.ell if s > self.ell // 2 else s
+
+
+def image_of(ct, functions):
+    """The class table's last image if it covers `functions`, else a new one kept on it."""
+    image = ct.modular_image
+    if image is None or not image.covers(functions):
+        image = ct.modular_image = ModularImage(ct, functions)
+    return image

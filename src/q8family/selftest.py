@@ -1,9 +1,11 @@
 """Per-prime invariant suite: every structural property the library relies on.
 
 This is the slow-but-independent path: the element-wise indicator sum, the
-averaging form of induction, brute-force counts.  Each check reports one
-line; the CLI turns any failure into exit code 3.  The table-level lines
-(class partition, degree sum, both orthogonality relations, square locus,
+averaging form of induction, brute-force counts, and inner products summed
+in exact `Cyclotomic` arithmetic, against which the F_l kernel behind
+`characters.inner_product` is compared.  Each check reports one line; the
+CLI turns any failure into exit code 3.  The table-level lines (class
+partition, degree sum, both orthogonality relations, square locus,
 vanishing off V and the sum rule) take their verdicts and details from the
 shared registry `characters.TABLE_CHECKS`.
 """
@@ -13,14 +15,16 @@ from dataclasses import dataclass
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          assemble_character_table, default_label,
-                         family_class_count, fs_indicator_direct, label_orbit,
-                         label_orbits, stabilizer_in_q, tensor_square_decompose)
+                         family_class_count, fs_indicator_direct, inner_product,
+                         label_orbit, label_orbits, stabilizer_in_q,
+                         tensor_square_decompose)
 from .cyclotomic import ZERO, Cyclotomic, cyclotomic_polynomial, root_of_unity
+from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     count_square_roots_of_identity, require_odd_prime)
+                     require_odd_prime)
 
 ASSOCIATIVITY_SAMPLES = 300
-FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging oracle on all rows up to here
+FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
 
 
 @dataclass
@@ -49,6 +53,19 @@ def induced_by_averaging(label, ct):
                 counts[(a * y[0] + b * y[1]) % p] += 1
         values.append(Cyclotomic(p, counts) / (p * p))
     return tuple(values)
+
+
+def exact_inner_product(ct, f, g):
+    """Independent inner-product oracle: the sum taken in exact `Cyclotomic` arithmetic."""
+    total = ZERO
+    for size, fv, gv in zip(ct.sizes, f, g):
+        if fv.is_zero() or gv.is_zero():
+            continue
+        total = total + size * (fv * gv.conjugate())
+    r = total.as_rational()
+    if r is None:
+        raise InvariantError("inner product of class functions is not rational")
+    return r / ct.order
 
 
 def q8_table_checks(q):
@@ -118,7 +135,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
         for i, e in enumerate(group.elements))
     check("square_map_total", sq_ok, "square map agrees on 100% of elements")
 
-    roots = count_square_roots_of_identity(ct)
+    roots = table.square_roots_count
     check("square_roots_count", roots == 1 + p * p,
           f"{roots} solutions of g^2 = 1; predicted 1 + p^2 = {1 + p * p}")
 
@@ -182,5 +199,17 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           and dec["triv"] == 1 and dec["psi"] >= 1,
           f"multiplicities >= 0, weight sum {weight} = 64, "
           f"[triv] = {dec['triv']}, [psi] = {dec['psi']}")
+
+    if p <= FULL_ORACLE_PRIME_LIMIT:
+        pairs = [(f, g) for i, f in enumerate(rows) for g in rows[i:]]
+    else:
+        pairs = [(chi, g) for g in rows]
+    psi = table.row("psi")
+    squared = tuple(v * v for v in chi.values)
+    check("orthogonality_oracle",
+          all(inner_product(ct, f.values, g.values) == exact_inner_product(ct, f.values, g.values)
+              for f, g in pairs)
+          and dec["psi"] == exact_inner_product(ct, squared, psi.values),
+          f"F_l kernel = exact Cyclotomic sum on {len(pairs)} row pair(s) and [chi^2, psi]")
 
     return results

@@ -247,7 +247,7 @@ class TestSelftestCommand:
         assert cli.main(["selftest", "--prime", "3"]) == 0
         out = capsys.readouterr().out
         assert "sum rule: 10 = 1 + 3^2" in out
-        assert "23/23 checks passed" in out
+        assert "24/24 checks passed" in out
 
     def test_p7_mentions_orbit_count(self, capsys):
         assert cli.main(["selftest", "--prime", "7"]) == 0

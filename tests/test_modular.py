@@ -1,0 +1,177 @@
+"""The F_l kernel behind every inner product, against the exact route.
+
+`selftest.exact_inner_product` sums in exact `Cyclotomic` arithmetic and is
+the independent oracle; column sums are recomputed the same way here.
+"""
+
+from dataclasses import replace
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from q8family import modular
+from q8family.characters import (TABLE_CHECKS, character_table,
+                                 check_first_orthogonality,
+                                 check_second_orthogonality, inner_product,
+                                 label_orbits, tensor_square_decompose)
+from q8family.cyclotomic import ZERO, Cyclotomic, root_of_unity
+from q8family.errors import InvariantError
+from q8family.modp import is_odd_prime
+from q8family.modular import (ModularImage, galois_class_permutation, image_of,
+                              split_prime)
+from q8family.selftest import exact_inner_product
+from q8family.verify import run_table_checks, verify_label
+
+
+@cache
+def _table(p):
+    return character_table(p)
+
+
+def _values(table):
+    return [r.values for r in table.rows]
+
+
+def _residue(value, p, image):
+    return sum(c * pow(image.w, i, image.ell)
+               for i, c in enumerate(value.coeffs_at(p))) % image.ell
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+class TestKernelAgreesWithExactRoute:
+    def test_gram_matrix(self, p):
+        table = _table(p)
+        ct = table.class_table
+        for i, f in enumerate(table.rows):
+            for g in table.rows[i:]:
+                assert (inner_product(ct, f.values, g.values)
+                        == exact_inner_product(ct, f.values, g.values))
+
+    def test_column_sums(self, p):
+        table = _table(p)
+        ct = table.class_table
+        values = _values(table)
+        check_second_orthogonality(ct, values)
+        image = image_of(ct, values)
+        for k in range(ct.n_classes):
+            for k2 in range(ct.n_classes):
+                exact = sum((v[k] * v[k2].conjugate() for v in values), ZERO)
+                assert exact == (ct.centralizer_orders[k] if k == k2 else 0)
+                kernel = sum(image.residues[i][k] * image.conjugates[i][k2]
+                             for i in range(len(values))) % image.ell
+                assert kernel == _residue(exact, p, image)
+
+    def test_every_tensor_square(self, p):
+        table = _table(p)
+        ct = table.class_table
+        for rep in label_orbits(ct.group.quaternion):
+            chi = table.induced_row_for_label(rep)
+            squared = tuple(v * v for v in chi.values)
+            dec = tensor_square_decompose(table, chi)
+            assert dec == {r.name: exact_inner_product(ct, squared, r.values)
+                           for r in table.rows}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_changed_coefficient_is_refused(p, data):
+    table = _table(p)
+    values = _values(table)
+    i = data.draw(st.integers(0, len(values) - 1), label="row")
+    k = data.draw(st.integers(0, len(values[i]) - 1), label="class")
+    e = data.draw(st.integers(0, p - 2), label="power")
+    delta = data.draw(st.integers(-3, 3).filter(bool), label="delta")
+    coeffs = list(values[i][k].coeffs_at(p))
+    coeffs[e] += delta
+    row = values[i][:k] + (Cyclotomic(p, coeffs),) + values[i][k + 1:]
+    with pytest.raises(InvariantError, match="first orthogonality"):
+        check_first_orthogonality(table.class_table, values[:i] + [row] + values[i + 1:])
+
+
+@pytest.mark.parametrize("p", [7, 11])  # at p = 3 and 5 pi is the identity
+def test_galois_consistent_edit_is_refused_by_the_residues(p):
+    table = _table(p)
+    ct = table.class_table
+    g, perm = galois_class_permutation(ct)
+    k = next(k for k in range(ct.n_classes) if perm[k] != k)
+    cycle = [k]
+    while perm[cycle[-1]] != k:
+        cycle.append(perm[cycle[-1]])
+    # sigma_g^j of the Gauss period fixed by sigma_g^len(cycle), at pi^j K
+    period = range(0, p - 1, len(cycle))
+    orbit = {c: sum((root_of_unity(p, pow(g, t + j, p)) for t in period), ZERO)
+             for j, c in enumerate(cycle)}
+    values = _values(table)
+    i = len(values) - 1
+    values[i] = tuple(v + orbit[c] if c in orbit else v for c, v in enumerate(values[i]))
+    ModularImage(ct, values)  # the edited rows are still Galois-closed
+    with pytest.raises(InvariantError, match=r"first orthogonality fails at rows"):
+        check_first_orthogonality(ct, values)
+
+
+def test_centralizer_orders_must_be_galois_invariant(table7):
+    ct = table7.class_table
+    _, perm = galois_class_permutation(ct)
+    k = next(k for k in range(ct.n_classes) if perm[k] != k)
+    cents = list(ct.centralizer_orders)
+    cents[k] += 1
+    bad = replace(table7, class_table=replace(ct, centralizer_orders=tuple(cents)))
+    with pytest.raises(InvariantError, match="does not preserve centralizer orders"):
+        galois_class_permutation(bad.class_table)
+    ok, detail = dict(TABLE_CHECKS)["second_orthogonality"](bad)
+    assert ok is False and "centralizer orders" in detail
+
+
+def test_values_outside_z_zeta_p_are_refused(classes3):
+    half = Cyclotomic(1, [1]) / 2
+    with pytest.raises(InvariantError, match="Z\\[zeta_3\\]"):
+        ModularImage(classes3, [(half,) * classes3.n_classes])
+    with pytest.raises(InvariantError, match="Q\\(zeta_3\\)"):
+        ModularImage(classes3, [(root_of_unity(5, 1),) * classes3.n_classes])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13, 17, 23]), bound=st.integers(1, 10 ** 5))
+def test_split_prime(p, bound):
+    ell, w = split_prime(p, bound)
+    assert is_odd_prime(ell) and ell % p == 1 and ell > 2 * bound
+    assert w != 1 and pow(w, p, ell) == 1
+    assert not any(is_odd_prime(q) for q in range(2 * bound + 1, ell) if q % p == 1)
+
+
+def test_image_bound_covers_every_needed_sum(table5):
+    image = image_of(table5.class_table, _values(table5))
+    m = max(sum(map(abs, v.coeffs_at(5))) for r in table5.rows for v in r.values)
+    assert image.bound >= table5.order * m ** 3
+    assert image.ell > 2 * image.bound
+
+
+def test_one_embedding_per_table(monkeypatch):
+    built = []
+
+    class Counted(ModularImage):
+        def __init__(self, ct, functions):
+            built.append(len(functions))
+            super().__init__(ct, functions)
+
+    monkeypatch.setattr(modular, "ModularImage", Counted)
+    table = character_table(7)
+    facts = run_table_checks(table)
+    for rep in label_orbits(table.class_table.group.quaternion):
+        verify_label(table, rep, facts)
+    assert built == [len(table.rows)]
+
+
+def test_a_table_with_other_rows_gets_its_own_image(table5):
+    ct = table5.class_table
+    genuine = image_of(ct, _values(table5))
+    rows = table5.rows[:-1] + (replace(table5.rows[-1], values=tuple(table5.rows[-1].values)),)
+    assert image_of(ct, [r.values for r in rows]) is genuine  # same value tuple
+    edited = table5.rows[-1].values[:-1] + (table5.rows[-1].values[-1] + 1,)
+    other = replace(table5, rows=table5.rows[:-1] + (replace(table5.rows[-1], values=edited),))
+    assert image_of(ct, _values(other)) is not genuine
+    ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](other)
+    assert ok is False

@@ -81,6 +81,12 @@ class TestVerifyPrime:
         assert alt["indicator_multiset_match"]
         assert alt["class_count_match"]
 
+    def test_p23_end_to_end(self):
+        r = verify_prime(23)
+        assert r.class_count == 71
+        assert r.overall_pass
+        assert r.psi_multiplicity >= 1
+
     def test_timings_recorded(self):
         r = verify_prime(3)
         for key in ("group_seconds", "classes_seconds", "table_seconds",
