@@ -13,9 +13,8 @@ import argparse
 import sys
 from collections import Counter
 
-from q8family.characters import label_orbits, tensor_square_decompose
+from q8family.characters import character_table, label_orbits, tensor_square_decompose
 from q8family.modp import is_odd_prime
-from q8family.verify import build_table_timed
 
 
 def main():
@@ -31,7 +30,7 @@ def main():
     for p in range(args.min_prime, args.max_prime + 1):
         if not is_odd_prime(p):
             continue
-        table, _ = build_table_timed(p, bound=args.bound)
+        table = character_table(p, bound=args.bound)
         q = table.class_table.group.quaternion
         for rep in label_orbits(q):
             row = table.induced_row_for_label(rep)

@@ -6,11 +6,11 @@ V under the Q8 action.  Assembly asserts the counting identities and full
 first orthogonality before returning, and attaches a Frobenius-Schur
 indicator to every row.
 
-Every inner product, both orthogonality relations and the tensor-square
-multiplicities are decided in a prime field F_l by `modular.image_of`,
-which checks the rows Galois-closed first; its docstring gives the
-argument why one residue decides each exact sum.  The indicator and
-restriction sums are linear and stay in exact `Cyclotomic` arithmetic.
+Every inner product, both orthogonality relations, the tensor-square
+multiplicities, the class-formula indicators and the restriction to V are
+decided in a prime field F_l by `modular.image_of`, which checks the rows
+Galois-closed first; its docstring gives the argument why one residue
+decides each exact sum.
 
 TABLE_CHECKS, at the end, is the one ordered registry of named table
 checks: `verify` records its verdicts in every report, `selftest` prints
@@ -157,18 +157,11 @@ def inner_product(ct, f, g):
 
 def restriction_to_core_inner(ct, values):
     """Exact [f restricted to V, trivial character of V]."""
-    total = ZERO
-    n_core = 0
-    for k in range(ct.n_classes):
-        if ct.rep_element(k)[2:] == IDENTITY_MATRIX:
-            n_core += ct.sizes[k]
-            total = total + ct.sizes[k] * values[k]
-    if n_core != ct.p ** 2:
+    mask = [int(ct.rep_element(k)[2:] == IDENTITY_MATRIX) for k in range(ct.n_classes)]
+    if sum(map(mul, ct.sizes, mask)) != ct.p ** 2:
         raise InvariantError("classes inside V do not cover V")
-    r = total.as_rational()
-    if r is None:
-        raise InvariantError("restriction inner product is not rational")
-    return r / n_core
+    image = image_of(ct, (values,))
+    return Fraction(image.exact_sum(image.residues[image.position(values)], mask), ct.p ** 2)
 
 
 def _rational_integer(value, what):
@@ -179,15 +172,10 @@ def _rational_integer(value, what):
 
 def fs_indicator(ct, values):
     """Frobenius-Schur indicator via the class formula and the square map."""
-    total = ZERO
-    for size, k2 in zip(ct.sizes, ct.square_map):
-        v = values[k2]
-        if not v.is_zero():
-            total = total + size * v
-    r = total.as_rational()
-    if r is None:
-        raise InvariantError("indicator sum is not rational")
-    return _rational_integer(r / ct.order, "Frobenius-Schur indicator")
+    image = image_of(ct, (values,))
+    residues = image.residues[image.position(values)]
+    total = image.exact_sum([residues[k2] for k2 in ct.square_map], [1] * ct.n_classes)
+    return _rational_integer(Fraction(total, ct.order), "Frobenius-Schur indicator")
 
 
 def fs_indicator_direct(ct, values):

@@ -56,8 +56,6 @@ def _parse_prime_range(text):
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"prime range bounds must be integers, got {text!r}") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad prime range {lo}..{hi}")
     return lo, hi
 
 

@@ -70,9 +70,6 @@ class Mat2(NamedTuple):
         return Mat2((self.d * di) % p, (-self.b * di) % p,
                     (-self.c * di) % p, (self.a * di) % p, p)
 
-    def transpose(self):
-        return Mat2(self.a, self.c, self.b, self.d, self.p)
-
     def neg(self):
         p = self.p
         return Mat2(-self.a % p, -self.b % p, -self.c % p, -self.d % p, p)

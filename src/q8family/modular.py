@@ -11,14 +11,22 @@ with every step checked at run time when an image is built:
 1. Galois closure, checked on exact coefficients.  Let g generate
    (Z/p)^*, sigma_g the automorphism zeta -> zeta^g, and pi the class
    permutation induced by v -> g v on V (the identity off V).  pi must be
-   a bijection preserving class sizes and centralizer orders; every value
-   must have order 1 or p and integer coefficients; and
-   sigma_g(f(K)) = f(pi K) for every function f and class K.  Then every
-   S = sum_K |K| f(K) conj(h(K)) over such functions, and over f = chi^2
-   too, is fixed by sigma_g (sum over pi K instead of K), so S is a
-   rational algebraic integer: an integer.
+   a bijection preserving class sizes and centralizer orders and
+   commuting with the square map (sq(pi K) = pi(sq K)); every value must
+   have order 1 or p and integer coefficients; and
+   sigma_g(f(K)) = f(pi K) for every function f and class K.  Then
+   f o sq is Galois-closed too, since sigma_g(f(sq K)) = f(pi sq K) =
+   f(sq pi K), and the 0/1 mask of the classes inside V is pi-invariant,
+   since pi maps classes of V to classes of V.  So every
+   S = sum_K |K| f(K) conj(h(K)) over such functions (f = chi^2,
+   f = chi o sq with h = 1, h = the mask among them) is fixed by sigma_g
+   (sum over pi K instead of K): S is a rational algebraic integer, an
+   integer.
 2. Bound.  With M the largest l1-norm of a power-basis coefficient vector,
-   |S| <= sum_K |K| |f(K)|_1 |h(K)|_1 <= |G| M^3.
+   |S| <= sum_K |K| |f(K)|_1 |h(K)|_1 <= |G| M^3 <= B, with
+   B = max(|G| M^3, n M^2 + max |C(K)|) for n functions.  The indicator
+   and restriction sums, where h is 0 or 1, are at most |G| M <= B
+   (M is 0 or at least 1).
 3. Modulus.  l is a prime with l = 1 (mod p) and l > 2B, and w has order
    p mod l.  zeta -> w is a ring map sending S to S mod l, and the residue
    of absolute value below l/2 is S itself.
@@ -27,8 +35,8 @@ with every step checked at run time when an image is built:
    and pi preserves centralizer orders, so checking D = T - delta |C(K)|
    against w for every ordered pair of classes checks D at all p - 1
    primes of Z[zeta_p] above l.  Then every coefficient of D is divisible
-   by l; each is at most n M^2 + max |C(K)| <= B < l/2 in absolute value
-   (n functions), so D = 0.
+   by l; each is at most n M^2 + max |C(K)| <= B < l/2 in absolute value,
+   so D = 0.
 
 `image_of` keeps the last image on its class table and serves it again
 while the requested functions are all, by identity, functions it was
@@ -70,7 +78,8 @@ def galois_class_permutation(ct):
     """(g, pi): a generator g of (Z/p)^* and the class permutation of v -> g v.
 
     pi is the identity off V.  Raises unless pi is a bijection that
-    preserves class sizes and centralizer orders.
+    preserves class sizes and centralizer orders and commutes with the
+    square map.
     """
     p = ct.p
     g = primitive_root(p)
@@ -87,6 +96,8 @@ def galois_class_permutation(ct):
         raise InvariantError("the Galois class permutation does not preserve class sizes")
     if any(ct.centralizer_orders[pk] != ct.centralizer_orders[k] for k, pk in enumerate(perm)):
         raise InvariantError("the Galois class permutation does not preserve centralizer orders")
+    if any(ct.square_map[pk] != perm[ct.square_map[k]] for k, pk in enumerate(perm)):
+        raise InvariantError("the Galois class permutation does not commute with the square map")
     return g, perm
 
 

@@ -18,10 +18,10 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .characters import (TABLE_CHECKS, assemble_character_table, default_label,
-                         fs_indicator, fs_indicator_direct, inner_product,
-                         label_orbit, label_orbits, normalize_label,
-                         quaternionic_row_unique, restriction_to_core_inner,
-                         stabilizer_in_q, tensor_square_decompose)
+                         fs_indicator_direct, inner_product, label_orbit,
+                         label_orbits, normalize_label, quaternionic_row_unique,
+                         restriction_to_core_inner, stabilizer_in_q,
+                         tensor_square_decompose)
 from .errors import InvariantError, UsageError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
                      conjugated_subgroup, quaternion_subgroup, require_odd_prime)
@@ -97,7 +97,7 @@ def verify_label(table, label, facts=None):
     psi = table.rows[table.psi_index]
 
     norm = inner_product(ct, chi.values, chi.values)
-    ind_chi = fs_indicator(ct, chi.values)
+    ind_chi = chi.indicator
     ind_chi_direct = fs_indicator_direct(ct, chi.values)
     decomposition = tensor_square_decompose(table, chi)
     psi_mult = decomposition[psi.name]

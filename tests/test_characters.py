@@ -243,8 +243,15 @@ class TestCorruptInputsRejected:
     def test_non_integer_indicator(self, classes3):
         from q8family.errors import InvariantError
         third = Cyclotomic(1, [Fraction(1, 3)])
-        with pytest.raises(InvariantError, match="not a rational integer"):
+        with pytest.raises(InvariantError, match=r"value 1/3 does not lie in Z\[zeta_3\]"):
             fs_indicator(classes3, (third,) * 6)
+
+    def test_integral_non_integer_indicator(self, classes3):
+        from q8family.errors import InvariantError
+        # 1 on the identity class: the class formula gives #{g : g^2 = 1} / |G| = 10/72
+        at_identity = (Cyclotomic(1, [1]),) + (Cyclotomic(1, [0]),) * 5
+        with pytest.raises(InvariantError, match="not a rational integer: 5/36"):
+            fs_indicator(classes3, at_identity)
 
     def test_non_integer_multiplicity(self, table3):
         from q8family.characters import CharRow

@@ -1,10 +1,12 @@
-"""The F_l kernel behind every inner product, against the exact route.
+"""The F_l kernel behind every class sum, against the exact route.
 
 `selftest.exact_inner_product` sums in exact `Cyclotomic` arithmetic and is
-the independent oracle; column sums are recomputed the same way here.
+the independent oracle; column sums, class-formula indicators and
+restrictions to V are recomputed the same way here.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q8family import modular
-from q8family.characters import (TABLE_CHECKS, character_table,
+from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, character_table,
                                  check_first_orthogonality,
-                                 check_second_orthogonality, inner_product,
-                                 label_orbits, tensor_square_decompose)
+                                 check_second_orthogonality, fs_indicator,
+                                 fs_indicator_direct, inner_product, label_orbits,
+                                 restriction_to_core_inner, tensor_square_decompose)
 from q8family.cyclotomic import ZERO, Cyclotomic, root_of_unity
 from q8family.errors import InvariantError
 from q8family.modp import is_odd_prime
@@ -73,6 +76,19 @@ class TestKernelAgreesWithExactRoute:
             assert dec == {r.name: exact_inner_product(ct, squared, r.values)
                            for r in table.rows}
 
+    def test_indicator_and_restriction(self, p):
+        table = _table(p)
+        ct = table.class_table
+        core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX]
+        for r in table.rows:
+            v = r.values
+            indicator = sum((ct.sizes[k] * v[k2] for k, k2 in enumerate(ct.square_map)),
+                            ZERO).as_rational() / ct.order
+            restriction = sum((ct.sizes[k] * v[k] for k in core), ZERO).as_rational() / p ** 2
+            assert fs_indicator(ct, v) == indicator == fs_indicator_direct(ct, v) == r.indicator
+            got = restriction_to_core_inner(ct, v)
+            assert got == restriction and type(got) is Fraction
+
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @settings(max_examples=25, deadline=None)
@@ -123,6 +139,19 @@ def test_centralizer_orders_must_be_galois_invariant(table7):
         galois_class_permutation(bad.class_table)
     ok, detail = dict(TABLE_CHECKS)["second_orthogonality"](bad)
     assert ok is False and "centralizer orders" in detail
+
+
+def test_square_map_must_commute_with_galois_action(table7):
+    ct = table7.class_table
+    _, perm = galois_class_permutation(ct)
+    k = next(k for k in range(ct.n_classes) if perm[k] != k)
+    squares = list(ct.square_map)
+    squares[k] = 0  # a nonzero vector of V squared to the identity class
+    bad = replace(ct, square_map=tuple(squares))
+    with pytest.raises(InvariantError, match="does not commute with the square map"):
+        galois_class_permutation(bad)
+    with pytest.raises(InvariantError, match="does not commute with the square map"):
+        fs_indicator(bad, table7.rows[0].values)
 
 
 def test_values_outside_z_zeta_p_are_refused(classes3):
