@@ -247,7 +247,7 @@ def cmd_verify(cfg):
 
 
 def cmd_table(cfg):
-    doc = None
+    doc = text = None
     if cfg.cache_dir:
         doc = load_cached_table(cfg.cache_dir, cfg.prime)
         if doc is not None:
@@ -256,9 +256,10 @@ def cmd_table(cfg):
     if doc is None:
         doc = table_document(character_table(cfg.prime, bound=cfg.bound))
         if cfg.cache_dir:
-            store_cached_table(cfg.cache_dir, cfg.prime, doc)
+            text = canonical_json(doc)
+            store_cached_table(cfg.cache_dir, cfg.prime, text)
     if cfg.fmt == "json":
-        _emit(cfg, canonical_json(doc))
+        _emit(cfg, text or canonical_json(doc))
     elif cfg.fmt == "csv":
         _emit(cfg, render_table_csv(doc))
     else:

@@ -282,15 +282,14 @@ class Cyclotomic:
 
     def to_json_obj(self):
         """Serialized form: {"n": ..., "coeffs": [[num, den], ...]} with exact decimal strings."""
-        pairs = []
-        for c in self.coeffs:
-            f = Fraction(c)
-            pairs.append([str(f.numerator), str(f.denominator)])
+        pairs = [[str(c), "1"] if type(c) is int else [str(c.numerator), str(c.denominator)]
+                 for c in self.coeffs]
         return {"n": self.n, "coeffs": pairs}
 
     @classmethod
     def from_json_obj(cls, obj):
-        coeffs = [Fraction(int(num), int(den)) for num, den in obj["coeffs"]]
+        coeffs = [int(num) if den == "1" else Fraction(int(num), int(den))
+                  for num, den in obj["coeffs"]]
         return cls(int(obj["n"]), coeffs)
 
 

@@ -11,7 +11,6 @@ computed once per table and shared by every label of the prime.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -231,6 +230,8 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
     for p in primes:
         require_odd_prime(p, bound)
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(scan_one_prime, primes, repeat(bound),
                                  repeat(alt_subgroup)))

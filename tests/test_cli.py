@@ -1,10 +1,15 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
-from q8family import cli
-from q8family.serialize import load_cached_table
+import pytest
+
+import q8family
+from q8family import cli, serialize
+from q8family.serialize import canonical_json, load_cached_table
 from q8family.verify import verify_prime
 
 # ---------------------------------------------------------------- verify
@@ -111,6 +116,20 @@ class TestTableCommand:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert not leftovers
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_follow_umask(self, tmp_path, capsys, umask):
+        saved = os.umask(umask)
+        try:
+            assert cli.main(["verify", "--prime", "3", "--format", "json",
+                             "--out", str(tmp_path / "o.json")]) == 0
+            assert cli.main(["table", "--prime", "3", "--format", "json",
+                             "--cache", str(tmp_path)]) == 0
+        finally:
+            os.umask(saved)
+        capsys.readouterr()
+        for name in ("o.json", "table_p3.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
     def test_unwritable_out_is_usage_error(self, capsys):
         code = cli.main(["table", "--prime", "3", "--format", "json",
                          "--out", "/proc/nonexistent/t.json"])
@@ -172,6 +191,48 @@ class TestTableCache:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("cache rejected:")
         assert path.read_text() == genuine
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_cache_recomputed(self, tmp_path, capsys, content):
+        path = tmp_path / "table_p3.json"
+        path.write_bytes(content)
+        assert cli.main(["table", "--prime", "3", "--format", "json",
+                         "--cache", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "cache hit" not in captured.err
+        assert json.loads(captured.out)["prime"] == 3
+        assert path.read_text() == captured.out
+
+    def test_cold_call_encodes_once(self, tmp_path, capsys, monkeypatch):
+        assert cli.main(["table", "--prime", "5", "--format", "json"]) == 0
+        reference = capsys.readouterr().out
+        encoded = []
+
+        def counting(doc):
+            encoded.append(doc)
+            return canonical_json(doc)
+
+        monkeypatch.setattr(cli, "canonical_json", counting)
+        monkeypatch.setattr(serialize, "canonical_json", counting)
+        for fmt in ("json", "text", "csv"):
+            cache = tmp_path / fmt
+            encoded.clear()
+            assert cli.main(["table", "--prime", "5", "--format", fmt,
+                             "--cache", str(cache)]) == 0
+            assert len(encoded) == 1
+            out = capsys.readouterr().out
+            assert (cache / "table_p5.json").read_text() == reference
+            if fmt == "json":
+                assert out == reference
+        out_file = tmp_path / "out.json"
+        encoded.clear()
+        assert cli.main(["table", "--prime", "5", "--format", "json",
+                         "--cache", str(tmp_path / "with-out"), "--out", str(out_file)]) == 0
+        assert len(encoded) == 1
+        assert capsys.readouterr().out == ""
+        assert out_file.read_text() == reference
+        assert (tmp_path / "with-out" / "table_p5.json").read_text() == reference
 
     def test_cache_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
@@ -277,6 +338,15 @@ class TestHarness:
 
     def test_unknown_format_rejected_by_parser(self, capsys):
         assert cli.main(["verify", "--prime", "3", "--format", "csv"]) == 2
+
+    def test_import_leaves_out_process_pool(self):
+        code = ("import sys, q8family.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        src = str(Path(q8family.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self):
         proc = subprocess.run(
