@@ -10,7 +10,8 @@ Every inner product, both orthogonality relations, the tensor-square
 multiplicities, the class-formula indicators and the restriction to V are
 decided in a prime field F_l by `modular.image_of`, which checks the rows
 Galois-closed first; its docstring gives the argument why one residue
-decides each exact sum.
+decides each exact sum.  The element-wise indicator is a root-count sum;
+its literal per-element form lives in `selftest`.
 
 TABLE_CHECKS, at the end, is the one ordered registry of named table
 checks: `verify` records its verdicts in every report, `selftest` prints
@@ -31,8 +32,7 @@ from operator import mul
 
 from .cyclotomic import ZERO, Cyclotomic
 from .errors import InvariantError, UsageError
-from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     count_square_roots_of_identity, square_locus)
+from .groups import DEFAULT_PRIME_BOUND, build_group, conjugacy_classes
 from .modular import image_of
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -179,22 +179,25 @@ def fs_indicator(ct, values):
 
 
 def fs_indicator_direct(ct, values):
-    """The same indicator as a literal sum of chi(g^2) over all group elements."""
-    group = ct.group
-    n = 1
-    for v in values:
-        n = lcm(n, v.n)
-    lifted = [v.coeffs_at(n) for v in values]
-    width = len(lifted[0])
-    acc = [0] * width
-    index, class_of = group.index, ct.class_of
-    for e in group.elements:
-        c = lifted[class_of[index[group.mul(e, e)]]]
-        acc = [x + y for x, y in zip(acc, c)]
-    r = Cyclotomic(n, acc).as_rational()
-    if r is None:
+    """The indicator as (1/|G|) sum_g chi(g^2), regrouped by the class of g^2.
+
+    chi is a class function, so sum_g chi(g^2) = sum_K r(K) chi(K) with
+    r(K) = #{g : g^2 in K}: the same finite sum of the same exact values,
+    taken in `Cyclotomic` arithmetic, hence exact.  The counts `ct.root_counts`
+    come from squaring every element (`groups.conjugacy_classes`).  Nothing
+    here reads `square_map` or the class sizes, so a fault in the class
+    formula's inputs cannot reach this route.  `selftest` keeps the literal
+    per-element sum as its oracle.
+    """
+    n = lcm(*(v.n for v in values))
+    acc = [0] * len(values[0].coeffs_at(n))
+    for r, v in zip(ct.root_counts, values):
+        if r:
+            acc = [x + r * y for x, y in zip(acc, v.coeffs_at(n))]
+    total = Cyclotomic(n, acc).as_rational()
+    if total is None:
         raise InvariantError("element-wise indicator sum is not rational")
-    return _rational_integer(r / ct.order, "element-wise Frobenius-Schur indicator")
+    return _rational_integer(total / ct.order, "element-wise Frobenius-Schur indicator")
 
 
 # -- table assembly ------------------------------------------------------------
@@ -231,15 +234,15 @@ class CharacterTable:
     def row_index_by_name(self):
         return {r.name: i for i, r in enumerate(self.rows)}
 
-    @cached_property
+    @property
     def square_locus(self):
-        """{g : g^2 in V}, computed once per table."""
-        return square_locus(self.class_table.group)
+        """{g : g^2 in V}, from the class table's squaring pass."""
+        return self.class_table.square_locus
 
-    @cached_property
+    @property
     def square_roots_count(self):
-        """#{g : g^2 = 1}, counted once per table."""
-        return count_square_roots_of_identity(self.class_table)
+        """#{g : g^2 = 1}: r of the identity class, which is class 0."""
+        return self.class_table.root_counts[0]
 
     @cached_property
     def psi_index(self):

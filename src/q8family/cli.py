@@ -16,7 +16,7 @@ from .characters import character_table
 from .errors import InvariantError, UsageError
 from .groups import DEFAULT_PRIME_BOUND
 from .selftest import run_selftest
-from .serialize import (canonical_json, document_values, load_cached_table,
+from .serialize import (canonical_json, load_cached_table,
                         report_document, scan_document, store_cached_table,
                         table_document, write_atomic)
 from .verify import scan_primes, verify_prime
@@ -173,11 +173,8 @@ def render_report_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _doc_value_strings(doc):
-    return [[str(v) for v in row] for row in document_values(doc)]
-
-
-def render_table_text(doc):
+def render_table_text(doc, values):
+    """doc's table as aligned text; values are its rows' Cyclotomic values."""
     p = doc["prime"]
     classes = doc["classes"]
     header = (f"character table of (C_{p} x C_{p}) : Q8   "
@@ -185,10 +182,8 @@ def render_table_text(doc):
     rep_row = ["rep"] + [" ".join(map(str, c["rep"])) for c in classes]
     size_row = ["size"] + [str(c["size"]) for c in classes]
     cent_row = ["centralizer"] + [str(c["centralizer"]) for c in classes]
-    body = []
-    values = _doc_value_strings(doc)
-    for ch, vals in zip(doc["characters"], values):
-        body.append([f"{ch['name']} (d={ch['degree']}, fs={ch['indicator']:+d})"] + vals)
+    body = [[f"{ch['name']} (d={ch['degree']}, fs={ch['indicator']:+d})", *map(str, vals)]
+            for ch, vals in zip(doc["characters"], values)]
     rows = [rep_row, size_row, cent_row] + body
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = [header]
@@ -197,7 +192,8 @@ def render_table_text(doc):
     return "\n".join(lines) + "\n"
 
 
-def render_table_csv(doc):
+def render_table_csv(doc, values):
+    """doc's table as csv; values are its rows' Cyclotomic values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     classes = doc["classes"]
@@ -206,8 +202,8 @@ def render_table_csv(doc):
     writer.writerow(["rep", "", ""] + [" ".join(map(str, c["rep"])) for c in classes])
     writer.writerow(["size", "", ""] + [c["size"] for c in classes])
     writer.writerow(["centralizer", "", ""] + [c["centralizer"] for c in classes])
-    for ch, vals in zip(doc["characters"], _doc_value_strings(doc)):
-        writer.writerow([ch["name"], ch["degree"], ch["indicator"]] + vals)
+    for ch, vals in zip(doc["characters"], values):
+        writer.writerow([ch["name"], ch["degree"], ch["indicator"], *map(str, vals)])
     return buf.getvalue()
 
 
@@ -247,23 +243,26 @@ def cmd_verify(cfg):
 
 
 def cmd_table(cfg):
-    doc = text = None
+    # only text and csv read the values; a JSON hit is served as stored
+    render = {"csv": render_table_csv, "text": render_table_text}.get(cfg.fmt)
+    hit = text = None
     if cfg.cache_dir:
-        doc = load_cached_table(cfg.cache_dir, cfg.prime)
-        if doc is not None:
+        hit = load_cached_table(cfg.cache_dir, cfg.prime, parse_values=render is not None)
+        if hit is not None:
             print(f"cache hit: {cfg.cache_dir}/table_p{cfg.prime}.json",
                   file=sys.stderr)
-    if doc is None:
-        doc = table_document(character_table(cfg.prime, bound=cfg.bound))
+    if hit is not None:
+        doc, values = hit if render else (hit, None)
+    else:
+        table = character_table(cfg.prime, bound=cfg.bound)
+        doc, values = table_document(table), [r.values for r in table.rows]
         if cfg.cache_dir:
             text = canonical_json(doc)
             store_cached_table(cfg.cache_dir, cfg.prime, text)
-    if cfg.fmt == "json":
+    if render is None:
         _emit(cfg, text or canonical_json(doc))
-    elif cfg.fmt == "csv":
-        _emit(cfg, render_table_csv(doc))
     else:
-        _emit(cfg, render_table_text(doc))
+        _emit(cfg, render(doc, values))
     return 0
 
 

@@ -6,8 +6,8 @@ a^2 + b^2 = -1 (mod p).  Group elements are 6-tuples of residues
 (v0, v1, a, b, c, d): the vector part followed by the row-major matrix
 part.  That encoding is what appears in JSON reports.
 
-Conjugacy classes are computed by brute-force orbit closure, which is
-plenty at this scale (|G| = 8 p^2 <= 1352 for the primes we run).
+Conjugacy classes are computed by brute-force orbit closure, then one pass
+squares every element (|G| = 8 p^2 <= 75,272 up to the prime bound 97).
 """
 
 from dataclasses import dataclass, field
@@ -171,7 +171,7 @@ def build_group(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
 
 @dataclass(eq=False)
 class ClassTable:
-    """Conjugacy data for one group: reps, sizes, lookups and the square map."""
+    """Conjugacy data for one group: reps, sizes, lookups and the squaring pass."""
 
     group: SemidirectGroup
     reps: tuple            # class index -> element index of the minimal rep
@@ -179,6 +179,8 @@ class ClassTable:
     centralizer_orders: tuple
     class_of: tuple        # element index -> class index
     square_map: tuple      # class index -> class index of rep^2
+    root_counts: tuple     # class index K -> #{g : g^2 in K}
+    square_locus: frozenset  # {g : g^2 in V}, as element tuples
     # the last `modular.image_of` result; `dataclasses.replace` starts afresh
     modular_image: object = field(default=None, init=False, repr=False)
 
@@ -218,7 +220,9 @@ def conjugacy_classes(group):
     Orbits are closed under conjugation by a generating set (repeated until
     nothing new appears), with a visited set over the canonical encoding.
     Representatives are the minimal-index members; centralizer orders come
-    from the orbit-stabilizer relation and are checked to divide |G|.
+    from the orbit-stabilizer relation and are checked to divide |G|.  One
+    squaring pass over the elements then fills in the square map, the root
+    counts and the square locus.
     """
     elements = group.elements
     order = len(elements)
@@ -254,7 +258,17 @@ def conjugacy_classes(group):
         if order % s:
             raise InvariantError(f"class size {s} does not divide |G| = {order}")
         cents.append(order // s)
-    square_map = _square_map(group, class_of)
+    # the squaring pass: the class of g^2 must be the same for all g in a class
+    square_map, root_counts, locus = [-1] * len(reps), [0] * len(reps), []
+    for i, e in enumerate(elements):
+        e2 = group.mul(e, e)
+        target, k = class_of[index[e2]], class_of[i]
+        if square_map[k] not in (-1, target):
+            raise InvariantError(f"square map depends on the representative in class {k}")
+        square_map[k] = target
+        root_counts[target] += 1
+        if group.in_core(e2):
+            locus.append(e)
     return ClassTable(
         group=group,
         reps=tuple(reps),
@@ -262,30 +276,18 @@ def conjugacy_classes(group):
         centralizer_orders=tuple(cents),
         class_of=tuple(class_of),
         square_map=tuple(square_map),
+        root_counts=tuple(root_counts),
+        square_locus=frozenset(locus),
     )
 
 
-def _square_map(group, class_of):
-    """Class of g^2 per class, checked identical for every member."""
-    n_classes = max(class_of) + 1
-    sq = [-1] * n_classes
-    for i, e in enumerate(group.elements):
-        k = class_of[i]
-        target = class_of[group.index[group.mul(e, e)]]
-        if sq[k] < 0:
-            sq[k] = target
-        elif sq[k] != target:
-            raise InvariantError(f"square map depends on the representative in class {k}")
-    return sq
-
-
 def count_square_roots_of_identity(ct):
-    """#{g in G : g^2 = 1}, by brute force over all elements."""
+    """#{g in G : g^2 = 1}, by brute force; the literal oracle for `ct.root_counts`."""
     group = ct.group
     ident = group.identity
     return sum(1 for e in group.elements if group.mul(e, e) == ident)
 
 
 def square_locus(group):
-    """The set {g : g^2 in V}, as element tuples."""
+    """The set {g : g^2 in V}, as element tuples; the literal oracle for `ct.square_locus`."""
     return {e for e in group.elements if group.in_core(group.mul(e, e))}

@@ -1,17 +1,18 @@
 """Per-prime invariant suite: every structural property the library relies on.
 
-This is the slow-but-independent path: the element-wise indicator sum, the
-averaging form of induction, brute-force counts, and inner products summed
-in exact `Cyclotomic` arithmetic, against which the F_l kernel behind
-`characters.inner_product` is compared.  Each check reports one line; the
-CLI turns any failure into exit code 3.  The table-level lines (class
-partition, degree sum, both orthogonality relations, square locus,
-vanishing off V and the sum rule) take their verdicts and details from the
-shared registry `characters.TABLE_CHECKS`.
+This is the slow-but-independent path: the literal element-wise indicator
+sum, the averaging form of induction, brute-force counts, and inner
+products in exact `Cyclotomic` arithmetic, against which the F_l kernel,
+the root-count indicator and the squaring pass are compared.  Each check
+reports one line; the CLI turns any failure into exit code 3.  The
+table-level lines (class partition, degree sum, both orthogonality
+relations, square locus, vanishing off V and the sum rule) take their
+verdicts and details from the shared registry `characters.TABLE_CHECKS`.
 """
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          assemble_character_table, default_label,
@@ -21,7 +22,7 @@ from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
 from .cyclotomic import ZERO, Cyclotomic, cyclotomic_polynomial, root_of_unity
 from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     require_odd_prime)
+                     count_square_roots_of_identity, require_odd_prime)
 
 ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
@@ -65,6 +66,21 @@ def exact_inner_product(ct, f, g):
     r = total.as_rational()
     if r is None:
         raise InvariantError("inner product of class functions is not rational")
+    return r / ct.order
+
+
+def element_wise_indicator(ct, values):
+    """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element."""
+    group = ct.group
+    n = lcm(*(v.n for v in values))
+    lifted = [v.coeffs_at(n) for v in values]
+    acc = [0] * len(lifted[0])
+    index, class_of = group.index, ct.class_of
+    for e in group.elements:
+        acc = [x + y for x, y in zip(acc, lifted[class_of[index[group.mul(e, e)]]])]
+    r = Cyclotomic(n, acc).as_rational()
+    if r is None:
+        raise InvariantError("element-wise indicator sum is not rational")
     return r / ct.order
 
 
@@ -136,7 +152,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("square_map_total", sq_ok, "square map agrees on 100% of elements")
 
     roots = table.square_roots_count
-    check("square_roots_count", roots == 1 + p * p,
+    check("square_roots_count", roots == 1 + p * p == count_square_roots_of_identity(ct),
           f"{roots} solutions of g^2 = 1; predicted 1 + p^2 = {1 + p * p}")
 
     locus_ok, locus_detail = verdict["square_locus"]
@@ -173,8 +189,9 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("induction_oracle", oracle_ok,
           f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)")
 
-    ind_pairs = [(r.indicator, fs_indicator_direct(ct, r.values)) for r in rows]
-    check("indicator_oracle", all(a == b for a, b in ind_pairs),
+    check("indicator_oracle",
+          all(r.indicator == fs_indicator_direct(ct, r.values)
+              == element_wise_indicator(ct, r.values) for r in rows),
           "class-formula indicator = element-wise sum on every row")
 
     negatives = [r.name for r in rows if r.indicator == -1]

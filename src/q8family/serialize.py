@@ -23,8 +23,8 @@ about half the time of `json.dumps(indent=2)`, and less memory.
 
 Writes go through a temp file plus rename so a crashed run never leaves
 partial JSON behind.  A cached document is served only when its integer
-fields satisfy the table invariants; the values themselves are not
-re-checked on load.
+fields satisfy the table invariants; its values are checked only to parse,
+and only when a text or csv rendering needs them.
 """
 
 import json
@@ -76,11 +76,13 @@ def table_document(table):
 
 
 def document_values(doc):
-    """Character values of a document, reconstructed as exact Cyclotomics."""
-    return [
-        [Cyclotomic.from_json_obj(v) for v in ch["values"]]
-        for ch in doc["characters"]
-    ]
+    """Character values of a document, reconstructed as exact Cyclotomics.
+
+    An order other than 1 or p raises ValueError before any field is built.
+    """
+    if any(v["n"] not in (1, doc["prime"]) for ch in doc["characters"] for v in ch["values"]):
+        raise ValueError("a value of order other than 1 or p")
+    return [[Cyclotomic.from_json_obj(v) for v in ch["values"]] for ch in doc["characters"]]
 
 
 def report_document(report):
@@ -232,11 +234,13 @@ def table_document_problem(doc, p):
     return None
 
 
-def load_cached_table(cache_dir, p):
+def load_cached_table(cache_dir, p, parse_values=False):
     """The cached document for p, or None if absent, stale, unreadable or invalid.
 
-    An invalid document is reported on stderr and then treated as a miss,
-    so the caller recomputes and overwrites it.
+    With parse_values, a hit is the pair (doc, document_values(doc)), and a
+    value that does not parse is invalid.  An invalid document is reported
+    on stderr and then treated as a miss, so the caller recomputes and
+    overwrites it.
     """
     path = cache_path(cache_dir, p)
     try:
@@ -249,10 +253,15 @@ def load_cached_table(cache_dir, p):
     if doc.get("prime") != p:
         return None
     problem = table_document_problem(doc, p)
+    if problem is None and parse_values:
+        try:
+            values = document_values(doc)
+        except (LookupError, TypeError, ValueError, ArithmeticError):
+            problem = "a character value is not an exact number in Q(zeta_p)"
     if problem is not None:
         print(f"cache rejected: {path}: {problem}", file=sys.stderr)
         return None
-    return doc
+    return (doc, values) if parse_values else doc
 
 
 def store_cached_table(cache_dir, p, text):

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,10 @@ from q8family.characters import (Q8_ROWS, character_table, default_label,
                                  q8_character_table, restriction_to_core_inner,
                                  stabilizer_in_q, tensor_square_decompose)
 from q8family.cyclotomic import Cyclotomic, root_of_unity
-from q8family.errors import UsageError
-from q8family.groups import quaternion_subgroup
-from q8family.selftest import induced_by_averaging
+from q8family.errors import InvariantError, UsageError
+from q8family.groups import (count_square_roots_of_identity, quaternion_subgroup,
+                             square_locus)
+from q8family.selftest import element_wise_indicator, induced_by_averaging
 
 IDENT = (1, 0, 0, 1)
 
@@ -264,6 +267,11 @@ class TestCorruptInputsRejected:
             tensor_square_decompose(table3, fake)
 
 
+@cache
+def _table(p):
+    return character_table(p)
+
+
 class TestIndicators:
     def test_p3_values(self, table3):
         ct = table3.class_table
@@ -271,12 +279,14 @@ class TestIndicators:
         assert fs_indicator(ct, table3.row("psi").values) == -1
         assert fs_indicator(ct, table3.row("triv").values) == 1
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_direct_path_agrees_on_every_row(self, p, request):
-        table = request.getfixturevalue(f"table{p}")
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_direct_path_agrees_on_every_row(self, p):
+        table = _table(p)
         ct = table.class_table
         for r in table.rows:
-            assert fs_indicator_direct(ct, r.values) == r.indicator == fs_indicator(ct, r.values)
+            direct = fs_indicator_direct(ct, r.values)
+            assert direct == r.indicator == fs_indicator(ct, r.values)
+            assert direct == element_wise_indicator(ct, r.values)
 
     def test_p3_contribution_breakdown(self, table3):
         # identity contributes 8, the 8 nonzero vectors -8, the z-fiber 72
@@ -317,6 +327,46 @@ class TestIndicators:
         fs_sum = sum(r.indicator * r.degree for r in table.rows)
         assert fs_sum == 1 + p * p
         assert fs_sum == count_square_roots_of_identity(table.class_table)
+
+
+class TestSquaringPass:
+    """The root counts of `conjugacy_classes` against the literal element loops."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_counts_and_locus_match_the_literal_loops(self, p):
+        table = _table(p)
+        ct = table.class_table
+        assert sum(ct.root_counts) == ct.order
+        assert ct.root_counts[ct.class_of_element(ct.group.identity)] == 1 + p * p
+        assert table.square_roots_count == 1 + p * p == count_square_roots_of_identity(ct)
+        assert table.square_locus == square_locus(ct.group)
+
+    @pytest.mark.parametrize("field", ["square_map", "sizes"])
+    def test_independent_of_the_class_formula_inputs(self, field):
+        table = _table(7)
+        ct = table.class_table
+        genuine = [fs_indicator_direct(ct, r.values) for r in table.rows]
+        corrupted = tuple(reversed(getattr(ct, field)))
+        assert corrupted != getattr(ct, field)
+        bad = replace(ct, **{field: corrupted})
+        assert [fs_indicator_direct(bad, r.values) for r in table.rows] == genuine
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_changed_coefficient_is_seen(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        table = _table(p)
+        ct = table.class_table
+        row = data.draw(st.sampled_from(table.rows))
+        k = data.draw(st.sampled_from([k for k, r in enumerate(ct.root_counts) if r > 0]))
+        delta = data.draw(st.integers(-3, 3).filter(bool)
+                          | st.integers(1, p - 1).map(lambda e: root_of_unity(p, e)))
+        values = row.values[:k] + (row.values[k] + delta,) + row.values[k + 1:]
+        try:
+            changed = fs_indicator_direct(ct, values)
+        except InvariantError:
+            return
+        assert changed != row.indicator
 
 
 class TestTensorSquare:

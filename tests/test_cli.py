@@ -192,6 +192,25 @@ class TestTableCache:
         assert captured.err.startswith("cache rejected:")
         assert path.read_text() == genuine
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
+        cache = str(tmp_path)
+        assert cli.main(["table", "--prime", "3", "--format", "json", "--cache", cache]) == 0
+        stored = capsys.readouterr().out
+        assert cli.main(["table", "--prime", "3", "--format", fmt]) == 0
+        genuine = capsys.readouterr().out
+        path = tmp_path / "table_p3.json"
+        doc = json.loads(path.read_text())
+        doc["characters"][-1]["values"][0]["coeffs"][0] = ["1", "0"]
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+
+        assert cli.main(["table", "--prime", "3", "--format", fmt, "--cache", cache]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == genuine
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache rejected:")
+        assert path.read_text() == stored
+
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
                              ids=["not-utf8", "nested-too-deep"])
     def test_unreadable_cache_recomputed(self, tmp_path, capsys, content):

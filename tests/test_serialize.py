@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from q8family.characters import character_table
 from q8family.cyclotomic import Cyclotomic
-from q8family.serialize import (canonical_json, report_document, scan_document,
+from q8family.serialize import (canonical_json, document_values, load_cached_table,
+                                report_document, scan_document, store_cached_table,
                                 table_document)
 from q8family.verify import scan_primes, verify_prime
 
@@ -112,3 +113,20 @@ class TestCyclotomicJson:
         v = Cyclotomic.from_json_obj({"n": 5, "coeffs": [["-7", "1"], ["3", "2"]]})
         assert type(v.coeffs[0]) is int and v.coeffs[0] == -7
         assert v.coeffs[1] == Fraction(3, 2)
+
+
+class TestDocumentValues:
+    def test_round_trip_of_a_table(self, table5):
+        assert document_values(table_document(table5)) == [list(r.values) for r in table5.rows]
+
+    def test_value_of_a_foreign_order_is_refused(self, table5):
+        doc = json.loads(json.dumps(table_document(table5)))
+        doc["characters"][-1]["values"][0] = {"n": 7, "coeffs": [["1", "1"]]}
+        with pytest.raises(ValueError, match="order other than 1 or p"):
+            document_values(doc)
+
+    def test_parsed_hit_is_the_document_and_its_values(self, tmp_path, table5):
+        doc = table_document(table5)
+        store_cached_table(tmp_path, 5, canonical_json(doc))
+        assert load_cached_table(tmp_path, 5) == doc
+        assert load_cached_table(tmp_path, 5, parse_values=True) == (doc, document_values(doc))

@@ -139,6 +139,13 @@ class TestScan:
         with pytest.raises(UsageError, match="bad prime range"):
             scan_primes(7, 3)
 
+    @pytest.mark.slow
+    def test_scan_p37_every_label(self):
+        [rec] = scan_primes(37, 37)
+        assert rec["pass"] and not rec["failures"]
+        assert rec["labels_checked"] == (37 ** 2 - 1) // 8 == 171
+        assert rec["psi_multiplicities"] == [2] * 171
+
     def test_one_prime_summary_shape(self):
         rec = scan_one_prime(5)
         assert rec["group_order"] == 200
