@@ -14,7 +14,7 @@ from .characters import (CharacterTable, CharRow, assemble_character_table,
                          inner_product, label_action, label_orbit, label_orbits,
                          q8_character_table, stabilizer_in_q,
                          tensor_square_decompose)
-from .cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi,
+from .cyclotomic import (Cyclotomic, RootSum, cyclotomic_polynomial, euler_phi,
                          root_of_unity)
 from .errors import InvariantError, UsageError
 from .groups import (ClassTable, QuaternionSubgroup, SemidirectGroup,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterTable", "CharRow", "ClassTable", "Cyclotomic", "InvariantError",
-    "Mat2", "QuaternionSubgroup", "Report", "SemidirectGroup",
+    "Mat2", "QuaternionSubgroup", "Report", "RootSum", "SemidirectGroup",
     "UsageError", "assemble_character_table", "build_group", "character_table",
     "conjugacy_classes", "conjugated_subgroup", "count_square_roots_of_identity",
     "cyclotomic_polynomial", "default_label", "euler_phi", "fs_indicator",

@@ -6,6 +6,7 @@ V under the Q8 action.  Assembly asserts the counting identities and full
 first orthogonality before returning, and attaches a Frobenius-Schur
 indicator to every row.
 
+Every value is a `RootSum`, a count vector over the p-th roots of unity.
 Every inner product, both orthogonality relations, the tensor-square
 multiplicities, the class-formula indicators and the restriction to V are
 decided in a prime field F_l by `modular.image_of`, which checks the rows
@@ -27,13 +28,12 @@ lambda to v |-> lambda(M^-1 v).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
-from .cyclotomic import ZERO, Cyclotomic
+from .cyclotomic import RootSum
 from .errors import InvariantError, UsageError
 from .groups import DEFAULT_PRIME_BOUND, build_group, conjugacy_classes
-from .modular import image_of
+from .modular import count_vector, image_of
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
 
@@ -111,7 +111,10 @@ def label_orbits(q):
 
 
 def induced_values(label, ct):
-    """Induce the label's character of V up to G: orbit sums on V, zero off V."""
+    """Induce the label's character of V up to G: orbit sums on V, zero off V.
+
+    At v in V, zeta^e is counted once per orbit label (a, b) with a v0 + b v1 = e.
+    """
     label = normalize_label(label, ct.p)
     if label == (0, 0):
         raise UsageError("label must be nontrivial; the trivial character inflates instead")
@@ -119,27 +122,27 @@ def induced_values(label, ct):
     orbit = label_orbit(ct.group.quaternion, label)
     if len(orbit) != 8:
         raise InvariantError("induced from a label with nontrivial stabilizer")
+    zero = RootSum(p, [0] * p)
     values = []
     for k in range(ct.n_classes):
         e = ct.rep_element(k)
         if e[2:] != IDENTITY_MATRIX:
-            values.append(ZERO)
+            values.append(zero)
             continue
         v0, v1 = e[0], e[1]
         counts = [0] * p
         for a, b in orbit:
             counts[(a * v0 + b * v1) % p] += 1
-        values.append(Cyclotomic(p, counts))
+        values.append(RootSum(p, counts))
     return tuple(values)
 
 
 def inflated_values(q8_values, ct):
     """Pull a Q8 character back to G along the quotient map G -> Q."""
     class_of = ct.group.quaternion.class_of
-    return tuple(
-        Cyclotomic(1, [q8_values[class_of[ct.rep_element(k)[2:]]]])
-        for k in range(ct.n_classes)
-    )
+    p = ct.p
+    lifted = [RootSum(p, [x] + [0] * (p - 1)) for x in q8_values]
+    return tuple(lifted[class_of[ct.rep_element(k)[2:]]] for k in range(ct.n_classes))
 
 
 # -- inner products and indicators --------------------------------------------
@@ -183,21 +186,22 @@ def fs_indicator_direct(ct, values):
 
     chi is a class function, so sum_g chi(g^2) = sum_K r(K) chi(K) with
     r(K) = #{g : g^2 in K}: the same finite sum of the same exact values,
-    taken in `Cyclotomic` arithmetic, hence exact.  The counts `ct.root_counts`
-    come from squaring every element (`groups.conjugacy_classes`).  Nothing
-    here reads `square_map` or the class sizes, so a fault in the class
-    formula's inputs cannot reach this route.  `selftest` keeps the literal
-    per-element sum as its oracle.
+    taken on root counts (`modular.count_vector`) in integers, hence exact;
+    it is rational exactly when its counts of zeta^1 .. zeta^(p-1) agree.
+    The counts `ct.root_counts` come from squaring every element
+    (`groups.conjugacy_classes`).  Nothing here reads `square_map` or the
+    class sizes, so a fault in the class formula's inputs cannot reach
+    this route.  `selftest` keeps the literal per-element sum as its oracle.
     """
-    n = lcm(*(v.n for v in values))
-    acc = [0] * len(values[0].coeffs_at(n))
+    p = ct.p
+    acc = [0] * p
     for r, v in zip(ct.root_counts, values):
         if r:
-            acc = [x + r * y for x, y in zip(acc, v.coeffs_at(n))]
-    total = Cyclotomic(n, acc).as_rational()
-    if total is None:
+            acc = [x + r * y for x, y in zip(acc, count_vector(v, p))]
+    if len(set(acc[1:])) != 1:
         raise InvariantError("element-wise indicator sum is not rational")
-    return _rational_integer(total / ct.order, "element-wise Frobenius-Schur indicator")
+    return _rational_integer(Fraction(acc[0] - acc[1], ct.order),
+                             "element-wise Frobenius-Schur indicator")
 
 
 # -- table assembly ------------------------------------------------------------

@@ -174,7 +174,7 @@ def render_report_text(report):
 
 
 def render_table_text(doc, values):
-    """doc's table as aligned text; values are its rows' Cyclotomic values."""
+    """doc's table as aligned text; values are its rows' values (RootSum or Cyclotomic)."""
     p = doc["prime"]
     classes = doc["classes"]
     header = (f"character table of (C_{p} x C_{p}) : Q8   "
@@ -193,7 +193,7 @@ def render_table_text(doc, values):
 
 
 def render_table_csv(doc, values):
-    """doc's table as csv; values are its rows' Cyclotomic values."""
+    """doc's table as csv; values are its rows' values (RootSum or Cyclotomic)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     classes = doc["classes"]

@@ -8,12 +8,14 @@ non-constant coefficients all vanish is demoted to order 1, which keeps the
 serialized form canonical.
 
 Binary operations on mismatched orders lift both operands into the field of
-the lcm order before combining.
+the lcm order before combining.  `RootSum`, at the end, holds the values
+of character tables as counts of p-th roots of unity.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import sub
 
 from .errors import InvariantError
 
@@ -29,53 +31,51 @@ def _as_coeff(c):
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _int_poly_divmod(num, den):
-    """Divide integer polynomials (ascending coefficients), den monic."""
-    if den[-1] != 1:
-        raise InvariantError("division by non-monic polynomial")
-    rem = list(num)
-    dd = len(den) - 1
-    quot = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                rem[i - dd + j] -= c * den[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients of Phi_n, ascending degree, exact integers.
 
-    Computed by dividing x^n - 1 by the product of Phi_d over proper
-    divisors d of n; the division is exact with zero remainder.
+    Computed as the Moebius product prod_{d | n} (x^d - 1)^mu(n/d).  Every
+    factor is a unit of Z[[x]] (constant term -1), so the product can be
+    taken in power series truncated above degree phi(n), the degree of
+    Phi_n: one O(phi(n)) pass per squarefree divisor n/d, multiplying or
+    dividing by x^d - 1.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial index must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _int_poly_mul(den, cyclotomic_polynomial(d))
-    quot, rem = _int_poly_divmod(num, den)
-    if rem:
-        raise InvariantError(f"x^{n} - 1 not divisible by product of proper Phi_d")
-    return tuple(quot)
+    primes = _prime_factors(n)
+    size = n
+    for q in primes:
+        size = size // q * (q - 1)
+    size += 1  # coefficients of degree 0..phi(n)
+    poly = [1] + [0] * (size - 1)
+    for mask in range(1 << len(primes)):
+        d, sign = n, 1
+        for i, q in enumerate(primes):
+            if mask >> i & 1:
+                d, sign = d // q, -sign
+        if sign > 0:  # times x^d - 1
+            poly = [-c for c in poly[:d]] + [a - b for a, b in zip(poly, poly[d:])]
+        else:  # over x^d - 1: q_i = q_(i-d) - a_i
+            quot = [-c for c in poly[:d]]
+            for j in range(d, size, d):
+                quot += [a - b for a, b in zip(quot[j - d:j], poly[j:j + d])]
+            poly = quot
+    if poly[-1] != 1:
+        raise InvariantError(f"Phi_{n} computed as a non-monic polynomial")
+    return tuple(poly)
 
 
 def euler_phi(n):
@@ -95,6 +95,40 @@ def _reduce_mod_cyclotomic(coeffs, n):
             for j in range(dd):
                 rem[i - dd + j] -= c * div[j]
     return rem[:dd]
+
+
+def _format(n, coeffs):
+    """Text of the canonical value (n, coeffs): "-1 - z3", "2*z5^3", "7"."""
+    if n == 1:
+        return str(coeffs[0])
+    sym = f"z{n}"
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            mono = sym if i == 1 else f"{sym}^{i}"
+            if c == 1:
+                terms.append(mono)
+            elif c == -1:
+                terms.append(f"-{mono}")
+            else:
+                terms.append(f"{c}*{mono}")
+    if not terms:
+        return "0"
+    text = terms[0]
+    for t in terms[1:]:
+        text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return text
+
+
+def _json_obj(n, coeffs):
+    """Serialized form of the canonical value (n, coeffs)."""
+    pairs = [[str(c), "1"] if type(c) is int else [str(c.numerator), str(c.denominator)]
+             for c in coeffs]
+    return {"n": n, "coeffs": pairs}
 
 
 class Cyclotomic:
@@ -253,38 +287,14 @@ class Cyclotomic:
     # -- rendering / serialization ------------------------------------------
 
     def __str__(self):
-        if self.n == 1:
-            return str(self.coeffs[0])
-        sym = f"z{self.n}"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mono = sym if i == 1 else f"{sym}^{i}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
-        if not terms:
-            return "0"
-        text = terms[0]
-        for t in terms[1:]:
-            text += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return text
+        return _format(self.n, self.coeffs)
 
     def __repr__(self):
         return f"Cyclotomic({self.n}, {list(self.coeffs)})"
 
     def to_json_obj(self):
         """Serialized form: {"n": ..., "coeffs": [[num, den], ...]} with exact decimal strings."""
-        pairs = [[str(c), "1"] if type(c) is int else [str(c.numerator), str(c.denominator)]
-                 for c in self.coeffs]
-        return {"n": self.n, "coeffs": pairs}
+        return _json_obj(self.n, self.coeffs)
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -303,3 +313,70 @@ def root_of_unity(n, k):
         raise ValueError("order must be >= 1")
     k %= n
     return Cyclotomic(n, [0] * k + [1])
+
+
+class RootSum:
+    """The formal sum sum_e counts[e] zeta_p^e of p-th roots of unity, p an odd prime.
+
+    Integer counts, so the value lies in Z[zeta_p].  1 + zeta + ... +
+    zeta^(p-1) = 0 spans the relations among the powers, so two count
+    vectors name the same element exactly when they differ by a multiple
+    of the all-ones vector.  The equal `Cyclotomic` has the power-basis
+    coefficients counts[i] - counts[p - 1]; equality, `str` and
+    `to_json_obj` agree with it without building it.  `to_cyclotomic` is
+    for arithmetic.
+    """
+
+    __slots__ = ("p", "counts")
+
+    def __init__(self, p, counts):
+        counts = tuple(counts)
+        if len(counts) != p or p < 3:
+            raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
+        if type(sum(counts)) is not int:  # a float, Fraction or Decimal count spreads to the sum
+            raise TypeError("root counts must be ints")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootSum values are immutable")
+
+    def _canonical(self):
+        """(n, coeffs) of the equal Cyclotomic."""
+        top = self.counts[-1]
+        coeffs = [c - top for c in self.counts[:-1]] if top else self.counts[:-1]
+        return (self.p, coeffs) if any(coeffs[1:]) else (1, coeffs[:1])
+
+    def to_cyclotomic(self):
+        return Cyclotomic(*self._canonical())
+
+    def as_rational(self):
+        """The value as a Fraction if it is rational, else None."""
+        n, coeffs = self._canonical()
+        return Fraction(coeffs[0]) if n == 1 else None
+
+    def is_zero(self):
+        return self.counts.count(self.counts[0]) == self.p
+
+    def __eq__(self, other):
+        if isinstance(other, RootSum):
+            if other.p == self.p:
+                return len(set(map(sub, self.counts, other.counts))) == 1
+            other = other.to_cyclotomic()
+        if isinstance(other, (int, Fraction)):
+            return self.as_rational() == other
+        if isinstance(other, Cyclotomic):
+            return self.to_cyclotomic() == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __str__(self):
+        return _format(*self._canonical())
+
+    def __repr__(self):
+        return f"RootSum({self.p}, {list(self.counts)})"
+
+    def to_json_obj(self):
+        """The serialized form of the equal Cyclotomic."""
+        return _json_obj(*self._canonical())

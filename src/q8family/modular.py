@@ -5,38 +5,47 @@ sums that certify the table are integers or small elements of Z[zeta_p],
 so they can be read off from their images under a ring map
 Z[zeta_p] -> F_l (Dixon, "High speed computation of group characters",
 Numer. Math. 10, 1967; Schneider, "Dixon's character table algorithm
-revisited", J. Symb. Comput. 9, 1990).  Why one residue decides each sum,
-with every step checked at run time when an image is built:
+revisited", J. Symb. Comput. 9, 1990).  A value enters as a count vector
+c in Z^p naming sum_e c_e zeta^e (a `RootSum`, or a `Cyclotomic` through
+`count_vector`), so it lies in Z[zeta_p] by construction; as
+1 + zeta + ... + zeta^(p-1) = 0 spans the relations, two vectors name the
+same element exactly when they differ by a constant vector.  Why one
+residue decides each sum, with every step checked at run time when an
+image is built:
 
-1. Galois closure, checked on exact coefficients.  Let g generate
-   (Z/p)^*, sigma_g the automorphism zeta -> zeta^g, and pi the class
-   permutation induced by v -> g v on V (the identity off V).  pi must be
-   a bijection preserving class sizes and centralizer orders and
-   commuting with the square map (sq(pi K) = pi(sq K)); every value must
-   have order 1 or p and integer coefficients; and
-   sigma_g(f(K)) = f(pi K) for every function f and class K.  Then
-   f o sq is Galois-closed too, since sigma_g(f(sq K)) = f(pi sq K) =
-   f(sq pi K), and the 0/1 mask of the classes inside V is pi-invariant,
-   since pi maps classes of V to classes of V.  So every
-   S = sum_K |K| f(K) conj(h(K)) over such functions (f = chi^2,
-   f = chi o sq with h = 1, h = the mask among them) is fixed by sigma_g
-   (sum over pi K instead of K): S is a rational algebraic integer, an
-   integer.
-2. Bound.  With M the largest l1-norm of a power-basis coefficient vector,
-   |S| <= sum_K |K| |f(K)|_1 |h(K)|_1 <= |G| M^3 <= B, with
-   B = max(|G| M^3, n M^2 + max |C(K)|) for n functions.  The indicator
-   and restriction sums, where h is 0 or 1, are at most |G| M <= B
-   (M is 0 or at least 1).
+1. Galois closure, checked on the counts.  Let g generate (Z/p)^*,
+   sigma_g the automorphism zeta -> zeta^g, and pi the class permutation
+   induced by v -> g v on V (the identity off V).  pi must be a bijection
+   preserving class sizes and centralizer orders and commuting with the
+   square map (sq(pi K) = pi(sq K)); and sigma_g(f(K)) = f(pi K) for every
+   function f and class K, checked as: the counts of f(K) moved by
+   e -> g e, minus the counts of f(pi K), are a constant vector (so
+   re-representing a value is never a false rejection).  Then f o sq is
+   Galois-closed too, since sigma_g(f(sq K)) = f(pi sq K) = f(sq pi K),
+   and the 0/1 mask of the classes inside V is pi-invariant, since pi maps
+   classes of V to classes of V.  So every S = sum_K |K| f(K) conj(h(K))
+   over such functions (f = chi^2, f = chi o sq with h = 1, h = the mask
+   among them) is fixed by sigma_g (sum over pi K instead of K): S is a
+   rational algebraic integer, an integer.
+2. Bound.  With m the largest l1-norm of a stored count vector,
+   |f(K)| <= m, as roots of unity have absolute value 1, so
+   |S| <= |G| m^3 <= B with B = max(|G| m^3, 2 n m^2 + max |C(K)|, 1) for
+   n functions; the Gram, indicator and restriction sums are smaller
+   (m is 0 or at least 1).  Table rows have m = 8 (8 labels per orbit),
+   so l has 27 bits even at p = 97.
 3. Modulus.  l is a prime with l = 1 (mod p) and l > 2B, and w has order
-   p mod l.  zeta -> w is a ring map sending S to S mod l, and the residue
-   of absolute value below l/2 is S itself.
+   p mod l, so 1 + w + ... + w^(p-1) = 0 mod l and zeta -> w is a ring map
+   sending sum_e c_e zeta^e to sum_e c_e w^e and S to S mod l.  The
+   residue of absolute value below l/2 is S itself.
 4. Second orthogonality.  A column sum T(K, K') = sum_chi chi(K)
    conj(chi(K')) is not rational, but sigma_g T(K, K') = T(pi K, pi K')
    and pi preserves centralizer orders, so checking D = T - delta |C(K)|
    against w for every ordered pair of classes checks D at all p - 1
-   primes of Z[zeta_p] above l.  Then every coefficient of D is divisible
-   by l; each is at most n M^2 + max |C(K)| <= B < l/2 in absolute value,
-   so D = 0.
+   primes of Z[zeta_p] above l.  Then every power-basis coefficient of D
+   is divisible by l.  T has a count vector t of l1-norm at most n m^2 (a
+   sum of n products of two vectors of l1-norm at most m), so each
+   coefficient t_i - t_(p-1), less delta |C(K)| at i = 0, is at most
+   2 n m^2 + max |C(K)| <= B < l/2 in absolute value, and D = 0.
 
 `image_of` keeps the last image on its class table and serves it again
 while the requested functions are all, by identity, functions it was
@@ -46,8 +55,9 @@ and must be tuples to be shared; a table rebuilt with other rows gets a
 fresh image.
 """
 
-from operator import mul
+from operator import itemgetter, mul, sub
 
+from .cyclotomic import RootSum
 from .errors import InvariantError
 from .modp import is_odd_prime
 
@@ -101,23 +111,21 @@ def galois_class_permutation(ct):
     return g, perm
 
 
-def _integral_coeffs(value, p):
-    """Power-basis coefficients of a value of Z[zeta_p], padded to p - 1 entries."""
+def count_vector(value, p):
+    """The p root counts of a RootSum, or a Cyclotomic's power-basis coefficients and 0.
+
+    Refuses a value outside Q(zeta_p) or outside Z[zeta_p].
+    """
+    if isinstance(value, RootSum):
+        if value.p == p:
+            return value.counts
+        value = value.to_cyclotomic()
     if value.n not in (1, p):
         raise InvariantError(f"value {value} does not lie in Q(zeta_{p})")
     coeffs = value.coeffs_at(p)
     if any(type(c) is not int for c in coeffs):
         raise InvariantError(f"value {value} does not lie in Z[zeta_{p}]")
-    return coeffs
-
-
-def _galois_image(coeffs, p, g):
-    """Power-basis coefficients of sigma_g(x), for x with the given coefficients."""
-    spread = [0] * p
-    for i, c in enumerate(coeffs):
-        spread[i * g % p] = c
-    top = spread[-1]
-    return tuple(c - top for c in spread[:-1])
+    return (*coeffs, 0)
 
 
 class ModularImage:
@@ -130,26 +138,29 @@ class ModularImage:
     def __init__(self, ct, functions):
         p = ct.p
         g, perm = galois_class_permutation(ct)
-        coeffs = [[_integral_coeffs(v, p) for v in f] for f in functions]
-        for i, row in enumerate(coeffs):
+        counts = [[count_vector(v, p) for v in f] for f in functions]
+        # sigma_g: the count of zeta^j in sigma_g(x) is x's count of zeta^(j / g)
+        galois = itemgetter(*(j * pow(g, -1, p) % p for j in range(p)))
+        for i, row in enumerate(counts):
             if len(row) != ct.n_classes:
                 raise InvariantError(f"class function {i} has {len(row)} values, "
                                      f"not one per class ({ct.n_classes})")
             for k, c in enumerate(row):
-                if _galois_image(c, p, g) != row[perm[k]]:
+                moved, target = galois(c), row[perm[k]]
+                if moved != target and len(set(map(sub, moved, target))) != 1:
                     raise InvariantError(
                         f"class function {i} is not Galois-closed at class {k}, "
                         "so its inner products are not rational")
-        m = max((sum(map(abs, c)) for row in coeffs for c in row), default=0)
+        m = max((sum(map(abs, c)) for row in counts for c in row), default=0)
         self.bound = max(ct.order * m ** 3,
-                         len(functions) * m * m + max(ct.centralizer_orders), 1)
+                         2 * len(functions) * m * m + max(ct.centralizer_orders), 1)
         self.ell, self.w = split_prime(p, self.bound)
         powers = [pow(self.w, i, self.ell) for i in range(p)]
         inverse_powers = powers[:1] + powers[:0:-1]
         self.sizes = ct.sizes
-        self.residues = [[sum(map(mul, c, powers)) % self.ell for c in row] for row in coeffs]
+        self.residues = [[sum(map(mul, c, powers)) % self.ell for c in row] for row in counts]
         self.conjugates = [[sum(map(mul, c, inverse_powers)) % self.ell for c in row]
-                           for row in coeffs]
+                           for row in counts]
         self._functions = tuple(functions)  # keeps every id below alive
         self._position = {id(f): i for i, f in enumerate(self._functions)}
 

@@ -3,7 +3,8 @@
 This is the slow-but-independent path: the literal element-wise indicator
 sum, the averaging form of induction, brute-force counts, and inner
 products in exact `Cyclotomic` arithmetic, against which the F_l kernel,
-the root-count indicator and the squaring pass are compared.  Each check
+the root-count indicator, the squaring pass and the rows' root counts are
+compared.  Each row is converted to `Cyclotomic` once per run.  Each check
 reports one line; the CLI turns any failure into exit code 3.  The
 table-level lines (class partition, degree sum, both orthogonality
 relations, square locus, vanishing off V and the sum rule) take their
@@ -179,19 +180,20 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
                  "induced_vanish_off_core"):
         check(name, *verdict[name])
 
+    exact = {r.name: tuple(v.to_cyclotomic() for v in r.values) for r in rows}
     if p <= FULL_ORACLE_PRIME_LIMIT:
         oracle_labels = list(orbits)
     else:
         oracle_labels = [min(label_orbit(q, default_label(p)))]
     oracle_ok = all(
-        induced_by_averaging(l, ct) == table.row(f"ind_{l[0]}_{l[1]}").values
+        induced_by_averaging(l, ct) == exact[f"ind_{l[0]}_{l[1]}"]
         for l in oracle_labels)
     check("induction_oracle", oracle_ok,
           f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)")
 
     check("indicator_oracle",
           all(r.indicator == fs_indicator_direct(ct, r.values)
-              == element_wise_indicator(ct, r.values) for r in rows),
+              == element_wise_indicator(ct, exact[r.name]) for r in rows),
           "class-formula indicator = element-wise sum on every row")
 
     negatives = [r.name for r in rows if r.indicator == -1]
@@ -201,10 +203,10 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
 
     check("fs_sum_rule", *verdict["sum_rule"])
 
-    orders_ok = all(v.n in (1, p) for r in rows for v in r.values)
+    orders_ok = all(v.n in (1, p) for values in exact.values() for v in values)
     inflated_ok = all(
         v.as_rational() is not None and v.as_rational().denominator == 1
-        for r in rows if not r.name.startswith("ind_") for v in r.values)
+        for name, values in exact.items() if not name.startswith("ind_") for v in values)
     check("values_in_base_field", orders_ok and inflated_ok,
           "values lie in Q(zeta_p); inflated rows are rational integers")
 
@@ -221,12 +223,11 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
         pairs = [(f, g) for i, f in enumerate(rows) for g in rows[i:]]
     else:
         pairs = [(chi, g) for g in rows]
-    psi = table.row("psi")
-    squared = tuple(v * v for v in chi.values)
+    squared = tuple(v * v for v in exact[chi.name])
     check("orthogonality_oracle",
-          all(inner_product(ct, f.values, g.values) == exact_inner_product(ct, f.values, g.values)
-              for f, g in pairs)
-          and dec["psi"] == exact_inner_product(ct, squared, psi.values),
+          all(inner_product(ct, f.values, g.values)
+              == exact_inner_product(ct, exact[f.name], exact[g.name]) for f, g in pairs)
+          and dec["psi"] == exact_inner_product(ct, squared, exact["psi"]),
           f"F_l kernel = exact Cyclotomic sum on {len(pairs)} row pair(s) and [chi^2, psi]")
 
     return results

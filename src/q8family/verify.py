@@ -218,10 +218,10 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
 def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
     """Verify every orbit-representative label for every odd prime in [lo, hi].
 
-    Every prime is checked against the bound before any work starts.  With
-    jobs > 1 the primes run in that many worker processes.  Returns a list
-    of per-prime summary dicts in prime order, each deterministic apart
-    from its "seconds" entry.
+    Every prime is checked against the bound before any work starts.  A
+    pool forks all its workers at once, so the primes run in this process
+    or in min(jobs, number of primes) workers.  Returns a list of per-prime
+    summary dicts in prime order, each deterministic apart from "seconds".
     """
     if lo > hi or lo < 1:
         raise UsageError(f"bad prime range {lo}..{hi}")
@@ -230,10 +230,11 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
         raise UsageError(f"no odd primes in range {lo}..{hi}")
     for p in primes:
         require_odd_prime(p, bound)
-    if jobs > 1:
+    workers = min(jobs, len(primes))
+    if workers > 1:
         # Imported here: it loads multiprocessing, which no other command needs.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(scan_one_prime, primes, repeat(bound),
                                  repeat(alt_subgroup)))
     return [scan_one_prime(p, bound, alt_subgroup) for p in primes]

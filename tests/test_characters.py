@@ -17,8 +17,41 @@ from q8family.errors import InvariantError, UsageError
 from q8family.groups import (count_square_roots_of_identity, quaternion_subgroup,
                              square_locus)
 from q8family.selftest import element_wise_indicator, induced_by_averaging
+from q8family.verify import verify_prime
 
 IDENT = (1, 0, 0, 1)
+
+
+def exact(values):
+    """A row's RootSum values as Cyclotomic, for arithmetic and the selftest oracles."""
+    return tuple(v.to_cyclotomic() for v in values)
+
+
+def assert_rows_are_orbit_sums(table):
+    """Every row against values rebuilt in Cyclotomic arithmetic, both ways round.
+
+    Inflated rows are the Q8 values at the class's image in Q; the row of
+    the label orbit O is sum over (a, b) in O of zeta_p^(a v0 + b v1) at
+    v in V, and 0 off V.
+    """
+    ct = table.class_table
+    p, q = ct.p, ct.group.quaternion
+    rows = {name: vals for name, vals in Q8_ROWS}
+    for rep in label_orbits(q):
+        rows[f"ind_{rep[0]}_{rep[1]}"] = label_orbit(q, rep)
+    assert [r.name for r in table.rows] == list(rows)
+    for r in table.rows:
+        spec = rows[r.name]
+        for k, value in enumerate(r.values):
+            e = ct.rep_element(k)
+            if not r.name.startswith("ind_"):
+                want = Cyclotomic(1, [spec[q.class_of[e[2:]]]])
+            elif e[2:] != IDENT:
+                want = Cyclotomic(1, [0])
+            else:
+                want = sum((root_of_unity(p, a * e[0] + b * e[1]) for a, b in spec),
+                           Cyclotomic(1, [0]))
+            assert value.to_cyclotomic() == want and value == want and want == value, (r.name, k)
 
 
 class TestQ8Table:
@@ -135,6 +168,16 @@ class TestInduction:
         with pytest.raises(UsageError):
             induced_values((3, 6), classes3)  # trivial after reduction mod 3
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_rows_equal_cyclotomic_orbit_sums(self, p):
+        assert_rows_are_orbit_sums(_table(p))
+
+    @pytest.mark.slow
+    def test_verify_p41_rows_equal_cyclotomic_orbit_sums(self):
+        report = verify_prime(41)
+        assert report.overall_pass and report.class_count == len(report.row_names) == 215
+        assert_rows_are_orbit_sums(character_table(41))
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_averaging_oracle_all_orbits(self, p, request):
         table = request.getfixturevalue(f"table{p}")
@@ -197,7 +240,7 @@ class TestTableAssembly:
     def test_values_stay_in_base_field(self, table7):
         for r in table7.rows:
             for v in r.values:
-                assert v.n in (1, 7)
+                assert v.p == 7
             if not r.name.startswith("ind_"):
                 assert all(v.as_rational() is not None for v in r.values)
 
@@ -223,7 +266,7 @@ class TestInnerProducts:
     def test_square_against_psi_p3(self, table3):
         ct = table3.class_table
         chi = table3.induced_row_for_label((1, 0))
-        squared = tuple(v * v for v in chi.values)
+        squared = tuple(v * v for v in exact(chi.values))
         assert inner_product(ct, squared, table3.row("psi").values) == 2
 
     def test_restriction_to_core(self, table3):
@@ -286,13 +329,13 @@ class TestIndicators:
         for r in table.rows:
             direct = fs_indicator_direct(ct, r.values)
             assert direct == r.indicator == fs_indicator(ct, r.values)
-            assert direct == element_wise_indicator(ct, r.values)
+            assert direct == element_wise_indicator(ct, exact(r.values))
 
     def test_p3_contribution_breakdown(self, table3):
         # identity contributes 8, the 8 nonzero vectors -8, the z-fiber 72
         ct = table3.class_table
         group = ct.group
-        chi = table3.induced_row_for_label((1, 0)).values
+        chi = exact(table3.induced_row_for_label((1, 0)).values)
 
         def contribution(members):
             total = Cyclotomic(1, [0])
@@ -361,7 +404,7 @@ class TestSquaringPass:
         k = data.draw(st.sampled_from([k for k, r in enumerate(ct.root_counts) if r > 0]))
         delta = data.draw(st.integers(-3, 3).filter(bool)
                           | st.integers(1, p - 1).map(lambda e: root_of_unity(p, e)))
-        values = row.values[:k] + (row.values[k] + delta,) + row.values[k + 1:]
+        values = row.values[:k] + (row.values[k].to_cyclotomic() + delta,) + row.values[k + 1:]
         try:
             changed = fs_indicator_direct(ct, values)
         except InvariantError:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -73,7 +74,22 @@ class TestVerifyCommand:
 # ---------------------------------------------------------------- table
 
 
+# sha256 of `table --prime p --format json`, recorded when table values were
+# still built as Cyclotomic; the count-vector route must print the same bytes
+TABLE_JSON_SHA256 = {
+    3: "ff260558757136e1bacf4ef97515408b6a67a908f263643d4d5f4ee98bc7d622",
+    5: "af1c8018d6ab87bfe7d2ba2fdaf22cd628dbddae26eabcee7aff1ba05d292538",
+    17: "4a033edc0a55ecdd0a6049a3bcb0a45f28ddbbaf2454ac0ec18f5197fe94928d",
+}
+
+
 class TestTableCommand:
+    @pytest.mark.parametrize("p", sorted(TABLE_JSON_SHA256))
+    def test_json_bytes_unchanged(self, capsys, p):
+        assert cli.main(["table", "--prime", str(p), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_JSON_SHA256[p]
+
     def test_json_shape(self, capsys):
         assert cli.main(["table", "--prime", "3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

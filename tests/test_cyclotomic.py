@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q8family.cyclotomic import (ONE, ZERO, Cyclotomic, cyclotomic_polynomial,
+from q8family.cyclotomic import (ONE, ZERO, Cyclotomic, RootSum, cyclotomic_polynomial,
                                  euler_phi, root_of_unity)
 
 
@@ -61,6 +63,27 @@ class TestCyclotomicPolynomial:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    @pytest.mark.parametrize("n", range(1, 200))
+    def test_moebius_product_against_division_definition(self, n):
+        assert list(cyclotomic_polynomial(n)) == phi_by_division(n)
+
+    def test_large_composite_order_is_quick(self):
+        # 30030 = 2 3 5 7 11 13: dividing x^n - 1 by every proper Phi_d did not return
+        start = time.perf_counter()
+        v = Cyclotomic.from_json_obj({"n": 30030, "coeffs": [["1", "1"]]})
+        assert time.perf_counter() - start < 2.0
+        assert v == 1 and euler_phi(30030) == 5760
+
+
+@cache
+def phi_by_division(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = poly_mul(den, phi_by_division(d))
+    return poly_div_exact([-1] + [0] * (n - 1) + [1], den)
 
 
 class TestRoots:
@@ -219,3 +242,51 @@ class TestHygiene:
         obj = v.to_json_obj()
         assert obj["coeffs"][0] == ["1", "2"]
         assert Cyclotomic.from_json_obj(obj) == v
+
+
+class TestRootSum:
+    """Count vectors of p-th roots of unity against the equal Cyclotomic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_agrees_with_the_equal_cyclotomic(self, p, data):
+        counts = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
+        v = RootSum(p, counts)
+        exact = sum((c * root_of_unity(p, e) for e, c in enumerate(counts)), ZERO)
+        assert v.to_cyclotomic() == exact and repr(v.to_cyclotomic()) == repr(exact)
+        assert v == exact and exact == v and not (v != exact)
+        assert str(v) == str(exact) and v.to_json_obj() == exact.to_json_obj()
+        assert v.as_rational() == exact.as_rational()
+        assert v.is_zero() == exact.is_zero()
+        shift = data.draw(st.integers(-5, 5))
+        same = RootSum(p, [c + shift for c in counts])
+        assert same == v and str(same) == str(v)
+        other = RootSum(p, [c + (e == 1) for e, c in enumerate(counts)])
+        assert other != v and other != exact and exact != other
+
+    def test_rationals_and_ints(self):
+        seven = RootSum(5, [9, 2, 2, 2, 2])
+        assert seven == 7 and 7 == seven and seven == Fraction(7) and seven != 8
+        assert str(seven) == "7" and seven.as_rational() == 7
+        assert seven == RootSum(3, [7, 0, 0])  # the same rational at another prime
+        assert RootSum(5, [0, 1, 0, 0, 0]) != RootSum(3, [0, 1, 0])
+        assert RootSum(3, [4, 4, 4]).is_zero() and RootSum(3, [4, 4, 4]) == 0
+
+    def test_cyclotomic_of_another_order(self):
+        assert RootSum(3, [0, 1, 0]) == root_of_unity(6, 2)
+        assert RootSum(3, [0, 1, 0]) != root_of_unity(6, 1)
+
+    def test_counts_must_be_exact_ints(self):
+        with pytest.raises(TypeError):
+            RootSum(3, [Fraction(1, 2), 0, 0])
+        with pytest.raises(TypeError):
+            RootSum(3, [1.0, 0, 0])
+        with pytest.raises(ValueError):
+            RootSum(5, [1, 0, 0])
+
+    def test_immutable_and_unhashable(self):
+        v = RootSum(3, [1, 0, 0])
+        with pytest.raises(AttributeError):
+            v.counts = (0, 0, 0)
+        with pytest.raises(TypeError):
+            hash(v)

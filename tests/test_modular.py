@@ -19,7 +19,7 @@ from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, character_table,
                                  check_second_orthogonality, fs_indicator,
                                  fs_indicator_direct, inner_product, label_orbits,
                                  restriction_to_core_inner, tensor_square_decompose)
-from q8family.cyclotomic import ZERO, Cyclotomic, root_of_unity
+from q8family.cyclotomic import ZERO, Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
 from q8family.modp import is_odd_prime
 from q8family.modular import (ModularImage, galois_class_permutation, image_of,
@@ -37,6 +37,11 @@ def _values(table):
     return [r.values for r in table.rows]
 
 
+def _exact(values):
+    """A row's RootSum values as Cyclotomic, for arithmetic and the selftest oracles."""
+    return tuple(v.to_cyclotomic() for v in values)
+
+
 def _residue(value, p, image):
     return sum(c * pow(image.w, i, image.ell)
                for i, c in enumerate(value.coeffs_at(p))) % image.ell
@@ -50,7 +55,7 @@ class TestKernelAgreesWithExactRoute:
         for i, f in enumerate(table.rows):
             for g in table.rows[i:]:
                 assert (inner_product(ct, f.values, g.values)
-                        == exact_inner_product(ct, f.values, g.values))
+                        == exact_inner_product(ct, _exact(f.values), _exact(g.values)))
 
     def test_column_sums(self, p):
         table = _table(p)
@@ -58,9 +63,10 @@ class TestKernelAgreesWithExactRoute:
         values = _values(table)
         check_second_orthogonality(ct, values)
         image = image_of(ct, values)
+        exact_rows = [_exact(v) for v in values]
         for k in range(ct.n_classes):
             for k2 in range(ct.n_classes):
-                exact = sum((v[k] * v[k2].conjugate() for v in values), ZERO)
+                exact = sum((v[k] * v[k2].conjugate() for v in exact_rows), ZERO)
                 assert exact == (ct.centralizer_orders[k] if k == k2 else 0)
                 kernel = sum(image.residues[i][k] * image.conjugates[i][k2]
                              for i in range(len(values))) % image.ell
@@ -71,9 +77,9 @@ class TestKernelAgreesWithExactRoute:
         ct = table.class_table
         for rep in label_orbits(ct.group.quaternion):
             chi = table.induced_row_for_label(rep)
-            squared = tuple(v * v for v in chi.values)
+            squared = tuple(v * v for v in _exact(chi.values))
             dec = tensor_square_decompose(table, chi)
-            assert dec == {r.name: exact_inner_product(ct, squared, r.values)
+            assert dec == {r.name: exact_inner_product(ct, squared, _exact(r.values))
                            for r in table.rows}
 
     def test_indicator_and_restriction(self, p):
@@ -81,10 +87,10 @@ class TestKernelAgreesWithExactRoute:
         ct = table.class_table
         core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX]
         for r in table.rows:
-            v = r.values
-            indicator = sum((ct.sizes[k] * v[k2] for k, k2 in enumerate(ct.square_map)),
+            v, x = r.values, _exact(r.values)
+            indicator = sum((ct.sizes[k] * x[k2] for k, k2 in enumerate(ct.square_map)),
                             ZERO).as_rational() / ct.order
-            restriction = sum((ct.sizes[k] * v[k] for k in core), ZERO).as_rational() / p ** 2
+            restriction = sum((ct.sizes[k] * x[k] for k in core), ZERO).as_rational() / p ** 2
             assert fs_indicator(ct, v) == indicator == fs_indicator_direct(ct, v) == r.indicator
             got = restriction_to_core_inner(ct, v)
             assert got == restriction and type(got) is Fraction
@@ -100,11 +106,52 @@ def test_one_changed_coefficient_is_refused(p, data):
     k = data.draw(st.integers(0, len(values[i]) - 1), label="class")
     e = data.draw(st.integers(0, p - 2), label="power")
     delta = data.draw(st.integers(-3, 3).filter(bool), label="delta")
-    coeffs = list(values[i][k].coeffs_at(p))
+    coeffs = list(values[i][k].to_cyclotomic().coeffs_at(p))
     coeffs[e] += delta
     row = values[i][:k] + (Cyclotomic(p, coeffs),) + values[i][k + 1:]
     with pytest.raises(InvariantError, match="first orthogonality"):
         check_first_orthogonality(table.class_table, values[:i] + [row] + values[i + 1:])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_more_root_is_refused(p, data):
+    table = _table(p)
+    values = _values(table)
+    i = data.draw(st.integers(0, len(values) - 1), label="row")
+    k = data.draw(st.integers(0, len(values[i]) - 1), label="class")
+    e = data.draw(st.integers(0, p - 1), label="exponent")
+    counts = list(values[i][k].counts)
+    counts[e] += 1
+    row = values[i][:k] + (RootSum(p, counts),) + values[i][k + 1:]
+    with pytest.raises(InvariantError, match="first orthogonality"):
+        check_first_orthogonality(table.class_table, values[:i] + [row] + values[i + 1:])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_adding_all_ones_changes_no_result(p, data):
+    """sum_e zeta^e = 0, so the shifted counts name the same value."""
+    table = _table(p)
+    i = data.draw(st.integers(0, len(table.rows) - 1), label="row")
+    k = data.draw(st.integers(0, table.class_table.n_classes - 1), label="class")
+    shift = data.draw(st.integers(-3, 3).filter(bool), label="shift")
+    row = table.rows[i]
+    value = RootSum(p, [c + shift for c in row.values[k].counts])
+    assert value == row.values[k] and str(value) == str(row.values[k])
+    shifted = replace(table, rows=table.rows[:i] + (
+        replace(row, values=row.values[:k] + (value,) + row.values[k + 1:]),) + table.rows[i + 1:])
+    ct = table.class_table
+    check_first_orthogonality(ct, _values(shifted))
+    assert fs_indicator(ct, shifted.rows[i].values) == row.indicator
+    assert fs_indicator_direct(ct, shifted.rows[i].values) == row.indicator
+    assert run_table_checks(shifted) == run_table_checks(table)
+    for rep in label_orbits(ct.group.quaternion):
+        got, want = verify_label(shifted, rep), verify_label(table, rep)
+        got.timings = want.timings = {}
+        assert got == want
 
 
 @pytest.mark.parametrize("p", [7, 11])  # at p = 3 and 5 pi is the identity
@@ -122,7 +169,8 @@ def test_galois_consistent_edit_is_refused_by_the_residues(p):
              for j, c in enumerate(cycle)}
     values = _values(table)
     i = len(values) - 1
-    values[i] = tuple(v + orbit[c] if c in orbit else v for c, v in enumerate(values[i]))
+    values[i] = tuple(v.to_cyclotomic() + orbit[c] if c in orbit else v
+                      for c, v in enumerate(values[i]))
     ModularImage(ct, values)  # the edited rows are still Galois-closed
     with pytest.raises(InvariantError, match=r"first orthogonality fails at rows"):
         check_first_orthogonality(ct, values)
@@ -173,8 +221,10 @@ def test_split_prime(p, bound):
 
 def test_image_bound_covers_every_needed_sum(table5):
     image = image_of(table5.class_table, _values(table5))
-    m = max(sum(map(abs, v.coeffs_at(5))) for r in table5.rows for v in r.values)
+    m = max(sum(map(abs, v.counts)) for r in table5.rows for v in r.values)
+    assert m == 8  # an orbit of 8 labels
     assert image.bound >= table5.order * m ** 3
+    assert image.bound >= 2 * len(table5.rows) * m ** 2 + max(table5.class_table.centralizer_orders)
     assert image.ell > 2 * image.bound
 
 
@@ -199,7 +249,7 @@ def test_a_table_with_other_rows_gets_its_own_image(table5):
     genuine = image_of(ct, _values(table5))
     rows = table5.rows[:-1] + (replace(table5.rows[-1], values=tuple(table5.rows[-1].values)),)
     assert image_of(ct, [r.values for r in rows]) is genuine  # same value tuple
-    edited = table5.rows[-1].values[:-1] + (table5.rows[-1].values[-1] + 1,)
+    edited = table5.rows[-1].values[:-1] + (table5.rows[-1].values[-1].to_cyclotomic() + 1,)
     other = replace(table5, rows=table5.rows[:-1] + (replace(table5.rows[-1], values=edited),))
     assert image_of(ct, _values(other)) is not genuine
     ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](other)

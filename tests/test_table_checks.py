@@ -108,7 +108,7 @@ def test_corrupted_row_refused_by_assembly(monkeypatch):
 
     def corrupted(label, ct):
         values = genuine(label, ct)
-        return values[:-1] + (values[-1] + 1,)
+        return values[:-1] + (values[-1].to_cyclotomic() + 1,)
 
     monkeypatch.setattr(characters, "induced_values", corrupted)
     ct = conjugacy_classes(build_group(5))

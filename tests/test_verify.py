@@ -1,9 +1,11 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
 from q8family import verify
 from q8family.characters import label_orbits
+from q8family.cyclotomic import Cyclotomic
 from q8family.errors import UsageError
 from q8family.verify import (build_table_timed, run_table_checks, scan_one_prime,
                              scan_primes, verify_label, verify_prime)
@@ -94,6 +96,21 @@ class TestVerifyPrime:
             assert r.timings[key] >= 0
 
 
+def test_verify_builds_no_cyclotomic(monkeypatch):
+    built = []
+    init = Cyclotomic.__init__
+
+    def counted(self, n, coeffs):
+        built.append(n)
+        init(self, n, coeffs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    assert verify_prime(17).overall_pass
+    assert built == []
+    Cyclotomic(3, [0, 1])  # the counter counts
+    assert built == [3]
+
+
 class TestOverallPass:
     def test_flipping_a_claim_fails_the_report(self):
         r = verify_prime(3)
@@ -138,6 +155,37 @@ class TestScan:
     def test_inverted_range_rejected(self):
         with pytest.raises(UsageError, match="bad prime range"):
             scan_primes(7, 3)
+
+    @pytest.mark.parametrize("lo, hi, jobs, workers", [
+        (3, 7, 4, [3]),      # three primes: three workers, not four
+        (3, 7, 2, [2]),
+        (3, 13, 100, [5]),
+        (3, 3, 4, []),       # one prime runs in this process
+        (3, 7, 1, []),
+    ])
+    def test_workers_capped_at_the_prime_count(self, monkeypatch, lo, hi, jobs, workers):
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and maps in this process; forks nothing."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(verify, "scan_one_prime", lambda p, bound, alt: p)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        primes = [p for p in (3, 5, 7, 11, 13) if lo <= p <= hi]
+        assert scan_primes(lo, hi, jobs=jobs) == primes
+        assert started == workers
 
     @pytest.mark.slow
     def test_scan_p37_every_label(self):
