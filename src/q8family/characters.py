@@ -17,7 +17,8 @@ its literal per-element form lives in `selftest`.
 TABLE_CHECKS, at the end, is the one ordered registry of named table
 checks: `verify` records its verdicts in every report, `selftest` prints
 them, and `serialize` validates cached documents with its integer
-predicates.
+predicates and reads their values back as `RootSum`s, so a table's values
+have one type whether built here or loaded.
 
 Characters of V are labelled by pairs (a, b) of residues: the label (a, b)
 sends v to zeta_p^(a v0 + b v1).  A matrix M moves labels by the

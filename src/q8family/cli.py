@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .characters import character_table
 from .errors import InvariantError, UsageError
-from .groups import DEFAULT_PRIME_BOUND
+from .groups import DEFAULT_PRIME_BOUND, require_odd_prime
 from .selftest import run_selftest
 from .serialize import (canonical_json, load_cached_table,
                         report_document, scan_document, store_cached_table,
@@ -174,7 +174,7 @@ def render_report_text(report):
 
 
 def render_table_text(doc, values):
-    """doc's table as aligned text; values are its rows' values (RootSum or Cyclotomic)."""
+    """doc's table as aligned text; values are its rows' values, RootSums."""
     p = doc["prime"]
     classes = doc["classes"]
     header = (f"character table of (C_{p} x C_{p}) : Q8   "
@@ -193,7 +193,7 @@ def render_table_text(doc, values):
 
 
 def render_table_csv(doc, values):
-    """doc's table as csv; values are its rows' values (RootSum or Cyclotomic)."""
+    """doc's table as csv; values are its rows' values, RootSums."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     classes = doc["classes"]
@@ -243,26 +243,20 @@ def cmd_verify(cfg):
 
 
 def cmd_table(cfg):
-    # only text and csv read the values; a JSON hit is served as stored
-    render = {"csv": render_table_csv, "text": render_table_text}.get(cfg.fmt)
-    hit = text = None
-    if cfg.cache_dir:
-        hit = load_cached_table(cfg.cache_dir, cfg.prime, parse_values=render is not None)
-        if hit is not None:
-            print(f"cache hit: {cfg.cache_dir}/table_p{cfg.prime}.json",
-                  file=sys.stderr)
-    if hit is not None:
-        doc, values = hit if render else (hit, None)
+    require_odd_prime(cfg.prime, cfg.bound)  # before the cache, which serves only such p
+    hit = cfg.cache_dir and load_cached_table(cfg.cache_dir, cfg.prime)
+    text = None
+    if hit:
+        print(f"cache hit: {cfg.cache_dir}/table_p{cfg.prime}.json", file=sys.stderr)
+        doc, values = hit
     else:
         table = character_table(cfg.prime, bound=cfg.bound)
         doc, values = table_document(table), [r.values for r in table.rows]
         if cfg.cache_dir:
             text = canonical_json(doc)
             store_cached_table(cfg.cache_dir, cfg.prime, text)
-    if render is None:
-        _emit(cfg, text or canonical_json(doc))
-    else:
-        _emit(cfg, render(doc, values))
+    render = {"csv": render_table_csv, "text": render_table_text}.get(cfg.fmt)
+    _emit(cfg, render(doc, values) if render else text or canonical_json(doc))
     return 0
 
 

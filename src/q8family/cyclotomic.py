@@ -124,6 +124,14 @@ def _format(n, coeffs):
     return text
 
 
+@lru_cache(maxsize=1024)  # a table's values repeat a few small coefficients
+def _decimal_int(text):
+    """The int whose `str` is text; ValueError for any other text."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not an integer as str writes it")
+    return value
+
+
 def _json_obj(n, coeffs):
     """Serialized form of the canonical value (n, coeffs)."""
     pairs = [[str(c), "1"] if type(c) is int else [str(c.numerator), str(c.denominator)]
@@ -296,12 +304,6 @@ class Cyclotomic:
         """Serialized form: {"n": ..., "coeffs": [[num, den], ...]} with exact decimal strings."""
         return _json_obj(self.n, self.coeffs)
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        coeffs = [int(num) if den == "1" else Fraction(int(num), int(den))
-                  for num, den in obj["coeffs"]]
-        return cls(int(obj["n"]), coeffs)
-
 
 ZERO = Cyclotomic(1, [0])
 ONE = Cyclotomic(1, [1])
@@ -323,8 +325,8 @@ class RootSum:
     vectors name the same element exactly when they differ by a multiple
     of the all-ones vector.  The equal `Cyclotomic` has the power-basis
     coefficients counts[i] - counts[p - 1]; equality, `str` and
-    `to_json_obj` agree with it without building it.  `to_cyclotomic` is
-    for arithmetic.
+    `to_json_obj` agree with it without building it, and `from_json_obj`
+    reads that form back.  `to_cyclotomic` is for arithmetic.
     """
 
     __slots__ = ("p", "counts")
@@ -380,3 +382,18 @@ class RootSum:
     def to_json_obj(self):
         """The serialized form of the equal Cyclotomic."""
         return _json_obj(*self._canonical())
+
+    @classmethod
+    def from_json_obj(cls, obj, p):
+        """The inverse of `to_json_obj` at the prime p: counts (*c, 0) from an
+        order-p value's p - 1 coefficients c, (c, 0, ..., 0) from an order-1
+        value's one.  Any other order or length, or a coefficient other than
+        [str(c), "1"] for an int c, raises ValueError.
+        """
+        n, pairs = obj["n"], obj["coeffs"]
+        if (n, len(pairs)) not in ((p, p - 1), (1, 1)):
+            raise ValueError("a value of order other than 1 or p, or of the wrong length")
+        counts = [_decimal_int(num) for num, den in pairs if den == "1"]
+        if len(counts) != len(pairs) or any(type(pair) is not list for pair in pairs):
+            raise ValueError('a coefficient that is not [decimal integer, "1"]')
+        return cls(p, counts + [0] * (p - len(counts)))

@@ -5,9 +5,9 @@ sums that certify the table are integers or small elements of Z[zeta_p],
 so they can be read off from their images under a ring map
 Z[zeta_p] -> F_l (Dixon, "High speed computation of group characters",
 Numer. Math. 10, 1967; Schneider, "Dixon's character table algorithm
-revisited", J. Symb. Comput. 9, 1990).  A value enters as a count vector
-c in Z^p naming sum_e c_e zeta^e (a `RootSum`, or a `Cyclotomic` through
-`count_vector`), so it lies in Z[zeta_p] by construction; as
+revisited", J. Symb. Comput. 9, 1990).  A value enters as a `RootSum`,
+a count vector c in Z^p naming sum_e c_e zeta^e (`count_vector` refuses
+anything else), so it lies in Z[zeta_p] by construction; as
 1 + zeta + ... + zeta^(p-1) = 0 spans the relations, two vectors name the
 same element exactly when they differ by a constant vector.  Why one
 residue decides each sum, with every step checked at run time when an
@@ -112,20 +112,10 @@ def galois_class_permutation(ct):
 
 
 def count_vector(value, p):
-    """The p root counts of a RootSum, or a Cyclotomic's power-basis coefficients and 0.
-
-    Refuses a value outside Q(zeta_p) or outside Z[zeta_p].
-    """
-    if isinstance(value, RootSum):
-        if value.p == p:
-            return value.counts
-        value = value.to_cyclotomic()
-    if value.n not in (1, p):
-        raise InvariantError(f"value {value} does not lie in Q(zeta_{p})")
-    coeffs = value.coeffs_at(p)
-    if any(type(c) is not int for c in coeffs):
-        raise InvariantError(f"value {value} does not lie in Z[zeta_{p}]")
-    return (*coeffs, 0)
+    """The p root counts of a RootSum of the prime p; refuses any other value."""
+    if not (isinstance(value, RootSum) and value.p == p):
+        raise InvariantError(f"value {value!r} is not a RootSum with p = {p}")
+    return value.counts
 
 
 class ModularImage:

@@ -8,7 +8,7 @@ The table document schema (versioned by its "format" field):
                      "values": [{"n": ..., "coeffs": [[num, den], ...]}, ...]}]}
 
 Values appear in class order; coefficient numerators and denominators are
-exact decimal strings.
+exact decimal strings; every denominator is "1", as values lie in Z[zeta_p].
 
 Every document (table, report, scan) is written by `canonical_json`, whose
 output is byte-identical to `json.dumps(obj, indent=2, ensure_ascii=True)`
@@ -23,8 +23,8 @@ about half the time of `json.dumps(indent=2)`, and less memory.
 
 Writes go through a temp file plus rename so a crashed run never leaves
 partial JSON behind.  A cached document is served only when its integer
-fields satisfy the table invariants; its values are checked only to parse,
-and only when a text or csv rendering needs them.
+fields satisfy the table invariants and every value parses as a `RootSum`
+at its prime; the values are not checked against the group.
 """
 
 import json
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .characters import (class_partition_holds, degree_sum_holds,
                          family_class_count, fs_sum_rule, quaternionic_row_unique)
-from .cyclotomic import Cyclotomic
+from .cyclotomic import RootSum
 
 TABLE_FORMAT = 1
 REPORT_FORMAT = 1
@@ -76,13 +76,9 @@ def table_document(table):
 
 
 def document_values(doc):
-    """Character values of a document, reconstructed as exact Cyclotomics.
-
-    An order other than 1 or p raises ValueError before any field is built.
-    """
-    if any(v["n"] not in (1, doc["prime"]) for ch in doc["characters"] for v in ch["values"]):
-        raise ValueError("a value of order other than 1 or p")
-    return [[Cyclotomic.from_json_obj(v) for v in ch["values"]] for ch in doc["characters"]]
+    """The document's values as `RootSum`s, one list per row; ValueError if one does not parse."""
+    p = doc["prime"]
+    return [[RootSum.from_json_obj(v, p) for v in ch["values"]] for ch in doc["characters"]]
 
 
 def report_document(report):
@@ -234,13 +230,12 @@ def table_document_problem(doc, p):
     return None
 
 
-def load_cached_table(cache_dir, p, parse_values=False):
-    """The cached document for p, or None if absent, stale, unreadable or invalid.
+def load_cached_table(cache_dir, p):
+    """(doc, document_values(doc)) for p, or None if absent, stale, unreadable or invalid.
 
-    With parse_values, a hit is the pair (doc, document_values(doc)), and a
-    value that does not parse is invalid.  An invalid document is reported
-    on stderr and then treated as a miss, so the caller recomputes and
-    overwrites it.
+    p must be an odd prime.  A document is invalid when it breaks an
+    integer invariant or a value does not parse; it is reported on stderr
+    and then treated as a miss, so the caller recomputes and overwrites it.
     """
     path = cache_path(cache_dir, p)
     try:
@@ -253,15 +248,15 @@ def load_cached_table(cache_dir, p, parse_values=False):
     if doc.get("prime") != p:
         return None
     problem = table_document_problem(doc, p)
-    if problem is None and parse_values:
+    if problem is None:
         try:
             values = document_values(doc)
-        except (LookupError, TypeError, ValueError, ArithmeticError):
+        except (LookupError, TypeError, ValueError):
             problem = "a character value is not an exact number in Q(zeta_p)"
     if problem is not None:
         print(f"cache rejected: {path}: {problem}", file=sys.stderr)
         return None
-    return (doc, values) if parse_values else doc
+    return doc, values
 
 
 def store_cached_table(cache_dir, p, text):

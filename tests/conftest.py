@@ -1,6 +1,7 @@
 import pytest
 
 from q8family.characters import assemble_character_table
+from q8family.cyclotomic import Cyclotomic
 from q8family.groups import build_group, conjugacy_classes
 
 
@@ -27,3 +28,17 @@ def table5():
 @pytest.fixture(scope="session")
 def table7():
     return assemble_character_table(conjugacy_classes(build_group(7)))
+
+
+@pytest.fixture
+def built_cyclotomics(monkeypatch):
+    """The order of every Cyclotomic built while the test runs, in order."""
+    built = []
+    init = Cyclotomic.__init__
+
+    def counted(self, n, coeffs):
+        built.append(n)
+        init(self, n, coeffs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    return built

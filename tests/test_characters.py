@@ -12,7 +12,7 @@ from q8family.characters import (Q8_ROWS, character_table, default_label,
                                  label_action, label_orbit, label_orbits,
                                  q8_character_table, restriction_to_core_inner,
                                  stabilizer_in_q, tensor_square_decompose)
-from q8family.cyclotomic import Cyclotomic, root_of_unity
+from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError, UsageError
 from q8family.groups import (count_square_roots_of_identity, quaternion_subgroup,
                              square_locus)
@@ -25,6 +25,11 @@ IDENT = (1, 0, 0, 1)
 def exact(values):
     """A row's RootSum values as Cyclotomic, for arithmetic and the selftest oracles."""
     return tuple(v.to_cyclotomic() for v in values)
+
+
+def root_sum(value, p):
+    """The RootSum of a Cyclotomic in Z[zeta_p]: its power-basis coefficients, then 0."""
+    return RootSum(p, (*value.coeffs_at(p), 0))
 
 
 def assert_rows_are_orbit_sums(table):
@@ -266,7 +271,7 @@ class TestInnerProducts:
     def test_square_against_psi_p3(self, table3):
         ct = table3.class_table
         chi = table3.induced_row_for_label((1, 0))
-        squared = tuple(v * v for v in exact(chi.values))
+        squared = tuple(root_sum(v * v, 3) for v in exact(chi.values))
         assert inner_product(ct, squared, table3.row("psi").values) == 2
 
     def test_restriction_to_core(self, table3):
@@ -278,32 +283,32 @@ class TestInnerProducts:
 
 class TestCorruptInputsRejected:
     def test_non_rational_inner_product(self, classes3):
-        from q8family.errors import InvariantError
-        z3 = root_of_unity(3, 1)
-        zero = Cyclotomic(1, [0])
+        z3 = RootSum(3, [0, 1, 0])
+        zero = RootSum(3, [0, 0, 0])
         f = (z3,) + (zero,) * 5
-        g = (Cyclotomic(1, [1]),) + (zero,) * 5
+        g = (RootSum(3, [1, 0, 0]),) + (zero,) * 5
         with pytest.raises(InvariantError, match="not rational"):
             inner_product(classes3, f, g)
 
     def test_non_integer_indicator(self, classes3):
-        from q8family.errors import InvariantError
+        # 1/3 is no sum of roots of unity: RootSum refuses it, and the kernel
+        # refuses every value that is not a RootSum at p = 3
+        with pytest.raises(TypeError):
+            RootSum(3, [Fraction(1, 3), 0, 0])
         third = Cyclotomic(1, [Fraction(1, 3)])
-        with pytest.raises(InvariantError, match=r"value 1/3 does not lie in Z\[zeta_3\]"):
+        with pytest.raises(InvariantError, match=r"is not a RootSum with p = 3"):
             fs_indicator(classes3, (third,) * 6)
 
     def test_integral_non_integer_indicator(self, classes3):
-        from q8family.errors import InvariantError
         # 1 on the identity class: the class formula gives #{g : g^2 = 1} / |G| = 10/72
-        at_identity = (Cyclotomic(1, [1]),) + (Cyclotomic(1, [0]),) * 5
+        at_identity = (RootSum(3, [1, 0, 0]),) + (RootSum(3, [0, 0, 0]),) * 5
         with pytest.raises(InvariantError, match="not a rational integer: 5/36"):
             fs_indicator(classes3, at_identity)
 
     def test_non_integer_multiplicity(self, table3):
         from q8family.characters import CharRow
-        from q8family.errors import InvariantError
-        one = Cyclotomic(1, [1])
-        zero = Cyclotomic(1, [0])
+        one = RootSum(3, [1, 0, 0])
+        zero = RootSum(3, [0, 0, 0])
         fake = CharRow(name="fake", values=(one,) + (zero,) * 5,
                        degree=1, indicator=1)
         with pytest.raises(InvariantError, match="multiplicity"):
@@ -402,9 +407,12 @@ class TestSquaringPass:
         ct = table.class_table
         row = data.draw(st.sampled_from(table.rows))
         k = data.draw(st.sampled_from([k for k, r in enumerate(ct.root_counts) if r > 0]))
-        delta = data.draw(st.integers(-3, 3).filter(bool)
-                          | st.integers(1, p - 1).map(lambda e: root_of_unity(p, e)))
-        values = row.values[:k] + (row.values[k].to_cyclotomic() + delta,) + row.values[k + 1:]
+        # add a nonzero integer, or one more p-th root of unity other than 1
+        e, delta = data.draw(st.tuples(st.just(0), st.integers(-3, 3).filter(bool))
+                             | st.tuples(st.integers(1, p - 1), st.just(1)))
+        counts = list(row.values[k].counts)
+        counts[e] += delta
+        values = row.values[:k] + (RootSum(p, counts),) + row.values[k + 1:]
         try:
             changed = fs_indicator_direct(ct, values)
         except InvariantError:

@@ -10,6 +10,7 @@ import pytest
 
 import q8family
 from q8family import cli, serialize
+from q8family.cyclotomic import Cyclotomic
 from q8family.serialize import canonical_json, load_cached_table
 from q8family.verify import verify_prime
 
@@ -75,7 +76,8 @@ class TestVerifyCommand:
 
 
 # sha256 of `table --prime p --format json`, recorded when table values were
-# still built as Cyclotomic; the count-vector route must print the same bytes
+# still built as Cyclotomic; the RootSum values must print the same bytes,
+# whether built or read back from a cache
 TABLE_JSON_SHA256 = {
     3: "ff260558757136e1bacf4ef97515408b6a67a908f263643d4d5f4ee98bc7d622",
     5: "af1c8018d6ab87bfe7d2ba2fdaf22cd628dbddae26eabcee7aff1ba05d292538",
@@ -160,9 +162,9 @@ class TestTableCache:
                          "--cache", cache]) == 0
         fresh = capsys.readouterr()
         assert "cache hit" not in fresh.err
-        cached_doc = load_cached_table(cache, 3)
-        assert cached_doc is not None
-        assert cached_doc == json.loads(fresh.out)
+        hit = load_cached_table(cache, 3)
+        assert hit is not None
+        assert hit[0] == json.loads(fresh.out)
 
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
@@ -185,7 +187,7 @@ class TestTableCache:
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
         assert "cache hit" not in capsys.readouterr().err
-        assert load_cached_table(cache, 3)["format"] == 1
+        assert load_cached_table(cache, 3)[0]["format"] == 1
 
     def test_tampered_cache_rejected_and_rewritten(self, tmp_path, capsys):
         cache = str(tmp_path)
@@ -208,8 +210,9 @@ class TestTableCache:
         assert captured.err.startswith("cache rejected:")
         assert path.read_text() == genuine
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
-    def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
+    @staticmethod
+    def assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edit):
+        """A p=3 cache whose last row gets edit(values) is rejected, rebuilt and rewritten."""
         cache = str(tmp_path)
         assert cli.main(["table", "--prime", "3", "--format", "json", "--cache", cache]) == 0
         stored = capsys.readouterr().out
@@ -217,7 +220,7 @@ class TestTableCache:
         genuine = capsys.readouterr().out
         path = tmp_path / "table_p3.json"
         doc = json.loads(path.read_text())
-        doc["characters"][-1]["values"][0]["coeffs"][0] = ["1", "0"]
+        edit(doc["characters"][-1]["values"])
         path.write_text(json.dumps(doc, indent=2) + "\n")
 
         assert cli.main(["table", "--prime", "3", "--format", fmt, "--cache", cache]) == 0
@@ -226,6 +229,58 @@ class TestTableCache:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("cache rejected:")
         assert path.read_text() == stored
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
+        def zero_denominator(values):
+            values[0]["coeffs"][0] = ["1", "0"]
+
+        self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, zero_denominator)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("edit", ["eight halves", "too few coefficients"])
+    def test_value_outside_z_zeta_p_rejected_and_rewritten(self, tmp_path, capsys, fmt, edit):
+        def eight_halves(values):  # 8/2 = 4, but no integer written as [num, "1"]
+            assert values[0] == {"n": 1, "coeffs": [["8", "1"]]}
+            values[0]["coeffs"][0] = ["8", "2"]
+
+        def too_few_coefficients(values):  # zero-padded, [] would read as 0
+            values[0]["coeffs"].pop()
+
+        edits = {"eight halves": eight_halves, "too few coefficients": too_few_coefficients}
+        self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edits[edit])
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_prime_bound_checked_before_the_cache(self, tmp_path, capsys, fmt):
+        assert cli.main(["table", "--prime", "5", "--format", fmt, "--cache", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["table", "--prime", "5", "--bound", "3", "--format", fmt]
+        miss = cli.main(argv), capsys.readouterr()
+        hit = cli.main(argv + ["--cache", str(tmp_path)]), capsys.readouterr()
+        assert hit == miss == (2, ("", "error: p=5 exceeds the prime bound 3\n"))
+
+    def test_cache_not_read_for_a_non_prime(self, tmp_path, capsys, monkeypatch):
+        # RootSum equality and is_zero are right only at a prime, so a table_p9.json
+        # must never be parsed
+        path = tmp_path / "table_p9.json"
+        path.write_text("{}")
+        read = []
+        monkeypatch.setattr(cli, "load_cached_table", lambda *args: read.append(args))
+        assert cli.main(["table", "--prime", "9", "--format", "text",
+                         "--cache", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "error: p=9: not an odd prime\n")
+        assert read == [] and path.read_text() == "{}"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_table_builds_no_cyclotomic(self, tmp_path, capsys, built_cyclotomics, fmt):
+        cache = ["--cache", str(tmp_path)]
+        for run, argv, hit in (("no cache", [], False), ("cold", cache, False),
+                               ("warm", cache, True)):
+            assert cli.main(["table", "--prime", "7", "--format", fmt, *argv]) == 0
+            assert ("cache hit" in capsys.readouterr().err) is hit
+            assert built_cyclotomics == [], run
+        Cyclotomic(3, [0, 1])  # the counter counts
+        assert built_cyclotomics == [3]
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
                              ids=["not-utf8", "nested-too-deep"])

@@ -108,7 +108,7 @@ def test_one_changed_coefficient_is_refused(p, data):
     delta = data.draw(st.integers(-3, 3).filter(bool), label="delta")
     coeffs = list(values[i][k].to_cyclotomic().coeffs_at(p))
     coeffs[e] += delta
-    row = values[i][:k] + (Cyclotomic(p, coeffs),) + values[i][k + 1:]
+    row = values[i][:k] + (RootSum(p, coeffs + [0]),) + values[i][k + 1:]
     with pytest.raises(InvariantError, match="first orthogonality"):
         check_first_orthogonality(table.class_table, values[:i] + [row] + values[i + 1:])
 
@@ -165,12 +165,11 @@ def test_galois_consistent_edit_is_refused_by_the_residues(p):
         cycle.append(perm[cycle[-1]])
     # sigma_g^j of the Gauss period fixed by sigma_g^len(cycle), at pi^j K
     period = range(0, p - 1, len(cycle))
-    orbit = {c: sum((root_of_unity(p, pow(g, t + j, p)) for t in period), ZERO)
-             for j, c in enumerate(cycle)}
+    orbit = {c: {pow(g, t + j, p) for t in period} for j, c in enumerate(cycle)}
     values = _values(table)
     i = len(values) - 1
-    values[i] = tuple(v.to_cyclotomic() + orbit[c] if c in orbit else v
-                      for c, v in enumerate(values[i]))
+    values[i] = tuple(RootSum(p, [n + (e in orbit[c]) for e, n in enumerate(v.counts)])
+                      if c in orbit else v for c, v in enumerate(values[i]))
     ModularImage(ct, values)  # the edited rows are still Galois-closed
     with pytest.raises(InvariantError, match=r"first orthogonality fails at rows"):
         check_first_orthogonality(ct, values)
@@ -203,11 +202,13 @@ def test_square_map_must_commute_with_galois_action(table7):
 
 
 def test_values_outside_z_zeta_p_are_refused(classes3):
-    half = Cyclotomic(1, [1]) / 2
-    with pytest.raises(InvariantError, match="Z\\[zeta_3\\]"):
-        ModularImage(classes3, [(half,) * classes3.n_classes])
-    with pytest.raises(InvariantError, match="Q\\(zeta_3\\)"):
-        ModularImage(classes3, [(root_of_unity(5, 1),) * classes3.n_classes])
+    # RootSum refuses a count that is not an int, so 1/2 cannot be written as one
+    with pytest.raises(TypeError):
+        RootSum(3, [Fraction(1, 2), 0, 0])
+    refused = [RootSum(5, [0, 1, 0, 0, 0]), Cyclotomic(1, [1]) / 2, root_of_unity(3, 1), 1]
+    for value in refused:
+        with pytest.raises(InvariantError, match="is not a RootSum with p = 3"):
+            ModularImage(classes3, [(value,) * classes3.n_classes])
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,7 +250,8 @@ def test_a_table_with_other_rows_gets_its_own_image(table5):
     genuine = image_of(ct, _values(table5))
     rows = table5.rows[:-1] + (replace(table5.rows[-1], values=tuple(table5.rows[-1].values)),)
     assert image_of(ct, [r.values for r in rows]) is genuine  # same value tuple
-    edited = table5.rows[-1].values[:-1] + (table5.rows[-1].values[-1].to_cyclotomic() + 1,)
+    last = table5.rows[-1].values[-1].counts
+    edited = table5.rows[-1].values[:-1] + (RootSum(5, (last[0] + 1, *last[1:])),)
     other = replace(table5, rows=table5.rows[:-1] + (replace(table5.rows[-1], values=edited),))
     assert image_of(ct, _values(other)) is not genuine
     ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](other)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from q8family.characters import character_table
-from q8family.cyclotomic import Cyclotomic
+from q8family.cyclotomic import Cyclotomic, RootSum
 from q8family.serialize import (canonical_json, document_values, load_cached_table,
                                 report_document, scan_document, store_cached_table,
                                 table_document)
@@ -98,6 +98,11 @@ coefficients = (st.integers(min_value=-10**30, max_value=10**30)
                 | st.fractions(max_denominator=10**12))
 
 
+def cyclotomic_from_json(obj):
+    """The Cyclotomic a serialized value names, each coefficient read as a Fraction."""
+    return Cyclotomic(obj["n"], [Fraction(int(num), int(den)) for num, den in obj["coeffs"]])
+
+
 class TestCyclotomicJson:
     @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.lists(coefficients, min_size=1, max_size=4))
     def test_round_trip(self, n, coeffs):
@@ -105,14 +110,53 @@ class TestCyclotomicJson:
         obj = v.to_json_obj()
         assert obj["coeffs"] == [[str(Fraction(c).numerator), str(Fraction(c).denominator)]
                                  for c in v.coeffs]
-        back = Cyclotomic.from_json_obj(json.loads(canonical_json(obj)))
+        back = cyclotomic_from_json(json.loads(canonical_json(obj)))
         assert back == v
         assert [type(c) for c in back.coeffs] == [type(c) for c in v.coeffs]
 
     def test_unit_denominator_loads_as_int(self):
-        v = Cyclotomic.from_json_obj({"n": 5, "coeffs": [["-7", "1"], ["3", "2"]]})
+        v = cyclotomic_from_json({"n": 5, "coeffs": [["-7", "1"], ["3", "2"]]})
         assert type(v.coeffs[0]) is int and v.coeffs[0] == -7
         assert v.coeffs[1] == Fraction(3, 2)
+
+
+class TestRootSumJson:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_every_table_value_round_trips(self, p):
+        for row in character_table(p).rows:
+            for v in row.values:
+                obj = json.loads(canonical_json(v.to_json_obj()))
+                back = RootSum.from_json_obj(obj, p)
+                assert back.p == p and back.counts[-1] == 0
+                assert back == v and str(back) == str(v)
+                assert back == cyclotomic_from_json(obj)
+
+    def test_orders_one_and_p(self):
+        seven = RootSum.from_json_obj({"n": 1, "coeffs": [["-7", "1"]]}, 5)
+        assert seven.counts == (-7, 0, 0, 0, 0)
+        coeffs = [["2", "1"], ["0", "1"], ["-1", "1"], ["3", "1"]]
+        assert RootSum.from_json_obj({"n": 5, "coeffs": coeffs}, 5).counts == (2, 0, -1, 3, 0)
+
+    REFUSED_AT_5 = {
+        "order 7": {"n": 7, "coeffs": [["1", "1"]] * 6},
+        "order 10": {"n": 10, "coeffs": [["1", "1"]] * 4},
+        "order 5, 3 coefficients": {"n": 5, "coeffs": [["1", "1"]] * 3},
+        "order 5, 5 coefficients": {"n": 5, "coeffs": [["1", "1"]] * 5},
+        "order 1, 2 coefficients": {"n": 1, "coeffs": [["1", "1"]] * 2},
+        "denominator 2": {"n": 1, "coeffs": [["8", "2"]]},
+        "denominator 0": {"n": 1, "coeffs": [["1", "0"]]},
+        "three strings": {"n": 1, "coeffs": [["1", "1", "1"]]},
+        "one string": {"n": 1, "coeffs": ["11"]},
+        "int numerator": {"n": 1, "coeffs": [[1, "1"]]},
+        "int denominator": {"n": 1, "coeffs": [["1", 1]]},
+        **{f"numerator {num!r}": {"n": 1, "coeffs": [[num, "1"]]}
+           for num in ("1.5", "0x1", "", " 1", "+1", "01", "-0", "1_0")},
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_AT_5))
+    def test_anything_else_is_refused(self, case):
+        with pytest.raises(ValueError):
+            RootSum.from_json_obj(self.REFUSED_AT_5[case], 5)
 
 
 class TestDocumentValues:
@@ -128,5 +172,4 @@ class TestDocumentValues:
     def test_parsed_hit_is_the_document_and_its_values(self, tmp_path, table5):
         doc = table_document(table5)
         store_cached_table(tmp_path, 5, canonical_json(doc))
-        assert load_cached_table(tmp_path, 5) == doc
-        assert load_cached_table(tmp_path, 5, parse_values=True) == (doc, document_values(doc))
+        assert load_cached_table(tmp_path, 5) == (doc, document_values(doc))

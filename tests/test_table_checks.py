@@ -15,7 +15,7 @@ import pytest
 from q8family import characters
 from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS,
                                  assemble_character_table)
-from q8family.cyclotomic import ONE
+from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
 from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
 from q8family.serialize import table_document, table_document_problem
@@ -62,7 +62,7 @@ def _induced_value_off_core(table):
     ct = table.class_table
     off = next(k for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX)
     row = next(r for r in table.rows if r.name.startswith("ind_"))
-    values = row.values[:off] + (ONE,) + row.values[off + 1:]
+    values = row.values[:off] + (RootSum(ct.p, [1] + [0] * (ct.p - 1)),) + row.values[off + 1:]
     return _with_row(table, row.name, values=values)
 
 
@@ -108,7 +108,8 @@ def test_corrupted_row_refused_by_assembly(monkeypatch):
 
     def corrupted(label, ct):
         values = genuine(label, ct)
-        return values[:-1] + (values[-1].to_cyclotomic() + 1,)
+        last = values[-1].counts
+        return values[:-1] + (RootSum(ct.p, (last[0] + 1, *last[1:])),)
 
     monkeypatch.setattr(characters, "induced_values", corrupted)
     ct = conjugacy_classes(build_group(5))

@@ -96,19 +96,11 @@ class TestVerifyPrime:
             assert r.timings[key] >= 0
 
 
-def test_verify_builds_no_cyclotomic(monkeypatch):
-    built = []
-    init = Cyclotomic.__init__
-
-    def counted(self, n, coeffs):
-        built.append(n)
-        init(self, n, coeffs)
-
-    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+def test_verify_builds_no_cyclotomic(built_cyclotomics):
     assert verify_prime(17).overall_pass
-    assert built == []
+    assert built_cyclotomics == []
     Cyclotomic(3, [0, 1])  # the counter counts
-    assert built == [3]
+    assert built_cyclotomics == [3]
 
 
 class TestOverallPass:
