@@ -18,6 +18,7 @@ from math import lcm
 from operator import sub
 
 from .errors import InvariantError
+from .modp import is_odd_prime
 
 
 def _as_coeff(c):
@@ -317,6 +318,10 @@ def root_of_unity(n, k):
     return Cyclotomic(n, [0] * k + [1])
 
 
+# every RootSum checks its p; a table builds thousands, all at one prime
+_odd_prime = lru_cache(maxsize=128)(is_odd_prime)
+
+
 class RootSum:
     """The formal sum sum_e counts[e] zeta_p^e of p-th roots of unity, p an odd prime.
 
@@ -333,7 +338,9 @@ class RootSum:
 
     def __init__(self, p, counts):
         counts = tuple(counts)
-        if len(counts) != p or p < 3:
+        if type(p) is not int or not _odd_prime(p):
+            raise ValueError(f"p={p!r}: not an odd prime")
+        if len(counts) != p:
             raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
         if type(sum(counts)) is not int:  # a float, Fraction or Decimal count spreads to the sum
             raise TypeError("root counts must be ints")
@@ -387,13 +394,17 @@ class RootSum:
     def from_json_obj(cls, obj, p):
         """The inverse of `to_json_obj` at the prime p: counts (*c, 0) from an
         order-p value's p - 1 coefficients c, (c, 0, ..., 0) from an order-1
-        value's one.  Any other order or length, or a coefficient other than
-        [str(c), "1"] for an int c, raises ValueError.
+        value's one.  Anything else (another shape, order or length, or a
+        coefficient other than [str(c), "1"] for an int c) raises ValueError
+        saying what is wrong.
         """
-        n, pairs = obj["n"], obj["coeffs"]
-        if (n, len(pairs)) not in ((p, p - 1), (1, 1)):
+        if type(obj) is not dict or type(pairs := obj.get("coeffs")) is not list:
+            raise ValueError('a value that is not an object with a "coeffs" list')
+        if (obj.get("n"), len(pairs)) not in ((p, p - 1), (1, 1)):
             raise ValueError("a value of order other than 1 or p, or of the wrong length")
-        counts = [_decimal_int(num) for num, den in pairs if den == "1"]
-        if len(counts) != len(pairs) or any(type(pair) is not list for pair in pairs):
-            raise ValueError('a coefficient that is not [decimal integer, "1"]')
+        counts = []
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2 or pair[1] != "1" or type(pair[0]) is not str:
+                raise ValueError('a coefficient that is not [decimal integer, "1"]')
+            counts.append(_decimal_int(pair[0]))
         return cls(p, counts + [0] * (p - len(counts)))

@@ -6,8 +6,10 @@ a^2 + b^2 = -1 (mod p).  Group elements are 6-tuples of residues
 (v0, v1, a, b, c, d): the vector part followed by the row-major matrix
 part.  That encoding is what appears in JSON reports.
 
-Conjugacy classes are computed by brute-force orbit closure, then one pass
-squares every element (|G| = 8 p^2 <= 75,272 up to the prime bound 97).
+G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
+fixes a nonzero vector.  Conjugacy classes are read off that structure
+(Q-orbits on V, whole cosets of V off it), then one pass squares every
+element (|G| = 8 p^2 <= 75,272 up to the prime bound 97).
 """
 
 from dataclasses import dataclass, field
@@ -203,54 +205,74 @@ class ClassTable:
         return self.class_of[self.group.index[g]]
 
 
-def _group_generators(group):
-    """Four generators of G: the two core basis vectors and X, Y of Q."""
-    q = group.quaternion
-    return (
-        (1, 0, 1, 0, 0, 1),
-        (0, 1, 1, 0, 0, 1),
-        (0, 0) + q.x.entries(),
-        (0, 0) + q.y.entries(),
-    )
+def _conjugate(n, m):
+    """The entries of N M N^-1 for det N = 1, so that N^-1 = [[d, -b], [-c, a]].
+
+    Written out because two Mat2 products and an inverse cost about three
+    times as much, and the 56 conjugations are most of the work at small p.
+    """
+    a, b, c, d, p = n
+    x, y = a * m.a + b * m.c, a * m.b + b * m.d
+    z, w = c * m.a + d * m.c, c * m.b + d * m.d
+    return ((x * d - y * c) % p, (y * a - x * b) % p, (z * d - w * c) % p, (w * a - z * b) % p)
 
 
 def conjugacy_classes(group):
-    """Partition the element list into conjugacy classes by orbit closure.
+    """Partition the element list into conjugacy classes from the Frobenius structure.
 
-    Orbits are closed under conjugation by a generating set (repeated until
-    nothing new appears), with a visited set over the canonical encoding.
-    Representatives are the minimal-index members; centralizer orders come
-    from the orbit-stabilizer relation and are checked to divide |G|.  One
-    squaring pass over the elements then fills in the square map, the root
-    counts and the square locus.
+    Write g = (w, N) and h = (v, M).  Then g h g^-1 = (w + N v - M' w, M')
+    with M' = N M N^-1.  For M = I this is (N v, I), so the class of (v, I)
+    is the Q-orbit {(N v, I) : N in Q}.  For M != I, det(I - M') =
+    det(I - M) != 0 mod p, so w -> (I - M') w is onto V and, for each N,
+    the conjugates fill the whole coset V x {M'}: the class of (v, M) is
+    V x {N M N^-1 : N in Q}.  Every premise is checked (each M in Q has
+    det 1, det(I - M) != 0 for M != I, each N M N^-1 lies in Q), as is the
+    result: every element lies in exactly one class, and the sizes sum to
+    |G| and divide it.  Classes are numbered in order of their minimal
+    element index, which is their representative; centralizer orders come
+    from the orbit-stabilizer relation.  One squaring pass over the
+    elements then fills in the square map, the root counts and the square
+    locus.
     """
-    elements = group.elements
+    p, elements, index = group.p, group.elements, group.index
     order = len(elements)
-    index = group.index
-    gens = _group_generators(group)
+    q = group.quaternion.elements
+    in_q = {m.entries() for m in q}
+    ident = Mat2.identity(p)
+    for m in q:
+        if m.det() != 1:
+            raise InvariantError(f"quaternion element {m.entries()} has det != 1")
+        if m != ident and ((1 - m.a) * (1 - m.d) - m.b * m.c) % p == 0:
+            raise InvariantError(f"quaternion element {m.entries()} fixes a nonzero vector")
+    # M -> the entries of its class in Q, for M != I
+    q_class = {}
+    for m in q:
+        if m != ident:
+            conj = {_conjugate(n, m) for n in q}
+            if not conj <= in_q:
+                raise InvariantError(f"a conjugate of {m.entries()} is not in Q")
+            q_class[m.entries()] = conj
+    vectors = [(v0, v1) for v0 in range(p) for v1 in range(p)]
     class_of = [-1] * order
     reps, sizes = [], []
     for i, e in enumerate(elements):
         if class_of[i] >= 0:
             continue
+        v0, v1, m = e[0], e[1], e[2:]
+        if group.in_core(e):
+            members = {((n.a * v0 + n.b * v1) % p, (n.c * v0 + n.d * v1) % p) + m for n in q}
+            size = len(members)
+        else:  # generated, not stored: a coset class has up to 2 p^2 members
+            members = (v + c for c in q_class[m] for v in vectors)
+            size = len(q_class[m]) * len(vectors)
         k = len(reps)
-        orbit = {i}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    j = index[group.conj(g, h)]
-                    if j not in orbit:
-                        orbit.add(j)
-                        nxt.append(elements[j])
-            frontier = nxt
-        for j in orbit:
+        for h in members:
+            j = index[h]
             if class_of[j] >= 0:
-                raise InvariantError("conjugation orbits failed to partition the group")
+                raise InvariantError("conjugacy classes failed to partition the group")
             class_of[j] = k
         reps.append(i)
-        sizes.append(len(orbit))
+        sizes.append(size)
     if sum(sizes) != order:
         raise InvariantError("class sizes do not sum to |G|")
     cents = []

@@ -2,7 +2,7 @@
 
 Scalars are plain int residues in [0, p); the modulus travels on the
 containing structure.  Matrices are NamedTuples so they are hashable and
-cheap to compare, which the conjugacy-orbit code leans on.
+cheap to compare.
 """
 
 from typing import NamedTuple

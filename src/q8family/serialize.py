@@ -251,8 +251,8 @@ def load_cached_table(cache_dir, p):
     if problem is None:
         try:
             values = document_values(doc)
-        except (LookupError, TypeError, ValueError):
-            problem = "a character value is not an exact number in Q(zeta_p)"
+        except ValueError as exc:
+            problem = f"a character value does not parse: {exc}"
     if problem is not None:
         print(f"cache rejected: {path}: {problem}", file=sys.stderr)
         return None

@@ -229,6 +229,7 @@ class TestTableCache:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("cache rejected:")
         assert path.read_text() == stored
+        return captured.err
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
@@ -249,6 +250,19 @@ class TestTableCache:
 
         edits = {"eight halves": eight_halves, "too few coefficients": too_few_coefficients}
         self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edits[edit])
+
+    @pytest.mark.parametrize("coeff, reason", [
+        (["8", "2"], 'a coefficient that is not [decimal integer, "1"]'),
+        (["+1", "1"], "'+1' is not an integer as str writes it"),
+    ])
+    def test_rejection_names_the_parse_failure(self, tmp_path, capsys, coeff, reason):
+        # both are exact integers, refused only for how they are written
+        def respell(values):
+            values[0]["coeffs"][0] = coeff
+
+        err = self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, "json", respell)
+        path = tmp_path / "table_p3.json"
+        assert err == f"cache rejected: {path}: a character value does not parse: {reason}\n"
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_prime_bound_checked_before_the_cache(self, tmp_path, capsys, fmt):

@@ -284,6 +284,13 @@ class TestRootSum:
         with pytest.raises(ValueError):
             RootSum(5, [1, 0, 0])
 
+    @pytest.mark.parametrize("p", [9, 15, 1, 2, 3.0])
+    def test_p_must_be_an_odd_prime(self, p):
+        # RootSum(9, [1,0,0,1,0,0,1,0,0]) would be 0 in Q(zeta_9), yet its
+        # counts are not constant: equality modulo all-ones needs p prime
+        with pytest.raises(ValueError, match="not an odd prime"):
+            RootSum(p, [1 if e % 3 == 0 else 0 for e in range(int(p))])
+
     def test_immutable_and_unhashable(self):
         v = RootSum(3, [1, 0, 0])
         with pytest.raises(AttributeError):

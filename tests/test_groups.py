@@ -1,12 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q8family.errors import UsageError
-from q8family.groups import (build_group, conjugacy_classes,
+from q8family.errors import InvariantError, UsageError
+from q8family.groups import (ClassTable, build_group, conjugacy_classes,
                              conjugated_subgroup, count_square_roots_of_identity,
                              quaternion_subgroup, square_locus)
 from q8family.modp import Mat2
+from q8family.verify import ALT_CONJUGATOR
 
 IDENT = (1, 0, 0, 1)
 
@@ -139,16 +142,130 @@ def brute_force_partition(group):
     return classes
 
 
+def assert_partition_is(ct, partition):
+    group = ct.group
+    got = {
+        frozenset(e for e in group.elements if ct.class_of[group.index[e]] == k)
+        for k in range(ct.n_classes)
+    }
+    assert got == partition
+
+
+def closure_classes(group):
+    """Independent classing by orbit closure under four generators of G.
+
+    Each orbit is closed under conjugation by the two core basis vectors and
+    X, Y of Q until nothing new appears; classes are numbered by minimal
+    element index.  A squaring pass of its own gives the square map and
+    root counts, and `square_locus` the locus.  This is the generic
+    algorithm that `conjugacy_classes` replaced.
+    """
+    q = group.quaternion
+    gens = ((1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1),
+            (0, 0) + q.x.entries(), (0, 0) + q.y.entries())
+    elements, index, order = group.elements, group.index, len(group)
+    class_of = [-1] * order
+    reps, sizes = [], []
+    for i, e in enumerate(elements):
+        if class_of[i] >= 0:
+            continue
+        orbit, frontier = {i}, [e]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g in gens:
+                    j = index[group.conj(g, h)]
+                    if j not in orbit:
+                        orbit.add(j)
+                        nxt.append(elements[j])
+            frontier = nxt
+        for j in orbit:
+            assert class_of[j] < 0
+            class_of[j] = len(reps)
+        reps.append(i)
+        sizes.append(len(orbit))
+    square_map, root_counts = [-1] * len(reps), [0] * len(reps)
+    for i, e in enumerate(elements):
+        target = class_of[index[group.mul(e, e)]]
+        assert square_map[class_of[i]] in (-1, target)
+        square_map[class_of[i]] = target
+        root_counts[target] += 1
+    return ClassTable(
+        group=group, reps=tuple(reps), sizes=tuple(sizes),
+        centralizer_orders=tuple(order // s for s in sizes),
+        class_of=tuple(class_of), square_map=tuple(square_map),
+        root_counts=tuple(root_counts), square_locus=frozenset(square_locus(group)))
+
+
+def assert_same_class_table(got, oracle):
+    for f in dataclasses.fields(ClassTable):
+        if f.init:
+            assert getattr(got, f.name) == getattr(oracle, f.name), f.name
+
+
+def group_on(q, elements):
+    """The group built on the subgroup q with its element list replaced."""
+    return build_group(q.p, quaternion=dataclasses.replace(q, elements=tuple(elements)))
+
+
+class TestAgainstClosureOracle:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29])
+    def test_every_field_matches(self, p):
+        g = build_group(p)
+        assert_same_class_table(conjugacy_classes(g), closure_classes(g))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_every_field_matches_on_the_alt_subgroup(self, p):
+        q = conjugated_subgroup(quaternion_subgroup(p), Mat2.make(*ALT_CONJUGATOR, p))
+        g = build_group(p, quaternion=q)
+        assert_same_class_table(conjugacy_classes(g), closure_classes(g))
+
+    @pytest.mark.slow
+    def test_every_field_matches_at_41(self):
+        g = build_group(41)
+        assert_same_class_table(conjugacy_classes(g), closure_classes(g))
+
+
+class TestFrobeniusPremisesChecked:
+    """A list of matrices that is not a fixed-point-free group is refused."""
+
+    Q5 = quaternion_subgroup(5)
+
+    def test_a_matrix_with_eigenvalue_one_is_refused(self):
+        # [[1, 1], [0, 1]] has det 1 and fixes (1, 0)
+        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(1, 1, 0, 1, 5),))
+        with pytest.raises(InvariantError, match="fixes a nonzero vector"):
+            conjugacy_classes(g)
+
+    def test_elements_not_closed_under_conjugation_are_refused(self):
+        # [[1, 1], [-1, 0]] has det 1 and no eigenvalue 1, but trace 1: its
+        # conjugates are not among the trace-0 elements of Q
+        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(1, 1, -1, 0, 5),))
+        with pytest.raises(InvariantError, match="is not in Q"):
+            conjugacy_classes(g)
+
+    def test_a_singular_matrix_is_refused(self):
+        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(0, 0, 0, 0, 5),))
+        with pytest.raises(InvariantError, match="det != 1"):
+            conjugacy_classes(g)
+
+    def test_a_set_that_is_not_a_group_is_refused(self):
+        # {I, X, -X} passes every premise, but its "orbits" on V overlap
+        g = group_on(self.Q5, (self.Q5.elements[0], self.Q5.x, self.Q5.x.neg()))
+        with pytest.raises(InvariantError, match="failed to partition"):
+            conjugacy_classes(g)
+
+
 class TestConjugacyClasses:
     def test_p3_sizes_against_brute_force(self, group3, classes3):
         oracle = brute_force_partition(group3)
         assert sorted(len(c) for c in oracle) == [1, 8, 9, 18, 18, 18]
-        got = {
-            frozenset(e for e in group3.elements
-                      if classes3.class_of[group3.index[e]] == k)
-            for k in range(classes3.n_classes)
-        }
-        assert got == oracle
+        assert_partition_is(classes3, oracle)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_partition_against_brute_force(self, p):
+        g = build_group(p)
+        assert_partition_is(conjugacy_classes(g), brute_force_partition(g))
 
     def test_sizes_sum_to_order(self, classes3):
         assert sum(classes3.sizes) == 72

@@ -149,6 +149,15 @@ class TestRootSumJson:
         "one string": {"n": 1, "coeffs": ["11"]},
         "int numerator": {"n": 1, "coeffs": [[1, "1"]]},
         "int denominator": {"n": 1, "coeffs": [["1", 1]]},
+        "a string": "1",
+        "a list": [["1", "1"]],
+        "no coeffs": {"n": 1},
+        "no order": {"coeffs": [["1", "1"]]},
+        "coeffs a string": {"n": 1, "coeffs": "1"},
+        "coeffs an object": {"n": 1, "coeffs": {"1": "1"}},
+        "one-string pair": {"n": 1, "coeffs": [["1"]]},
+        "null pair": {"n": 1, "coeffs": [None]},
+        "list numerator": {"n": 1, "coeffs": [[["1"], "1"]]},
         **{f"numerator {num!r}": {"n": 1, "coeffs": [[num, "1"]]}
            for num in ("1.5", "0x1", "", " 1", "+1", "01", "-0", "1_0")},
     }
