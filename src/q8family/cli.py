@@ -173,8 +173,25 @@ def render_report_text(report):
     return "\n".join(lines) + "\n"
 
 
-def render_table_text(doc, values):
-    """doc's table as aligned text; values are its rows' values, RootSums."""
+def _value_texts(doc):
+    """The str of each value of the table document doc, one list per row.
+
+    str runs once per distinct value: equal values share their canonical form.
+    """
+    texts = {}
+
+    def text(v):
+        key = v.canonical()
+        t = texts.get(key)
+        if t is None:
+            t = texts[key] = str(v)
+        return t
+
+    return [[text(v) for v in ch["values"]] for ch in doc["characters"]]
+
+
+def render_table_text(doc):
+    """The table document doc as aligned text."""
     p = doc["prime"]
     classes = doc["classes"]
     header = (f"character table of (C_{p} x C_{p}) : Q8   "
@@ -182,8 +199,8 @@ def render_table_text(doc, values):
     rep_row = ["rep"] + [" ".join(map(str, c["rep"])) for c in classes]
     size_row = ["size"] + [str(c["size"]) for c in classes]
     cent_row = ["centralizer"] + [str(c["centralizer"]) for c in classes]
-    body = [[f"{ch['name']} (d={ch['degree']}, fs={ch['indicator']:+d})", *map(str, vals)]
-            for ch, vals in zip(doc["characters"], values)]
+    body = [[f"{ch['name']} (d={ch['degree']}, fs={ch['indicator']:+d})", *vals]
+            for ch, vals in zip(doc["characters"], _value_texts(doc))]
     rows = [rep_row, size_row, cent_row] + body
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = [header]
@@ -192,8 +209,8 @@ def render_table_text(doc, values):
     return "\n".join(lines) + "\n"
 
 
-def render_table_csv(doc, values):
-    """doc's table as csv; values are its rows' values, RootSums."""
+def render_table_csv(doc):
+    """The table document doc as csv."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     classes = doc["classes"]
@@ -202,8 +219,8 @@ def render_table_csv(doc, values):
     writer.writerow(["rep", "", ""] + [" ".join(map(str, c["rep"])) for c in classes])
     writer.writerow(["size", "", ""] + [c["size"] for c in classes])
     writer.writerow(["centralizer", "", ""] + [c["centralizer"] for c in classes])
-    for ch, vals in zip(doc["characters"], values):
-        writer.writerow([ch["name"], ch["degree"], ch["indicator"], *map(str, vals)])
+    for ch, vals in zip(doc["characters"], _value_texts(doc)):
+        writer.writerow([ch["name"], ch["degree"], ch["indicator"], *vals])
     return buf.getvalue()
 
 
@@ -244,19 +261,17 @@ def cmd_verify(cfg):
 
 def cmd_table(cfg):
     require_odd_prime(cfg.prime, cfg.bound)  # before the cache, which serves only such p
-    hit = cfg.cache_dir and load_cached_table(cfg.cache_dir, cfg.prime)
+    doc = cfg.cache_dir and load_cached_table(cfg.cache_dir, cfg.prime)
     text = None
-    if hit:
+    if doc:
         print(f"cache hit: {cfg.cache_dir}/table_p{cfg.prime}.json", file=sys.stderr)
-        doc, values = hit
     else:
-        table = character_table(cfg.prime, bound=cfg.bound)
-        doc, values = table_document(table), [r.values for r in table.rows]
+        doc = table_document(character_table(cfg.prime, bound=cfg.bound))
         if cfg.cache_dir:
             text = canonical_json(doc)
             store_cached_table(cfg.cache_dir, cfg.prime, text)
     render = {"csv": render_table_csv, "text": render_table_text}.get(cfg.fmt)
-    _emit(cfg, render(doc, values) if render else text or canonical_json(doc))
+    _emit(cfg, render(doc) if render else text or canonical_json(doc))
     return 0
 
 

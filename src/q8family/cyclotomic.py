@@ -350,18 +350,22 @@ class RootSum:
     def __setattr__(self, name, value):
         raise AttributeError("RootSum values are immutable")
 
-    def _canonical(self):
-        """(n, coeffs) of the equal Cyclotomic."""
+    def canonical(self):
+        """(n, coeffs) of the equal Cyclotomic, coeffs a tuple.
+
+        Hashable, and equal for two RootSums exactly when they are equal
+        values, whatever their primes: the key of every memo of value texts.
+        """
         top = self.counts[-1]
-        coeffs = [c - top for c in self.counts[:-1]] if top else self.counts[:-1]
+        coeffs = tuple([c - top for c in self.counts[:-1]]) if top else self.counts[:-1]
         return (self.p, coeffs) if any(coeffs[1:]) else (1, coeffs[:1])
 
     def to_cyclotomic(self):
-        return Cyclotomic(*self._canonical())
+        return Cyclotomic(*self.canonical())
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        n, coeffs = self._canonical()
+        n, coeffs = self.canonical()
         return Fraction(coeffs[0]) if n == 1 else None
 
     def is_zero(self):
@@ -381,30 +385,37 @@ class RootSum:
     __hash__ = None
 
     def __str__(self):
-        return _format(*self._canonical())
+        return _format(*self.canonical())
 
     def __repr__(self):
         return f"RootSum({self.p}, {list(self.counts)})"
 
     def to_json_obj(self):
         """The serialized form of the equal Cyclotomic."""
-        return _json_obj(*self._canonical())
+        return _json_obj(*self.canonical())
 
     @classmethod
     def from_json_obj(cls, obj, p):
         """The inverse of `to_json_obj` at the prime p: counts (*c, 0) from an
         order-p value's p - 1 coefficients c, (c, 0, ..., 0) from an order-1
-        value's one.  Anything else (another shape, order or length, or a
-        coefficient other than [str(c), "1"] for an int c) raises ValueError
-        saying what is wrong.
+        value's one.  Anything else raises ValueError saying what is wrong:
+        another shape, order or length, a key other than "n" and "coeffs", a
+        coefficient other than [str(c), "1"] for an int c, or an order-p value
+        that `to_json_obj` writes as order 1.  So `to_json_obj` gives back
+        every object this accepts.
         """
         if type(obj) is not dict or type(pairs := obj.get("coeffs")) is not list:
             raise ValueError('a value that is not an object with a "coeffs" list')
-        if (obj.get("n"), len(pairs)) not in ((p, p - 1), (1, 1)):
+        if len(obj) != 2 or type(n := obj.get("n")) is not int:
+            raise ValueError('a value with keys other than "n" and "coeffs", or a non-int "n"')
+        if (n, len(pairs)) not in ((p, p - 1), (1, 1)):
             raise ValueError("a value of order other than 1 or p, or of the wrong length")
         counts = []
         for pair in pairs:
             if type(pair) is not list or len(pair) != 2 or pair[1] != "1" or type(pair[0]) is not str:
                 raise ValueError('a coefficient that is not [decimal integer, "1"]')
             counts.append(_decimal_int(pair[0]))
+        if n != 1 and not any(counts[1:]):
+            raise ValueError("an order-p value whose coefficients past the first are all 0, "
+                             "which is written as order 1")
         return cls(p, counts + [0] * (p - len(counts)))

@@ -5,21 +5,26 @@ The table document schema (versioned by its "format" field):
     {"format": 1, "prime": p, "group_order": 8 p^2,
      "classes": [{"rep": [v0, v1, a, b, c, d], "size": ..., "centralizer": ...}],
      "characters": [{"name": ..., "degree": ..., "indicator": ...,
-                     "values": [{"n": ..., "coeffs": [[num, den], ...]}, ...]}]}
+                     "values": [value, ...]}]}
 
-Values appear in class order; coefficient numerators and denominators are
-exact decimal strings; every denominator is "1", as values lie in Z[zeta_p].
+In memory, as `table_document` builds it and `load_cached_table` returns
+it, each value is a `RootSum`; in JSON it is that value's `to_json_obj()`,
+{"n": ..., "coeffs": [[num, den], ...]}.  Values appear in class order;
+coefficient numerators and denominators are exact decimal strings; every
+denominator is "1", as values lie in Z[zeta_p].
 
 Every document (table, report, scan) is written by `canonical_json`, whose
-output is byte-identical to `json.dumps(obj, indent=2, ensure_ascii=True)`
-plus a newline; that text is the stable on-disk and stdout format.  It is
-not produced by `json.dumps` itself because any `indent` makes CPython fall
-back to its pure-Python encoder, which yields one small string per token,
-and a table document grows like (rows)^2 (p - 1): 1.5 MB at p = 17,
-6.8 MB at p = 23.  `canonical_json` instead builds each list's or dict's
-text with one `str.join` over its encoded children, and leaves strings to
-the C-backed `encode_basestring_ascii`; on a table document it takes
-about half the time of `json.dumps(indent=2)`, and less memory.
+output is byte-identical to `json.dumps(obj, indent=2, ensure_ascii=True,
+default=RootSum.to_json_obj)` plus a newline; that text is the stable
+on-disk and stdout format.  It is not produced by `json.dumps` itself
+because any `indent` makes CPython fall back to its pure-Python encoder,
+which yields one small string per token, and a table document grows like
+(rows)^2 (p - 1): 1.5 MB at p = 17, 6.8 MB at p = 23.  Yet a table holds
+few distinct values (36 in 1681 cells at p = 17, 61 in 5041 at p = 23).
+`canonical_json` writes each distinct value's text once per call, in a
+memo keyed by the value's canonical form and holding value texts only,
+builds each list's or dict's text with one `str.join` over its encoded
+children, and leaves strings to the C-backed `encode_basestring_ascii`.
 
 Writes go through a temp file plus rename so a crashed run never leaves
 partial JSON behind.  A cached document is served only when its integer
@@ -49,7 +54,7 @@ def _frac_pair(f):
 
 
 def table_document(table):
-    """The serializable form of a character table."""
+    """The document of a character table; its values are the rows' `RootSum`s."""
     ct = table.class_table
     return {
         "format": TABLE_FORMAT,
@@ -68,7 +73,7 @@ def table_document(table):
                 "name": r.name,
                 "degree": r.degree,
                 "indicator": r.indicator,
-                "values": [v.to_json_obj() for v in r.values],
+                "values": list(r.values),
             }
             for r in table.rows
         ],
@@ -76,9 +81,19 @@ def table_document(table):
 
 
 def document_values(doc):
-    """The document's values as `RootSum`s, one list per row; ValueError if one does not parse."""
+    """The values of a parsed JSON document as `RootSum`s, one list per row.
+
+    Each value is parsed once, and equal values share one `RootSum`, so a
+    cache hit holds one per distinct value.  ValueError if one does not parse.
+    """
     p = doc["prime"]
-    return [[RootSum.from_json_obj(v, p) for v in ch["values"]] for ch in doc["characters"]]
+    interned = {}
+
+    def value(obj):
+        v = RootSum.from_json_obj(obj, p)
+        return interned.setdefault(v.canonical(), v)
+
+    return [[value(obj) for obj in ch["values"]] for ch in doc["characters"]]
 
 
 def report_document(report):
@@ -130,31 +145,44 @@ def scan_document(lo, hi, summaries):
 def canonical_json(obj):
     """The one serialization used everywhere, so outputs are byte-stable.
 
-    Equal to `json.dumps(obj, indent=2, ensure_ascii=True) + "\n"` for every
-    value json.dumps accepts with str keys.  A value JSON cannot hold, or a
-    dict key that is not a str, raises TypeError.
+    Equal to `json.dumps(obj, indent=2, ensure_ascii=True,
+    default=RootSum.to_json_obj) + "\n"` for every value json.dumps accepts
+    with str keys.  A value JSON cannot hold, or a dict key that is not a
+    str, raises TypeError.
     """
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(o, nl):
-    """The JSON text of o, whose own line starts with the indentation nl."""
-    inner = nl + "  "
+def _encode(o, nl, texts):
+    """The JSON text of o, whose own line starts with the indentation nl.
+
+    texts memoizes the text of each RootSum by (nl, its canonical form), and
+    holds nothing else, so a table encodes each distinct value once.
+    """
+    if isinstance(o, RootSum):  # most leaves of a table document
+        key = (nl, o.canonical())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _encode(o.to_json_obj(), nl, texts)
+        return text
+    # The f-strings copy the joined text once, where + would copy it three times.
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        inner = nl + "  "
         # Most leaves are strings; encoding them inline saves a call each.
-        items = [_encode_str(v) if type(v) is str else _encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        items = [_encode_str(v) if type(v) is str else _encode(v, inner, texts) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
+        inner = nl + "  "
         # A key that is not a str makes _encode_str raise TypeError; json.dumps
         # would stringify a scalar key, but no document has one.
         items = [_encode_str(k) + ": "
-                 + (_encode_str(v) if type(v) is str else _encode(v, inner))
+                 + (_encode_str(v) if type(v) is str else _encode(v, inner, texts))
                  for k, v in o.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     return _encode_scalar(o)
 
 
@@ -231,11 +259,13 @@ def table_document_problem(doc, p):
 
 
 def load_cached_table(cache_dir, p):
-    """(doc, document_values(doc)) for p, or None if absent, stale, unreadable or invalid.
+    """The cached table document for p, or None if absent, stale, unreadable or invalid.
 
     p must be an odd prime.  A document is invalid when it breaks an
     integer invariant or a value does not parse; it is reported on stderr
     and then treated as a miss, so the caller recomputes and overwrites it.
+    A valid one is returned as `table_document` builds it: its values are
+    the parsed `RootSum`s.
     """
     path = cache_path(cache_dir, p)
     try:
@@ -256,7 +286,9 @@ def load_cached_table(cache_dir, p):
     if problem is not None:
         print(f"cache rejected: {path}: {problem}", file=sys.stderr)
         return None
-    return doc, values
+    for ch, row in zip(doc["characters"], values):
+        ch["values"] = row
+    return doc
 
 
 def store_cached_table(cache_dir, p, text):

@@ -10,7 +10,7 @@ import pytest
 
 import q8family
 from q8family import cli, serialize
-from q8family.cyclotomic import Cyclotomic
+from q8family.cyclotomic import Cyclotomic, RootSum
 from q8family.serialize import canonical_json, load_cached_table
 from q8family.verify import verify_prime
 
@@ -75,22 +75,33 @@ class TestVerifyCommand:
 # ---------------------------------------------------------------- table
 
 
-# sha256 of `table --prime p --format json`, recorded when table values were
-# still built as Cyclotomic; the RootSum values must print the same bytes,
-# whether built or read back from a cache
-TABLE_JSON_SHA256 = {
-    3: "ff260558757136e1bacf4ef97515408b6a67a908f263643d4d5f4ee98bc7d622",
-    5: "af1c8018d6ab87bfe7d2ba2fdaf22cd628dbddae26eabcee7aff1ba05d292538",
-    17: "4a033edc0a55ecdd0a6049a3bcb0a45f28ddbbaf2454ac0ec18f5197fe94928d",
+# sha256 of `table --prime p --format fmt`, recorded when table values were
+# still built as Cyclotomic (json at 3, 5 and 17) and before table documents
+# held RootSums (the rest); the bytes must stay the same whether the table is
+# built or read back from a cache
+TABLE_SHA256 = {
+    (3, "json"): "ff260558757136e1bacf4ef97515408b6a67a908f263643d4d5f4ee98bc7d622",
+    (3, "text"): "fe791f378f9d7bc1d635068e3e4da32f049dea2162761461087b1b701fde6bd1",
+    (3, "csv"): "e857b86e32553b1b861e3600e80600ad88c1d0a5e30c3f43399ed3d615e28fe0",
+    (5, "json"): "af1c8018d6ab87bfe7d2ba2fdaf22cd628dbddae26eabcee7aff1ba05d292538",
+    (5, "text"): "3983deb20ef1e24427a6f507819c12990d7062d52c2dfe7daf942df20f96ebf4",
+    (5, "csv"): "86bd5a37c31f4ec22aba04e5046c7d46c8a3c766f54b73223f6714c5e50efee6",
+    (7, "json"): "99bf55ba69ae04569b3d2ea5dc56d71c7e35094d8237c48a5250ad7258d15f5d",
+    (7, "text"): "3149fb71573a85b767209a60424bfcf9c80b530428d17cf275ed1d4468f6f774",
+    (7, "csv"): "7fb5dc8962ac95a976b99440a448e01db65370d3906890c4486c359f5a05df8e",
+    (11, "json"): "3d41b12faca4a1d0b79fb4d3059d378664768a27aabcf478034c68f5718f5f21",
+    (11, "text"): "e74f2520d393a65489ac7f92b1241640362a6312ced468a32dfcbe47540670e0",
+    (11, "csv"): "7a23a33840d6e2ddeb897aa28e99f9e174f6c0900eee6ff276b1ed146230df52",
+    (17, "json"): "4a033edc0a55ecdd0a6049a3bcb0a45f28ddbbaf2454ac0ec18f5197fe94928d",
 }
 
 
 class TestTableCommand:
-    @pytest.mark.parametrize("p", sorted(TABLE_JSON_SHA256))
+    @pytest.mark.parametrize("p", sorted(p for p, fmt in TABLE_SHA256 if fmt == "json"))
     def test_json_bytes_unchanged(self, capsys, p):
         assert cli.main(["table", "--prime", str(p), "--format", "json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_JSON_SHA256[p]
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[p, "json"]
 
     def test_json_shape(self, capsys):
         assert cli.main(["table", "--prime", "3", "--format", "json"]) == 0
@@ -164,7 +175,7 @@ class TestTableCache:
         assert "cache hit" not in fresh.err
         hit = load_cached_table(cache, 3)
         assert hit is not None
-        assert hit[0] == json.loads(fresh.out)
+        assert canonical_json(hit) == fresh.out
 
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
@@ -187,7 +198,7 @@ class TestTableCache:
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
         assert "cache hit" not in capsys.readouterr().err
-        assert load_cached_table(cache, 3)[0]["format"] == 1
+        assert load_cached_table(cache, 3)["format"] == 1
 
     def test_tampered_cache_rejected_and_rewritten(self, tmp_path, capsys):
         cache = str(tmp_path)
@@ -307,6 +318,36 @@ class TestTableCache:
         assert "cache hit" not in captured.err
         assert json.loads(captured.out)["prime"] == 3
         assert path.read_text() == captured.out
+
+    @pytest.mark.parametrize("p, fmt", sorted(TABLE_SHA256))
+    def test_output_bytes_without_cache_cold_and_warm(self, tmp_path, capsys, p, fmt):
+        outputs = []
+        for argv in ([], ["--cache", str(tmp_path)], ["--cache", str(tmp_path)]):
+            assert cli.main(["table", "--prime", str(p), "--format", fmt, *argv]) == 0
+            outputs.append(capsys.readouterr())
+        assert ["cache hit" in o.err for o in outputs] == [False, False, True]
+        assert outputs[0].out == outputs[1].out == outputs[2].out
+        digest = hashlib.sha256(outputs[0].out.encode()).hexdigest()
+        assert digest == TABLE_SHA256[p, fmt]
+
+    def test_each_distinct_value_encoded_once(self, tmp_path, capsys, monkeypatch, table7):
+        distinct = {v.canonical() for r in table7.rows for v in r.values}
+        cells = sum(len(r.values) for r in table7.rows)
+        assert len(distinct) < cells
+        encoded = []
+        to_json_obj = RootSum.to_json_obj
+
+        def counted(self):
+            encoded.append(self.canonical())
+            return to_json_obj(self)
+
+        monkeypatch.setattr(RootSum, "to_json_obj", counted)
+        argv = ["table", "--prime", "7", "--format", "json", "--cache", str(tmp_path)]
+        for hit in (False, True):
+            encoded.clear()
+            assert cli.main(argv) == 0
+            assert ("cache hit" in capsys.readouterr().err) is hit
+            assert sorted(encoded) == sorted(distinct)
 
     def test_cold_call_encodes_once(self, tmp_path, capsys, monkeypatch):
         assert cli.main(["table", "--prime", "5", "--format", "json"]) == 0

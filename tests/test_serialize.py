@@ -26,7 +26,7 @@ class Tagged(int):
 
 
 def oracle(obj):
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=True, default=RootSum.to_json_obj) + "\n"
 
 
 # Characters the string encoder must escape or spell out: quotes, backslash,
@@ -63,6 +63,16 @@ class TestMatchesJsonDumps:
         doc = table_document(character_table(p))
         assert canonical_json(doc) == oracle(doc)
 
+    def test_one_value_many_times_at_many_depths(self):
+        # the memo of value texts is keyed by indentation too: the same
+        # RootSum is written with a different indent at each depth
+        v, w = RootSum(5, [3, 0, -1, 2, 0]), RootSum(5, [4, 1, 1, 1, 1])
+        same_as_v = RootSum(5, [4, 1, 0, 3, 1])
+        doc = {"values": [v] * 7 + [w, same_as_v, v],
+               "nested": [[v, [v, {"deeper": v}]], (w, w)], "top": v}
+        assert canonical_json(doc) == oracle(doc)
+        assert canonical_json(v) == oracle(v)
+
     def test_verify_report_with_float_timings(self):
         doc = report_document(verify_prime(5, alt_subgroup=True))
         assert any(type(t) is float for t in doc["timings"].values())
@@ -79,7 +89,7 @@ class TestRejectsWhatJsonDumpsRejects:
     ])
     def test_non_json_value(self, obj):
         with pytest.raises(TypeError):
-            oracle(obj)
+            json.dumps(obj)
         with pytest.raises(TypeError, match="is not JSON serializable"):
             canonical_json(obj)
 
@@ -155,6 +165,12 @@ class TestRootSumJson:
         "no order": {"coeffs": [["1", "1"]]},
         "coeffs a string": {"n": 1, "coeffs": "1"},
         "coeffs an object": {"n": 1, "coeffs": {"1": "1"}},
+        "order 5, only a constant": {"n": 5, "coeffs": [["3", "1"]] + [["0", "1"]] * 3},
+        "order 5, all zero": {"n": 5, "coeffs": [["0", "1"]] * 4},
+        "order true": {"n": True, "coeffs": [["1", "1"]]},
+        "order 1.0": {"n": 1.0, "coeffs": [["1", "1"]]},
+        "order a string": {"n": "1", "coeffs": [["1", "1"]]},
+        "an extra key": {"n": 1, "coeffs": [["1", "1"]], "den": "1"},
         "one-string pair": {"n": 1, "coeffs": [["1"]]},
         "null pair": {"n": 1, "coeffs": [None]},
         "list numerator": {"n": 1, "coeffs": [[["1"], "1"]]},
@@ -167,13 +183,60 @@ class TestRootSumJson:
         with pytest.raises(ValueError):
             RootSum.from_json_obj(self.REFUSED_AT_5[case], 5)
 
+    def test_order_p_constant_has_its_own_reason(self):
+        with pytest.raises(ValueError, match="past the first are all 0"):
+            RootSum.from_json_obj(self.REFUSED_AT_5["order 5, only a constant"], 5)
+
+    @staticmethod
+    def near_miss(obj, edits, order, wrong_pair):
+        """A copy of the serialized value obj with each of edits made."""
+        obj = {"n": obj["n"], "coeffs": [list(pair) for pair in obj["coeffs"]]}
+        for edit in edits:
+            if edit == "order":
+                obj["n"] = order
+            elif edit == "zeros past the first":
+                obj["coeffs"][1:] = [["0", "1"]] * (len(obj["coeffs"]) - 1)
+            elif edit == "pad to 4 coefficients":
+                obj["coeffs"] += [["0", "1"]] * (4 - len(obj["coeffs"]))
+            elif edit == "wrong pair":
+                obj["coeffs"][0] = wrong_pair
+            elif edit == "extra key":
+                obj["den"] = "1"
+        return obj
+
+    near_values = st.builds(
+        near_miss,
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(
+            lambda counts: RootSum(5, counts).to_json_obj()),
+        st.lists(st.sampled_from(["order", "zeros past the first", "pad to 4 coefficients",
+                                  "wrong pair", "extra key"]), max_size=2),
+        st.sampled_from([1, 5, 7, True, 1.0, 5.0, "5", None]),
+        st.sampled_from([["+1", "1"], ["1", "2"], [1, "1"], ["1"], "11", ["1", "1", "1"]]))
+
+    @given(near_values)
+    def test_everything_accepted_writes_back_as_it_was(self, obj):
+        try:
+            v = RootSum.from_json_obj(obj, 5)
+        except ValueError:
+            return
+        assert (json.dumps(v.to_json_obj(), sort_keys=True)
+                == json.dumps(obj, sort_keys=True))
+
+    @given(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    def test_every_root_sum_round_trips(self, counts):
+        v = RootSum(5, counts)
+        obj = v.to_json_obj()
+        back = RootSum.from_json_obj(obj, 5)
+        assert back == v and back.to_json_obj() == obj
+
 
 class TestDocumentValues:
     def test_round_trip_of_a_table(self, table5):
-        assert document_values(table_document(table5)) == [list(r.values) for r in table5.rows]
+        doc = json.loads(canonical_json(table_document(table5)))
+        assert document_values(doc) == [list(r.values) for r in table5.rows]
 
     def test_value_of_a_foreign_order_is_refused(self, table5):
-        doc = json.loads(json.dumps(table_document(table5)))
+        doc = json.loads(canonical_json(table_document(table5)))
         doc["characters"][-1]["values"][0] = {"n": 7, "coeffs": [["1", "1"]]}
         with pytest.raises(ValueError, match="order other than 1 or p"):
             document_values(doc)
@@ -181,4 +244,12 @@ class TestDocumentValues:
     def test_parsed_hit_is_the_document_and_its_values(self, tmp_path, table5):
         doc = table_document(table5)
         store_cached_table(tmp_path, 5, canonical_json(doc))
-        assert load_cached_table(tmp_path, 5) == (doc, document_values(doc))
+        hit = load_cached_table(tmp_path, 5)
+        assert hit == doc
+        values = [v for ch in hit["characters"] for v in ch["values"]]
+        assert all(type(v) is RootSum for v in values)
+        # one RootSum per distinct value
+        assert len({id(v) for v in values}) == len({v.canonical() for v in values}) < len(values)
+
+    def test_miss_is_none(self, tmp_path):
+        assert load_cached_table(tmp_path, 5) is None

@@ -18,7 +18,7 @@ from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS,
 from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
 from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
-from q8family.serialize import table_document, table_document_problem
+from q8family.serialize import canonical_json, table_document, table_document_problem
 from q8family.verify import run_table_checks
 
 
@@ -166,6 +166,6 @@ def test_genuine_document_has_no_problem(table5):
 
 @pytest.mark.parametrize("expected", sorted(DOCUMENT_CORRUPTIONS))
 def test_document_problem_found(table5, expected):
-    doc = json.loads(json.dumps(table_document(table5)))
+    doc = json.loads(canonical_json(table_document(table5)))
     DOCUMENT_CORRUPTIONS[expected](doc)
     assert expected in table_document_problem(doc, 5)
