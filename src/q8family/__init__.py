@@ -21,7 +21,7 @@ from .groups import (ClassTable, QuaternionSubgroup, SemidirectGroup,
                      build_group, conjugacy_classes, conjugated_subgroup,
                      count_square_roots_of_identity, quaternion_subgroup,
                      square_locus)
-from .modp import Mat2, inv_mod, is_odd_prime
+from .modp import Mat2, is_odd_prime
 from .selftest import run_selftest
 from .verify import Report, scan_primes, verify_label, verify_prime
 
@@ -34,7 +34,7 @@ __all__ = [
     "conjugacy_classes", "conjugated_subgroup", "count_square_roots_of_identity",
     "cyclotomic_polynomial", "default_label", "euler_phi", "fs_indicator",
     "fs_indicator_direct", "induced_values", "inflated_values", "inner_product",
-    "inv_mod", "is_odd_prime", "label_action", "label_orbit", "label_orbits",
+    "is_odd_prime", "label_action", "label_orbit", "label_orbits",
     "q8_character_table", "quaternion_subgroup", "root_of_unity", "run_selftest",
     "scan_primes", "square_locus", "stabilizer_in_q", "tensor_square_decompose",
     "verify_label", "verify_prime",

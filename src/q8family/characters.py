@@ -56,9 +56,13 @@ def q8_character_table():
 # -- labels and the Q8 action on them ---------------------------------------
 
 
-def normalize_label(label, p):
+def nontrivial_label(label, p):
+    """The label reduced mod p; UsageError if it is the trivial label (0, 0)."""
     a, b = label
-    return (a % p, b % p)
+    label = (a % p, b % p)
+    if label == (0, 0):
+        raise UsageError("label must be nontrivial")
+    return label
 
 
 def default_label(p):
@@ -116,9 +120,7 @@ def induced_values(label, ct):
 
     At v in V, zeta^e is counted once per orbit label (a, b) with a v0 + b v1 = e.
     """
-    label = normalize_label(label, ct.p)
-    if label == (0, 0):
-        raise UsageError("label must be nontrivial; the trivial character inflates instead")
+    label = nontrivial_label(label, ct.p)
     p = ct.p
     orbit = label_orbit(ct.group.quaternion, label)
     if len(orbit) != 8:
@@ -262,9 +264,7 @@ class CharacterTable:
 
     def induced_row_for_label(self, label):
         """The induced row whose label orbit contains the given label."""
-        label = normalize_label(label, self.prime)
-        if label == (0, 0):
-            raise UsageError("label must be nontrivial")
+        label = nontrivial_label(label, self.prime)
         rep = min(label_orbit(self.class_table.group.quaternion, label))
         return self.row(f"ind_{rep[0]}_{rep[1]}")
 

@@ -10,32 +10,17 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass
 
 from .characters import character_table
 from .errors import InvariantError, UsageError
 from .groups import DEFAULT_PRIME_BOUND, require_odd_prime
 from .selftest import run_selftest
-from .serialize import (canonical_json, load_cached_table,
+from .serialize import (cache_path, canonical_json, load_cached_table,
                         report_document, scan_document, store_cached_table,
                         table_document, write_atomic)
 from .verify import scan_primes, verify_prime
 
 CACHE_ENV = "Q8FAMILY_CACHE_DIR"
-
-
-@dataclass
-class CliConfig:
-    command: str
-    prime: int | None = None
-    prime_range: tuple | None = None
-    label: tuple | None = None
-    fmt: str = "text"
-    out: str | None = None
-    cache_dir: str | None = None
-    jobs: int = 1
-    alt_subgroup: bool = False
-    bound: int = DEFAULT_PRIME_BOUND
 
 
 def _parse_label(text):
@@ -66,11 +51,13 @@ def build_parser():
                     "for the groups (C_p x C_p) : Q8.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_choices):
-        sp.add_argument("--format", dest="fmt", choices=fmt_choices, default="text")
-        sp.add_argument("--out", help="write output to this path (atomically)")
+    def finish(sp, handler, fmt_choices=None):
+        if fmt_choices:
+            sp.add_argument("--format", dest="fmt", choices=fmt_choices, default="text")
+            sp.add_argument("--out", help="write output to this path (atomically)")
         sp.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND,
                         help="largest admissible prime (default %(default)s)")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("verify", help="certify the claims for one prime")
     sp.add_argument("--prime", type=int, required=True)
@@ -78,53 +65,34 @@ def build_parser():
                                     "(default: smallest nontrivial)")
     sp.add_argument("--alt-subgroup", action="store_true",
                     help="also verify against a conjugate quaternion subgroup")
-    common(sp, ("text", "json"))
+    finish(sp, cmd_verify, ("text", "json"))
 
     sp = sub.add_parser("table", help="emit the full character table")
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--cache", dest="cache_dir",
                     help=f"cache directory (default ${CACHE_ENV})")
-    common(sp, ("text", "json", "csv"))
+    finish(sp, cmd_table, ("text", "json", "csv"))
 
     sp = sub.add_parser("scan", help="verify all labels for a range of primes")
     sp.add_argument("--primes", required=True, help="inclusive range 'A..B'")
     sp.add_argument("--jobs", type=int, default=1,
                     help="primes processed in parallel (default 1)")
     sp.add_argument("--alt-subgroup", action="store_true")
-    common(sp, ("text", "json"))
+    finish(sp, cmd_scan, ("text", "json"))
 
     sp = sub.add_parser("selftest", help="run the invariant suite for one prime")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
+    finish(sp, cmd_selftest)
 
     return parser
 
 
-def config_from_args(args):
-    cfg = CliConfig(command=args.command)
-    cfg.bound = getattr(args, "bound", DEFAULT_PRIME_BOUND)
-    if getattr(args, "prime", None) is not None:
-        cfg.prime = args.prime
-    if getattr(args, "primes", None) is not None:
-        cfg.prime_range = _parse_prime_range(args.primes)
-    if getattr(args, "label", None) is not None:
-        cfg.label = _parse_label(args.label)
-    cfg.fmt = getattr(args, "fmt", "text")
-    cfg.out = getattr(args, "out", None)
-    cfg.cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    cfg.jobs = getattr(args, "jobs", 1)
-    if cfg.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    cfg.alt_subgroup = getattr(args, "alt_subgroup", False)
-    return cfg
-
-
-def _emit(cfg, text):
-    if cfg.out:
+def _emit(args, text):
+    if args.out:
         try:
-            write_atomic(cfg.out, text)
+            write_atomic(args.out, text)
         except OSError as e:
-            raise UsageError(f"cannot write {cfg.out}: {e}") from None
+            raise UsageError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -250,38 +218,43 @@ def render_scan_text(summaries):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_verify(cfg):
-    report = verify_prime(cfg.prime, cfg.label, cfg.bound, cfg.alt_subgroup)
-    if cfg.fmt == "json":
-        _emit(cfg, canonical_json(report_document(report)))
+def cmd_verify(args):
+    label = None if args.label is None else _parse_label(args.label)
+    report = verify_prime(args.prime, label, args.bound, args.alt_subgroup)
+    if args.fmt == "json":
+        _emit(args, canonical_json(report_document(report)))
     else:
-        _emit(cfg, render_report_text(report))
+        _emit(args, render_report_text(report))
     return 0 if report.overall_pass else 1
 
 
-def cmd_table(cfg):
-    require_odd_prime(cfg.prime, cfg.bound)  # before the cache, which serves only such p
-    doc = cfg.cache_dir and load_cached_table(cfg.cache_dir, cfg.prime)
+def cmd_table(args):
+    p = args.prime
+    require_odd_prime(p, args.bound)  # before the cache, which serves only such p
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    doc = cache_dir and load_cached_table(cache_dir, p)
     text = None
     if doc:
-        print(f"cache hit: {cfg.cache_dir}/table_p{cfg.prime}.json", file=sys.stderr)
+        print(f"cache hit: {cache_path(cache_dir, p)}", file=sys.stderr)
     else:
-        doc = table_document(character_table(cfg.prime, bound=cfg.bound))
-        if cfg.cache_dir:
+        doc = table_document(character_table(p, bound=args.bound))
+        if cache_dir:
             text = canonical_json(doc)
-            store_cached_table(cfg.cache_dir, cfg.prime, text)
-    render = {"csv": render_table_csv, "text": render_table_text}.get(cfg.fmt)
-    _emit(cfg, render(doc) if render else text or canonical_json(doc))
+            store_cached_table(cache_dir, p, text)
+    render = {"csv": render_table_csv, "text": render_table_text}.get(args.fmt)
+    _emit(args, render(doc) if render else text or canonical_json(doc))
     return 0
 
 
-def cmd_scan(cfg):
-    lo, hi = cfg.prime_range
-    summaries = scan_primes(lo, hi, cfg.bound, cfg.alt_subgroup, cfg.jobs)
-    if cfg.fmt == "json":
-        _emit(cfg, canonical_json(scan_document(lo, hi, summaries)))
+def cmd_scan(args):
+    lo, hi = _parse_prime_range(args.primes)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    summaries = scan_primes(lo, hi, args.bound, args.alt_subgroup, args.jobs)
+    if args.fmt == "json":
+        _emit(args, canonical_json(scan_document(lo, hi, summaries)))
     else:
-        _emit(cfg, render_scan_text(summaries))
+        _emit(args, render_scan_text(summaries))
     if all(r["pass"] for r in summaries):
         return 0
     for rec in summaries:
@@ -291,14 +264,14 @@ def cmd_scan(cfg):
     return 1
 
 
-def cmd_selftest(cfg):
-    results = run_selftest(cfg.prime, cfg.bound)
+def cmd_selftest(args):
+    results = run_selftest(args.prime, args.bound)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "ok  " if r.ok else "FAIL"
         print(f"{status} {r.name.ljust(width)}  {r.detail}")
     ok = all(r.ok for r in results)
-    print(f"selftest p={cfg.prime}: "
+    print(f"selftest p={args.prime}: "
           f"{sum(r.ok for r in results)}/{len(results)} checks passed")
     return 0 if ok else 3
 
@@ -310,14 +283,7 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = config_from_args(args)
-        handler = {
-            "verify": cmd_verify,
-            "table": cmd_table,
-            "scan": cmd_scan,
-            "selftest": cmd_selftest,
-        }[cfg.command]
-        return handler(cfg)
+        return args.handler(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

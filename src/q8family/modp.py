@@ -19,20 +19,6 @@ def is_odd_prime(p):
     return True
 
 
-def inv_mod(x, p):
-    """Multiplicative inverse of x mod p via extended Euclid."""
-    x %= p
-    if x == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    old_r, r = x, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % p
-
-
 class Mat2(NamedTuple):
     """2x2 matrix over F_p with entries reduced into [0, p)."""
 
@@ -65,8 +51,7 @@ class Mat2(NamedTuple):
 
     def inv(self):
         p = self.p
-        det = self.det()
-        di = inv_mod(det, p)
+        di = pow(self.det(), -1, p)
         return Mat2((self.d * di) % p, (-self.b * di) % p,
                     (-self.c * di) % p, (self.a * di) % p, p)
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .characters import (TABLE_CHECKS, assemble_character_table, default_label,
                          fs_indicator_direct, inner_product, label_orbit,
-                         label_orbits, normalize_label, quaternionic_row_unique,
+                         label_orbits, nontrivial_label, quaternionic_row_unique,
                          restriction_to_core_inner, stabilizer_in_q,
                          tensor_square_decompose)
 from .errors import InvariantError, UsageError
@@ -83,9 +83,7 @@ def verify_label(table, label, facts=None):
     """Check the three claims for one label against an already-built table."""
     ct = table.class_table
     p = ct.p
-    label = normalize_label(label, p)
-    if label == (0, 0):
-        raise UsageError("label must be nontrivial")
+    label = nontrivial_label(label, p)
     t0 = time.perf_counter()
     if facts is None:
         facts = run_table_checks(table)
@@ -202,9 +200,7 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     require_odd_prime(p, bound)
     if label is None:
         label = default_label(p)
-    label = normalize_label(label, p)
-    if label == (0, 0):
-        raise UsageError("label must be nontrivial")
+    label = nontrivial_label(label, p)
     total0 = time.perf_counter()
     table, timings = build_table_timed(p, None, bound)
     report = verify_label(table, label)

@@ -1,26 +1,4 @@
-import pytest
-
-from q8family.modp import Mat2, inv_mod, is_odd_prime
-
-
-class TestInvMod:
-    def test_two_mod_five(self):
-        assert inv_mod(2, 5) == 3
-
-    def test_one_mod_three(self):
-        assert inv_mod(1, 3) == 1
-
-    def test_four_mod_seven(self):
-        assert inv_mod(4, 7) == 2
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            inv_mod(0, 5)
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_every_nonzero_residue(self, p):
-        for x in range(1, p):
-            assert x * inv_mod(x, p) % p == 1
+from q8family.modp import Mat2, is_odd_prime
 
 
 class TestMat2:
