@@ -8,7 +8,8 @@ non-constant coefficients all vanish is demoted to order 1, which keeps the
 serialized form canonical.
 
 Binary operations on mismatched orders lift both operands into the field of
-the lcm order before combining.  `RootSum`, at the end, holds the values
+the lcm order before combining; a product with an int or Fraction scales
+the coefficients.  `RootSum`, at the end, holds the values
 of character tables as counts of p-th roots of unity.
 """
 
@@ -232,6 +233,8 @@ class Cyclotomic:
         return Cyclotomic(self.n, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a scalar scales the coefficients
+            return Cyclotomic(self.n, [c * other for c in self.coeffs])
         common = self._common(other)
         if common is None:
             return NotImplemented

@@ -9,10 +9,26 @@ reports one line; the CLI turns any failure into exit code 3.  The
 table-level lines (class partition, degree sum, both orthogonality
 relations, square locus, vanishing off V and the sum rule) take their
 verdicts and details from the shared registry `characters.TABLE_CHECKS`.
+
+Group work that no row changes is done once per group and shared.  Each
+class representative is conjugated by every element of G once, and every
+label reads the resulting counts of conjugates in V.  Each element is
+squared once, and `square_map_total` and every row of the element-wise
+indicator read those squares.  Both memos are bounded, hold counts or
+indices only, and are keyed on the group object (and the representative),
+never on a class table or a label, so what they hold is a fact about G
+alone.  The oracles stay independent of the routes they check: the
+averaging sum still runs over every x in G and never uses orbits, and the
+indicator is still one term per element, each square found by
+multiplication, not read from the class table's squaring pass or root
+counts.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import lcm
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
@@ -36,6 +52,17 @@ class CheckResult:
     detail: str
 
 
+@lru_cache(maxsize=64)
+def _conjugates_in_core(group, g):
+    """The counts {(y0, y1): #x} over every x in G with x g x^-1 = (y0, y1, I).
+
+    One pass of |G| conjugations per group and representative, whatever
+    the label; counts only, as a tuple of items.
+    """
+    conjugates = Counter(map(group.conj, group.elements, repeat(g)))
+    return tuple((y[:2], n) for y, n in conjugates.items() if y[2:] == IDENTITY_MATRIX)
+
+
 def induced_by_averaging(label, ct):
     """Independent induction oracle: (1/|V|) sum over x of lambda(x g x^-1).
 
@@ -47,12 +74,9 @@ def induced_by_averaging(label, ct):
     a, b = label
     values = []
     for k in range(ct.n_classes):
-        g = ct.rep_element(k)
         counts = [0] * p
-        for x in group.elements:
-            y = group.conj(x, g)
-            if y[2:] == IDENTITY_MATRIX:
-                counts[(a * y[0] + b * y[1]) % p] += 1
+        for (y0, y1), n in _conjugates_in_core(group, ct.rep_element(k)):
+            counts[(a * y0 + b * y1) % p] += n
         values.append(Cyclotomic(p, counts) / (p * p))
     return tuple(values)
 
@@ -70,22 +94,26 @@ def exact_inner_product(ct, f, g):
     return r / ct.order
 
 
+@lru_cache(maxsize=4)
+def _square_indices(group):
+    """The element index of g^2 for each g in G, in element order."""
+    index, mul = group.index, group.mul
+    return tuple(index[mul(e, e)] for e in group.elements)
+
+
 def element_wise_indicator(ct, values):
     """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element."""
-    group = ct.group
     n = lcm(*(v.n for v in values))
     lifted = [v.coeffs_at(n) for v in values]
-    acc = [0] * len(lifted[0])
-    index, class_of = group.index, ct.class_of
-    for e in group.elements:
-        acc = [x + y for x, y in zip(acc, lifted[class_of[index[group.mul(e, e)]]])]
-    r = Cyclotomic(n, acc).as_rational()
+    class_of = ct.class_of
+    terms = [lifted[class_of[s]] for s in _square_indices(ct.group)]
+    r = Cyclotomic(n, [sum(column) for column in zip(*terms)]).as_rational()
     if r is None:
         raise InvariantError("element-wise indicator sum is not rational")
     return r / ct.order
 
 
-def q8_table_checks(q):
+def q8_table_checks():
     """Orthonormality of the five Q8 rows over class sizes (1, 1, 2, 2, 2)."""
     sizes = (1, 1, 2, 2, 2)
     for i, (_, f) in enumerate(Q8_ROWS):
@@ -147,9 +175,8 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("class_count", ct.n_classes == family_class_count(p),
           f"{ct.n_classes} = 5 + ({p}^2-1)/8")
 
-    sq_ok = all(
-        ct.class_of[group.index[group.mul(e, e)]] == ct.square_map[ct.class_of[i]]
-        for i, e in enumerate(group.elements))
+    sq_ok = all(ct.class_of[s] == ct.square_map[ct.class_of[i]]
+                for i, s in enumerate(_square_indices(group)))
     check("square_map_total", sq_ok, "square map agrees on 100% of elements")
 
     roots = table.square_roots_count
@@ -171,7 +198,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           len(orbits) == (p * p - 1) // 8 and orbit_sizes_ok,
           f"orbit count {len(orbits)} = ({p}^2-1)/8, all of size 8")
 
-    check("q8_table", q8_table_checks(q),
+    check("q8_table", q8_table_checks(),
           "5 rows orthonormal over Q8; degree-2 values (2, -2, 0, 0, 0)")
 
     check("row_count", len(rows) == ct.n_classes,

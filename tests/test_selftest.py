@@ -1,0 +1,178 @@
+"""The `selftest` suite: its group kernel, its oracles' cost and freshness,
+its printed bytes, and that each oracle fails on a table corrupted for it."""
+
+import hashlib
+from dataclasses import replace
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from q8family import cli, selftest
+from q8family.characters import (CharacterTable, assemble_character_table,
+                                 label_orbits)
+from q8family.groups import (SemidirectGroup, build_group, conjugacy_classes,
+                             conjugated_subgroup, quaternion_subgroup)
+from q8family.modp import Mat2
+from q8family.selftest import (element_wise_indicator, induced_by_averaging,
+                               run_selftest)
+
+# sha256 of `q8family selftest --prime p` stdout, as first recorded
+SELFTEST_STDOUT_SHA256 = {
+    3: "5dedeed0a192648c5dfd5b39cf4218bf1ee1fa835d77808c1c069ea23d692b15",
+    5: "9ade7b73398b86b4ea166c2c21fce78a261660c9ab85187eca3fdc3c713055b6",
+    7: "5b3ca22055fe7bc1fc9abdb8cadb8ca8995cb051c8b7bbe8c3e83f25952d3f47",
+    11: "dc58bcf77f3802c2f7a2d24d59b5c0ba52c4a281bded4592cf0fc093421ae225",
+    13: "d7d4a9dd35cab290b61573ee9a27ca55e370571a0be1580b51a8d96e0b8b5212",
+}
+
+
+@cache
+def _group(p, conjugated):
+    q = quaternion_subgroup(p)
+    if conjugated:
+        q = conjugated_subgroup(q, Mat2.make(1, 1, 0, 1, p))
+    return build_group(p, q)
+
+
+def _table(group):
+    return assemble_character_table(conjugacy_classes(group))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of SemidirectGroup.<name> from here on."""
+    calls = []
+    method = getattr(SemidirectGroup, name)
+
+    def counted(self, g, h):
+        calls.append(1)
+        return method(self, g, h)
+
+    monkeypatch.setattr(SemidirectGroup, name, counted)
+    return calls
+
+
+# ---------------------------------------------------------------- kernel
+
+
+class TestConjKernel:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_pair_matches_two_products_and_an_inverse(self, p):
+        group = _group(p, False)
+        for g in group.elements:
+            g_inv = group.inv(g)
+            for h in group.elements:
+                assert group.conj(g, h) == group.mul(group.mul(g, h), g_inv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13]), conjugated=st.booleans(), data=st.data())
+    def test_sampled_pairs_match_two_products_and_an_inverse(self, p, conjugated, data):
+        group = _group(p, conjugated)
+        index = st.integers(0, len(group) - 1)
+        g = group.elements[data.draw(index)]
+        h = group.elements[data.draw(index)]
+        assert group.conj(g, h) == group.mul(group.mul(g, h), group.inv(g))
+
+
+# ---------------------------------------------------------------- counted work
+
+
+class TestOracleCost:
+    def test_run_selftest_conjugates_each_rep_by_each_element_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "conj")
+        results = run_selftest(7)
+        assert all(r.ok for r in results)
+        # 11 class reps by the 392 elements, plus z on each of the 49 v in V
+        assert len(calls) == 11 * 392 + 7 ** 2 == 4361
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_element_wise_indicator_squares_each_element_once_per_group(
+            self, p, monkeypatch):
+        group = build_group(p)
+        table = _table(group)
+        calls = _count_calls(monkeypatch, "mul")
+        for _ in range(2):
+            for r in table.rows:
+                exact = tuple(v.to_cyclotomic() for v in r.values)
+                assert element_wise_indicator(table.class_table, exact) == r.indicator
+        assert len(calls) == len(group)
+
+
+# ---------------------------------------------------------------- memo freshness
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_averaging_oracle_matches_each_tables_rows_across_groups(p):
+    canonical, conjugated = _table(build_group(p)), _table(_group(p, True))
+    for table in (canonical, conjugated, canonical):
+        ct = table.class_table
+        for rep in label_orbits(ct.group.quaternion):
+            averaged = induced_by_averaging(rep, ct)
+            assert averaged == tuple(v.to_cyclotomic()
+                                     for v in table.row(f"ind_{rep[0]}_{rep[1]}").values)
+
+
+# ---------------------------------------------------------------- bytes
+
+
+@pytest.mark.parametrize("p", sorted(SELFTEST_STDOUT_SHA256))
+def test_selftest_stdout_is_the_recorded_bytes(p, capsys):
+    assert cli.main(["selftest", "--prime", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_STDOUT_SHA256[p]
+
+
+# ---------------------------------------------------------------- fault injection
+
+
+def _permute_induced_rows(ct):
+    """The real table with the induced rows' values rotated one place among their names."""
+    table = assemble_character_table(ct)
+    induced = [i for i, r in enumerate(table.rows) if r.name.startswith("ind_")]
+    rows = list(table.rows)
+    for i, j in zip(induced, induced[1:] + induced[:1]):
+        rows[i] = replace(table.rows[i], values=table.rows[j].values)
+    return CharacterTable(class_table=ct, rows=tuple(rows))
+
+
+def _bump_identity_root_count(group):
+    """Real classes, but |G| more roots counted for the identity class.
+
+    Every row's root-count indicator moves by its degree, so it stays an
+    integer and the fault surfaces as a verdict rather than an exception.
+    """
+    ct = conjugacy_classes(group)
+    return replace(ct, root_counts=(ct.root_counts[0] + ct.order,) + ct.root_counts[1:])
+
+
+def _swap_core_square_map(group):
+    """Real classes, but the square map swapped on two nonidentity classes in V.
+
+    Squaring permutes the nonidentity classes in V, all of size 8, so the
+    class-formula indicators stay as they were; only the map is wrong.
+    """
+    ct = conjugacy_classes(group)
+    k1, k2 = [k for k in range(1, ct.n_classes) if group.in_core(ct.rep_element(k))][:2]
+    square_map = list(ct.square_map)
+    square_map[k1], square_map[k2] = square_map[k2], square_map[k1]
+    assert square_map != list(ct.square_map)
+    return replace(ct, square_map=tuple(square_map))
+
+
+CORRUPTIONS = [
+    ("assemble_character_table", _permute_induced_rows, "induction_oracle"),
+    ("conjugacy_classes", _bump_identity_root_count, "indicator_oracle"),
+    ("conjugacy_classes", _swap_core_square_map, "square_map_total"),
+]
+
+
+@pytest.mark.parametrize("target, corrupt, check", CORRUPTIONS,
+                         ids=[c for _, _, c in CORRUPTIONS])
+def test_corrupted_table_fails_its_oracle_and_exits_three(target, corrupt, check,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(selftest, target, corrupt)
+    [line] = [r for r in run_selftest(5) if r.name == check]
+    assert not line.ok
+    assert cli.main(["selftest", "--prime", "5"]) == 3
+    assert f"FAIL {check}" in capsys.readouterr().out
