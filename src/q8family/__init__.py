@@ -2,10 +2,11 @@
 
 For every odd prime p the library builds the semidirect product of the
 natural module V = C_p x C_p with a quaternion subgroup Q8 of SL2(p),
-computes its full complex character table in exact cyclotomic arithmetic,
-attaches Frobenius-Schur indicators, and certifies that every character
-induced from a nontrivial character of V is irreducible with indicator +1
-while its tensor square contains the quaternionic degree-2 character.
+computes its full complex character table in exact arithmetic over
+Q(zeta_p), the field of every character value, attaches Frobenius-Schur
+indicators, and certifies that every character induced from a nontrivial
+character of V is irreducible with indicator +1 while its tensor square
+contains the quaternionic degree-2 character.
 """
 
 from .characters import (CharacterTable, CharRow, assemble_character_table,
@@ -14,8 +15,7 @@ from .characters import (CharacterTable, CharRow, assemble_character_table,
                          inner_product, label_action, label_orbit, label_orbits,
                          q8_character_table, stabilizer_in_q,
                          tensor_square_decompose)
-from .cyclotomic import (Cyclotomic, RootSum, cyclotomic_polynomial, euler_phi,
-                         root_of_unity)
+from .cyclotomic import Cyclotomic, RootSum, root_of_unity
 from .errors import InvariantError, UsageError
 from .groups import (ClassTable, QuaternionSubgroup, SemidirectGroup,
                      build_group, conjugacy_classes, conjugated_subgroup,
@@ -32,10 +32,9 @@ __all__ = [
     "Mat2", "QuaternionSubgroup", "Report", "RootSum", "SemidirectGroup",
     "UsageError", "assemble_character_table", "build_group", "character_table",
     "conjugacy_classes", "conjugated_subgroup", "count_square_roots_of_identity",
-    "cyclotomic_polynomial", "default_label", "euler_phi", "fs_indicator",
-    "fs_indicator_direct", "induced_values", "inflated_values", "inner_product",
-    "is_odd_prime", "label_action", "label_orbit", "label_orbits",
-    "q8_character_table", "quaternion_subgroup", "root_of_unity", "run_selftest",
-    "scan_primes", "square_locus", "stabilizer_in_q", "tensor_square_decompose",
-    "verify_label", "verify_prime",
+    "default_label", "fs_indicator", "fs_indicator_direct", "induced_values",
+    "inflated_values", "inner_product", "is_odd_prime", "label_action",
+    "label_orbit", "label_orbits", "q8_character_table", "quaternion_subgroup",
+    "root_of_unity", "run_selftest", "scan_primes", "square_locus",
+    "stabilizer_in_q", "tensor_square_decompose", "verify_label", "verify_prime",
 ]

@@ -1,25 +1,31 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Exact arithmetic in Q and in the cyclotomic fields Q(zeta_p), p an odd prime.
 
-Values are stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) of
-Q[x]/(Phi_n(x)), with canonical reduction, so equality of two values of the
-same order is coefficient-wise.  Coefficients are exact: plain ints where
-possible, fractions.Fraction otherwise (never floats).  A value whose
-non-constant coefficients all vanish is demoted to order 1, which keeps the
-serialized form canonical.
-
-Binary operations on mismatched orders lift both operands into the field of
-the lcm order before combining; a product with an int or Fraction scales
-the coefficients.  `RootSum`, at the end, holds the values
-of character tables as counts of p-th roots of unity.
+Every character value of (C_p x C_p) : Q8 lies in Z[zeta_p], so these are
+the only fields kept.  A value of order p is held in the power basis 1,
+zeta, ..., zeta^(p-2) of Q[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1),
+so equality is coefficient-wise.  On the counts of the p roots, reducing
+mod Phi_p subtracts the last count from the others: `_canonical`, for both
+`Cyclotomic` and `RootSum`.  A value whose non-constant coefficients all
+vanish is demoted to order 1, so values of different orders are never
+equal.  Coefficients are exact: ints where possible, else Fractions.  A
+rational lifts into Q(zeta_p) as the constant term; arithmetic between
+two different primes raises ValueError.  `RootSum`, at the end, holds the
+values of character tables as counts of p-th roots of unity.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import sub
 
-from .errors import InvariantError
 from .modp import is_odd_prime
+
+# every RootSum checks its p; a table builds thousands, all at one prime
+_odd_prime = lru_cache(maxsize=128)(is_odd_prime)
+
+
+def _require_odd_prime(p):
+    if type(p) is not int or not _odd_prime(p):
+        raise ValueError(f"p={p!r}: not an odd prime")
 
 
 def _as_coeff(c):
@@ -33,70 +39,16 @@ def _as_coeff(c):
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, by trial division."""
-    primes, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return primes + [n] if n > 1 else primes
+def _canonical(p, counts):
+    """(n, coeffs) of sum_e counts[e] zeta_p^e, from exactly p counts; coeffs a tuple.
 
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, ascending degree, exact integers.
-
-    Computed as the Moebius product prod_{d | n} (x^d - 1)^mu(n/d).  Every
-    factor is a unit of Z[[x]] (constant term -1), so the product can be
-    taken in power series truncated above degree phi(n), the degree of
-    Phi_n: one O(phi(n)) pass per squarefree divisor n/d, multiplying or
-    dividing by x^d - 1.
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), so the power-basis
+    coefficients are counts[i] - counts[p - 1]; a rational value is
+    demoted to (1, (c,)).
     """
-    if n < 1:
-        raise ValueError("cyclotomic polynomial index must be >= 1")
-    primes = _prime_factors(n)
-    size = n
-    for q in primes:
-        size = size // q * (q - 1)
-    size += 1  # coefficients of degree 0..phi(n)
-    poly = [1] + [0] * (size - 1)
-    for mask in range(1 << len(primes)):
-        d, sign = n, 1
-        for i, q in enumerate(primes):
-            if mask >> i & 1:
-                d, sign = d // q, -sign
-        if sign > 0:  # times x^d - 1
-            poly = [-c for c in poly[:d]] + [a - b for a, b in zip(poly, poly[d:])]
-        else:  # over x^d - 1: q_i = q_(i-d) - a_i
-            quot = [-c for c in poly[:d]]
-            for j in range(d, size, d):
-                quot += [a - b for a, b in zip(quot[j - d:j], poly[j:j + d])]
-            poly = quot
-    if poly[-1] != 1:
-        raise InvariantError(f"Phi_{n} computed as a non-monic polynomial")
-    return tuple(poly)
-
-
-def euler_phi(n):
-    """phi(n), read off as the degree of Phi_n."""
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def _reduce_mod_cyclotomic(coeffs, n):
-    """Remainder of a coefficient list modulo Phi_n (Phi_n is monic)."""
-    div = cyclotomic_polynomial(n)
-    dd = len(div) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j in range(dd):
-                rem[i - dd + j] -= c * div[j]
-    return rem[:dd]
+    top = counts[-1]
+    coeffs = tuple([c - top for c in counts[:-1]] if top else counts[:-1])
+    return (p, coeffs) if any(coeffs[1:]) else (1, coeffs[:1])
 
 
 def _format(n, coeffs):
@@ -142,23 +94,28 @@ def _json_obj(n, coeffs):
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_n) in the canonical power basis."""
+    """An exact element of Q (order 1) or of Q(zeta_p) (order p) in the canonical power basis."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        if n < 1:
-            raise ValueError("order must be >= 1")
-        coeffs = [_as_coeff(c) for c in coeffs]
-        phi = euler_phi(n)
-        if len(coeffs) > phi:
-            coeffs = [_as_coeff(c) for c in _reduce_mod_cyclotomic(coeffs, n)]
-        if len(coeffs) < phi:
-            coeffs = coeffs + [0] * (phi - len(coeffs))
-        if n > 1 and not any(coeffs[1:]):
-            n, coeffs = 1, coeffs[:1]
+        """The value sum_i coeffs[i] zeta_n^i; n is 1 or an odd prime, at most n coefficients."""
+        if type(n) is not int or n != 1:
+            _require_odd_prime(n)
+        coeffs = list(coeffs)
+        if len(coeffs) > n:
+            raise ValueError(f"{len(coeffs)} coefficients at order {n}")
+        ints = set(map(type, coeffs)) <= {int}
+        if not ints:
+            coeffs = [_as_coeff(c) for c in coeffs]
+        if n == 1:
+            coeffs = tuple(coeffs) or (0,)
+        else:
+            n, coeffs = _canonical(n, coeffs + [0] * (n - len(coeffs)))
+            if not ints:  # a difference of Fractions may be integral
+                coeffs = tuple(map(_as_coeff, coeffs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -166,33 +123,17 @@ class Cyclotomic:
     # -- conversions -------------------------------------------------------
 
     def coeffs_at(self, m):
-        """Raw power-basis coefficients of this value at order m (needs n | m).
-
-        The result is not re-canonicalized, so it always has exactly phi(m)
-        entries; rational values stay padded rather than demoting back to
-        order 1.
-        """
+        """The coefficients at order m: the value's own order, or an odd prime for a rational."""
         if m == self.n:
             return self.coeffs
-        if m % self.n:
+        if self.n != 1:
             raise ValueError(f"cannot lift order {self.n} into order {m}")
-        step = m // self.n
-        out = [0] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c
-        phi = euler_phi(m)
-        if len(out) > phi:
-            out = _reduce_mod_cyclotomic(out, m)
-        if len(out) < phi:
-            out = out + [0] * (phi - len(out))
-        return tuple(out)
+        _require_odd_prime(m)
+        return self.coeffs + (0,) * (m - 2)
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return Fraction(self.coeffs[0])
+        return Fraction(self.coeffs[0]) if self.n == 1 else None
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -200,14 +141,12 @@ class Cyclotomic:
     # -- arithmetic --------------------------------------------------------
 
     def _common(self, other):
-        """Coerce to (m, coeffs_a, coeffs_b) with both lists of length phi(m)."""
+        """Coerce to (m, coeffs_a, coeffs_b), both at the order m of the two."""
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic(1, [other])
         elif not isinstance(other, Cyclotomic):
             return None
-        if self.n == other.n:
-            return self.n, self.coeffs, other.coeffs
-        m = lcm(self.n, other.n)
+        m = max(self.n, other.n)
         return m, self.coeffs_at(m), other.coeffs_at(m)
 
     def __add__(self, other):
@@ -220,11 +159,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __sub__(self, other):
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        m, ca, cb = common
-        return Cyclotomic(m, [x - y for x, y in zip(ca, cb)])
+        return self + -other if isinstance(other, (int, Fraction, Cyclotomic)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -233,7 +168,8 @@ class Cyclotomic:
         return Cyclotomic(self.n, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a scalar scales the coefficients
+        """A scalar scales the coefficients; otherwise a cyclic convolution, zeta^m = 1."""
+        if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.n, [c * other for c in self.coeffs])
         common = self._common(other)
         if common is None:
@@ -241,12 +177,12 @@ class Cyclotomic:
         m, ca, cb = common
         if not (any(ca) and any(cb)):
             return ZERO
-        conv = [0] * (len(ca) + len(cb) - 1)
+        conv = [0] * m
         for i, x in enumerate(ca):
             if x:
                 for j, y in enumerate(cb):
                     if y:
-                        conv[i + j] += x * y
+                        conv[(i + j) % m] += x * y
         return Cyclotomic(m, conv)
 
     __rmul__ = __mul__
@@ -259,42 +195,24 @@ class Cyclotomic:
         inv = Fraction(1, 1) / other
         return Cyclotomic(self.n, [c * inv for c in self.coeffs])
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = Cyclotomic(1, [1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conjugate(self):
-        """Image under zeta_n -> zeta_n^(n-1), i.e. complex conjugation."""
+        """Complex conjugation, zeta -> zeta^-1: the counts reversed, e -> -e."""
         if self.n == 1:
             return self
-        out = [0] * self.n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(self.n - i) % self.n] += c
-        return Cyclotomic(self.n, out)
+        c = self.coeffs
+        return Cyclotomic(self.n, (c[0], 0) + c[:0:-1])
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        common = self._common(other)
-        if common is None:
+        """Coefficient-wise; the canonical forms of different orders differ."""
+        if isinstance(other, (int, Fraction)):
+            return self.n == 1 and self.coeffs[0] == other
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        _, ca, cb = common
-        return tuple(ca) == tuple(cb)
+        return self.n == other.n and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None  # no canonical form across subfields other than Q
+    __hash__ = None  # values are compared, never used as keys
 
     # -- rendering / serialization ------------------------------------------
 
@@ -313,16 +231,10 @@ ZERO = Cyclotomic(1, [0])
 ONE = Cyclotomic(1, [1])
 
 
-def root_of_unity(n, k):
-    """zeta_n^k as a canonical Cyclotomic (exponent taken mod n)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    k %= n
-    return Cyclotomic(n, [0] * k + [1])
-
-
-# every RootSum checks its p; a table builds thousands, all at one prime
-_odd_prime = lru_cache(maxsize=128)(is_odd_prime)
+def root_of_unity(p, k):
+    """zeta_p^k as a canonical Cyclotomic, p an odd prime (exponent taken mod p)."""
+    _require_odd_prime(p)
+    return Cyclotomic(p, [0] * (k % p) + [1])
 
 
 class RootSum:
@@ -341,8 +253,7 @@ class RootSum:
 
     def __init__(self, p, counts):
         counts = tuple(counts)
-        if type(p) is not int or not _odd_prime(p):
-            raise ValueError(f"p={p!r}: not an odd prime")
+        _require_odd_prime(p)
         if len(counts) != p:
             raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
         if type(sum(counts)) is not int:  # a float, Fraction or Decimal count spreads to the sum
@@ -359,9 +270,7 @@ class RootSum:
         Hashable, and equal for two RootSums exactly when they are equal
         values, whatever their primes: the key of every memo of value texts.
         """
-        top = self.counts[-1]
-        coeffs = tuple([c - top for c in self.counts[:-1]]) if top else self.counts[:-1]
-        return (self.p, coeffs) if any(coeffs[1:]) else (1, coeffs[:1])
+        return _canonical(self.p, self.counts)
 
     def to_cyclotomic(self):
         return Cyclotomic(*self.canonical())

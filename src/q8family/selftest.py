@@ -2,44 +2,45 @@
 
 This is the slow-but-independent path: the literal element-wise indicator
 sum, the averaging form of induction, brute-force counts, and inner
-products in exact `Cyclotomic` arithmetic, against which the F_l kernel,
-the root-count indicator, the squaring pass and the rows' root counts are
-compared.  Each row is converted to `Cyclotomic` once per run.  Each check
-reports one line; the CLI turns any failure into exit code 3.  The
-table-level lines (class partition, degree sum, both orthogonality
-relations, square locus, vanishing off V and the sum rule) take their
-verdicts and details from the shared registry `characters.TABLE_CHECKS`.
+products in exact `Cyclotomic` arithmetic over Q(zeta_p), against which
+the F_l kernel, the root-count indicator, the squaring pass and the rows'
+root counts are compared.  Each row is converted to `Cyclotomic` once per
+run.  Each check reports one line; the CLI turns any failure into exit
+code 3.  The table-level lines (class partition, degree sum, both
+orthogonality relations, square locus, vanishing off V and the sum rule)
+take their verdicts and details from the shared registry
+`characters.TABLE_CHECKS`.
 
 Group work that no row changes is done once per group and shared.  Each
 class representative is conjugated by every element of G once, and every
 label reads the resulting counts of conjugates in V.  Each element is
-squared once, and `square_map_total` and every row of the element-wise
-indicator read those squares.  Both memos are bounded, hold counts or
-indices only, and are keyed on the group object (and the representative),
-never on a class table or a label, so what they hold is a fact about G
-alone.  The oracles stay independent of the routes they check: the
-averaging sum still runs over every x in G and never uses orbits, and the
-indicator is still one term per element, each square found by
-multiplication, not read from the class table's squaring pass or root
-counts.
+squared once, and `square_map_total`, `square_roots_count` and every row
+of the element-wise indicator read those squares.  Both memos are
+bounded, hold counts or indices only, and are keyed on the group object
+(and the representative), never on a class table or a label, so what
+they hold is a fact about G alone.  The oracles stay independent of the
+routes they check: the averaging sum still runs over every x in G and
+never uses orbits, and the indicator is still one term per element, each
+square found by multiplication, not read from the class table's squaring
+pass or root counts.
 """
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from math import lcm
+from itertools import accumulate, repeat
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          assemble_character_table, default_label,
                          family_class_count, fs_indicator_direct, inner_product,
                          label_orbit, label_orbits, stabilizer_in_q,
                          tensor_square_decompose)
-from .cyclotomic import ZERO, Cyclotomic, cyclotomic_polynomial, root_of_unity
+from .cyclotomic import ONE, ZERO, Cyclotomic, root_of_unity
 from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     count_square_roots_of_identity, require_odd_prime)
+                     require_odd_prime)
 
 ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
@@ -103,7 +104,7 @@ def _square_indices(group):
 
 def element_wise_indicator(ct, values):
     """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element."""
-    n = lcm(*(v.n for v in values))
+    n = max(v.n for v in values)  # 1 or p
     lifted = [v.coeffs_at(n) for v in values]
     class_of = ct.class_of
     terms = [lifted[class_of[s]] for s in _square_indices(ct.group)]
@@ -132,13 +133,13 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     def check(name, ok, detail=""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    # exact arithmetic used by everything below
-    zeta_sum = sum((root_of_unity(p, k) for k in range(p)), ZERO)
-    phi_p = cyclotomic_polynomial(p)
+    # exact arithmetic used below: zeta has order p, so its minimal polynomial is Phi_p
     z1 = root_of_unity(p, 1)
+    powers = list(accumulate(repeat(z1, p), operator.mul, initial=ONE))
+    zeta_sum = sum(powers[:p], ZERO)
     check("cyclotomic_basics",
-          zeta_sum == 0 and phi_p == tuple([1] * p)
-          and z1.conjugate().conjugate() == z1,
+          zeta_sum == 0 and powers[p] == 1 and all(z != 1 for z in powers[1:p])
+          and z1 * z1.conjugate() == 1 and z1.conjugate().conjugate() == z1,
           f"sum of p-th roots = {zeta_sum}; Phi_p all-ones")
 
     group = build_group(p, bound=bound)
@@ -180,7 +181,8 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("square_map_total", sq_ok, "square map agrees on 100% of elements")
 
     roots = table.square_roots_count
-    check("square_roots_count", roots == 1 + p * p == count_square_roots_of_identity(ct),
+    check("square_roots_count",
+          roots == 1 + p * p == _square_indices(group).count(group.index[ident]),
           f"{roots} solutions of g^2 = 1; predicted 1 + p^2 = {1 + p * p}")
 
     locus_ok, locus_detail = verdict["square_locus"]

@@ -6,6 +6,8 @@ dict, so deleting or renaming one of them breaks traced runs without
 failing any other test.  It also reads two results: the table document
 passed to `canonical_json` (its `serialize.table_bytes`) and the None that
 `load_cached_table` returns on a miss (its cache hit and miss counts).
+Only `selftest` builds `Cyclotomic` values, so a traced `selftest` run is
+what shows the counters still count.
 """
 
 import importlib
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from q8family import cli
+import q8family
+from q8family import cli, cyclotomic
 from q8family.cyclotomic import Cyclotomic
 from q8family.serialize import load_cached_table
 
@@ -66,3 +69,20 @@ def test_tracer_counts_a_cache_miss_then_a_hit(tmp_path, capsys):
     capsys.readouterr()
     assert (cold["serialize.cache_misses"], cold["serialize.cache_hits"]) == (1, 0)
     assert (warm["serialize.cache_misses"], warm["serialize.cache_hits"]) == (0, 1)
+
+
+def test_tracer_counts_the_cyclotomic_work_of_selftest(capsys):
+    # verify and table build no Cyclotomic; selftest's oracles are all the counters see
+    with tracing.Tracer() as tracer:
+        assert cli.main(["selftest", "--prime", "3"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics_since(0)
+    assert metrics["cyclotomic.mul_calls"] > 0
+    assert metrics["cyclotomic.values_created"] > 0
+
+
+def test_every_public_name_resolves_and_general_orders_are_gone():
+    assert all(hasattr(q8family, name) for name in q8family.__all__)
+    for name in ("cyclotomic_polynomial", "euler_phi"):
+        assert not hasattr(q8family, name)
+        assert not hasattr(cyclotomic, name)

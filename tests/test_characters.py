@@ -64,20 +64,26 @@ class TestQ8Table:
         assert q8_character_table()[0] == ("triv", (1, 1, 1, 1, 1))
 
     def test_psi_values_from_matrix_model(self):
-        # trace oracle: the degree-2 representation by 2x2 matrices over Q(i)
-        i = root_of_unity(4, 1)
-        zero, one = Cyclotomic(1, [0]), Cyclotomic(1, [1])
-        X = ((i, zero), (zero, -i))
-        Y = ((zero, -one), (one, zero))
+        # trace oracle: the degree-2 representation by 2x2 matrices over the
+        # Gaussian integers, a + b i held as the int pair (a, b)
+        zero, one, i, minus_i = (0, 0), (1, 0), (0, 1), (0, -1)
+        X = ((i, zero), (zero, minus_i))
+        Y = ((zero, (-1, 0)), (one, zero))
+
+        def add(x, y):
+            return (x[0] + y[0], x[1] + y[1])
+
+        def times(x, y):
+            return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
         def mul(A, B):
             return tuple(
-                tuple(sum((A[r][k] * B[k][c] for k in range(2)), zero)
+                tuple(add(times(A[r][0], B[0][c]), times(A[r][1], B[1][c]))
                       for c in range(2))
                 for r in range(2))
 
         def trace(A):
-            return A[0][0] + A[1][1]
+            return add(A[0][0], A[1][1])
 
         Z = mul(X, X)
         assert Z == mul(Y, Y)
@@ -85,7 +91,8 @@ class TestQ8Table:
         # class reps 1, z, X, Y, XY in the table's class order
         traces = [trace(M) for M in
                   (((one, zero), (zero, one)), Z, X, Y, XY)]
-        assert traces == list(Q8_ROWS[4][1]) == [2, -2, 0, 0, 0]
+        assert traces == [(t, 0) for t in Q8_ROWS[4][1]]
+        assert list(Q8_ROWS[4][1]) == [2, -2, 0, 0, 0]
 
     def test_rows_orthonormal_over_q8(self):
         sizes = (1, 1, 2, 2, 2)

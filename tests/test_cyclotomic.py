@@ -1,3 +1,4 @@
+import operator
 import time
 from fractions import Fraction
 from functools import cache
@@ -7,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q8family.cyclotomic import (ONE, ZERO, Cyclotomic, RootSum, cyclotomic_polynomial,
-                                 euler_phi, root_of_unity)
+from q8family.cyclotomic import ONE, ZERO, Cyclotomic, RootSum, root_of_unity
+
+PRIMES = (3, 5, 7, 11, 13)
 
 
 def phi_by_counting(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def kept(n):
+    """The orders the arithmetic keeps: 1 and the odd primes, phi(p) = p - 1."""
+    return n == 1 or (n % 2 == 1 and phi_by_counting(n) == n - 1)
 
 
 def poly_mul(a, b):
@@ -23,57 +30,22 @@ def poly_mul(a, b):
     return out
 
 
-def poly_div_exact(num, den):
-    """Independent long division for the Phi_12 oracle; den monic."""
-    rem = list(num)
-    quot = [0] * (len(rem) - len(den) + 1)
+def poly_divmod(num, den):
+    """Independent long division, den monic: (quotient, remainder below deg den)."""
+    rem = list(num) + [0] * max(0, len(den) - 1 - len(num))
+    quot = [0] * max(0, len(rem) - len(den) + 1)
     for i in range(len(rem) - 1, len(den) - 2, -1):
         c = rem[i]
         quot[i - len(den) + 1] = c
         for j, d in enumerate(den):
             rem[i - len(den) + 1 + j] -= c * d
+    return quot, rem[:len(den) - 1]
+
+
+def poly_div_exact(num, den):
+    quot, rem = poly_divmod(num, den)
     assert not any(rem), "division was not exact"
     return quot
-
-
-class TestCyclotomicPolynomial:
-    def test_phi_1(self):
-        assert cyclotomic_polynomial(1) == (-1, 1)
-
-    def test_phi_3(self):
-        assert cyclotomic_polynomial(3) == (1, 1, 1)
-
-    def test_phi_12_against_division_oracle(self):
-        # x^12 - 1 divided by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6, all hardcoded
-        den = [1]
-        for known in ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1]):
-            den = poly_mul(den, known)
-        num = [-1] + [0] * 11 + [1]
-        assert list(cyclotomic_polynomial(12)) == poly_div_exact(num, den)
-        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_integer_coefficients_and_degree(self, n):
-        poly = cyclotomic_polynomial(n)
-        assert all(isinstance(c, int) for c in poly)
-        assert len(poly) - 1 == phi_by_counting(n)
-        assert poly[-1] == 1  # monic
-        assert euler_phi(n) == phi_by_counting(n)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            cyclotomic_polynomial(0)
-
-    @pytest.mark.parametrize("n", range(1, 200))
-    def test_moebius_product_against_division_definition(self, n):
-        assert list(cyclotomic_polynomial(n)) == phi_by_division(n)
-
-    def test_large_composite_order_is_quick(self):
-        # 30030 = 2 3 5 7 11 13: dividing x^n - 1 by every proper Phi_d did not return
-        start = time.perf_counter()
-        v = Cyclotomic(30030, [1])
-        assert time.perf_counter() - start < 2.0
-        assert v == 1 and euler_phi(30030) == 5760
 
 
 @cache
@@ -84,6 +56,117 @@ def phi_by_division(n):
         if n % d == 0:
             den = poly_mul(den, phi_by_division(d))
     return poly_div_exact([-1] + [0] * (n - 1) + [1], den)
+
+
+class TestCyclotomicPolynomial:
+    """Phi_n, from its division definition, against the arithmetic at order n.
+
+    Q[x]/(Phi_n) is kept for n = 1 and the odd primes, where the Moebius
+    product is x - 1 and (x^p - 1)/(x - 1) = 1 + x + ... + x^(p-1), the
+    relation the reduction applies.  Any other order is refused.
+    """
+
+    def test_phi_1(self):
+        # zeta_1 = 1: order 1 is Q, with one coefficient
+        assert phi_by_division(1) == [-1, 1]
+        assert Cyclotomic(1, [5]).coeffs == (5,) and Cyclotomic(1, [5]) * 2 == 10
+
+    def test_phi_3(self):
+        assert phi_by_division(3) == [1, 1, 1]
+        assert root_of_unity(3, 2).coeffs == (-1, -1)  # zeta^2 = -1 - zeta
+
+    def test_phi_12_against_division_oracle(self):
+        # the oracle: x^12 - 1 divided by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6, all hardcoded
+        den = [1]
+        for known in ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1]):
+            den = poly_mul(den, known)
+        num = [-1] + [0] * 11 + [1]
+        assert phi_by_division(12) == poly_div_exact(num, den) == [1, 0, -1, 0, 1]
+        with pytest.raises(ValueError, match="not an odd prime"):
+            Cyclotomic(12, [0, 1])
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_integer_coefficients_and_degree(self, n):
+        if not kept(n):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                Cyclotomic(n, [0, 1])
+            return
+        # zeta^(n-1) reduces to minus the lower terms of the monic Phi_n
+        top = Cyclotomic(n, [0] * (n - 1) + [1])
+        assert len(top.coeffs) == phi_by_counting(n)
+        assert all(type(c) is int for c in top.coeffs)
+        assert top.coeffs == tuple(-c for c in phi_by_division(n)[:-1])
+
+    def test_bad_index(self):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            Cyclotomic(0, [1])
+
+    @pytest.mark.parametrize("n", range(1, 200))
+    def test_moebius_product_against_division_definition(self, n):
+        if not kept(n):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                Cyclotomic(n, [1])
+            return
+        # zeta_n is a root of the division definition's Phi_n
+        zeta = Cyclotomic(n, [0, 1]) if n > 1 else ONE
+        power, value = ONE, ZERO
+        for c in phi_by_division(n):
+            value = value + c * power
+            power = power * zeta
+        assert value == 0
+
+    def test_large_composite_order_is_quick(self):
+        # 30030 = 2 3 5 7 11 13: dividing x^n - 1 by every proper Phi_d did not
+        # return; the order is now refused at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not an odd prime"):
+            Cyclotomic(30030, [1])
+        assert time.perf_counter() - start < 2.0
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("n", [True, 2, 4, 9, 15, 0, -3, 3.0])
+    def test_refused_orders(self, n):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            Cyclotomic(n, [1])
+        with pytest.raises(ValueError, match="not an odd prime"):
+            root_of_unity(n, 1)
+
+    def test_root_of_unity_needs_an_odd_prime(self):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            root_of_unity(1, 0)
+
+    def test_too_many_coefficients(self):
+        with pytest.raises(ValueError, match="4 coefficients at order 3"):
+            Cyclotomic(3, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="2 coefficients at order 1"):
+            Cyclotomic(1, [1, 2])
+
+    def test_p_counts_reduce_mod_phi_p(self):
+        assert Cyclotomic(3, [1, 2, 3]).coeffs == (-2, -1)
+        assert Cyclotomic(5, [2, 2, 2, 2, 2]) == 0
+        assert Cyclotomic(5, [Fraction(1, 2)] * 5).coeffs == (0,)
+        assert type(Cyclotomic(5, [Fraction(1, 2)] * 5).coeffs[0]) is int
+
+    def test_empty_is_zero(self):
+        assert Cyclotomic(1, []) == 0 and Cyclotomic(7, []) == 0
+
+    def test_rational_lifts_as_the_constant_term(self):
+        assert (ONE + root_of_unity(5, 1)).coeffs == (1, 1, 0, 0)
+        assert Cyclotomic(1, [3]).coeffs_at(7) == (3, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="not an odd prime"):
+            ONE.coeffs_at(4)
+
+    def test_two_primes_do_not_combine(self):
+        z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="cannot lift order 3 into order 5"):
+                op(z3, z5)
+        with pytest.raises(ValueError, match="cannot lift order 5 into order 3"):
+            z5.coeffs_at(3)
 
 
 class TestRoots:
@@ -108,17 +191,24 @@ class TestRoots:
     def test_exponent_arithmetic(self):
         assert root_of_unity(5, 2) * root_of_unity(5, 4) == root_of_unity(5, 1)
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_all_roots_sum_to_zero(self, n):
+        if not kept(n):  # no field of order n, so no roots to sum
+            with pytest.raises(ValueError, match="not an odd prime"):
+                root_of_unity(n, 1)
+            return
         total = ZERO
         for k in range(n):
             total = total + root_of_unity(n, k)
         assert total == 0
 
     def test_same_value_across_orders(self):
-        # zeta_6^2 and zeta_3 are the same number in different presentations
-        assert root_of_unity(6, 2) == root_of_unity(3, 1)
-        assert root_of_unity(2, 1) == -1
+        # a rational is one value at every order; irrationals of two primes differ
+        assert root_of_unity(3, 0) == root_of_unity(5, 0) == Cyclotomic(7, [2, 0]) - 1 == 1
+        z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
+        assert z3 != z5 and not (z3 == z5) and z5 != z3
+        assert RootSum(5, [0, 1, 0, 0, 0]) != RootSum(3, [0, 1, 0])
+        assert RootSum(5, [0, 1, 0, 0, 0]) != z3 and z3 != RootSum(5, [0, 1, 0, 0, 0])
 
 
 class TestConjugation:
@@ -153,61 +243,78 @@ small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6)
 
 
-@st.composite
-def cyclotomics(draw, orders=(1, 3, 4, 5, 8, 12)):
-    n = draw(st.sampled_from(orders))
-    coeffs = draw(st.lists(small_rationals, min_size=1, max_size=euler_phi(n)))
-    return Cyclotomic(n, coeffs)
+def cyclotomics(p):
+    """Values of order 1 or p, from up to that many small rational coefficients."""
+    return st.sampled_from([1, p]).flatmap(
+        lambda n: st.lists(small_rationals, min_size=1, max_size=n).map(
+            lambda coeffs: Cyclotomic(n, coeffs)))
+
+
+def one_field(k):
+    """k values of orders 1 or p, for one p drawn from 3, 5, 7, 13."""
+    return st.sampled_from([3, 5, 7, 13]).flatmap(lambda p: st.tuples(*[cyclotomics(p)] * k))
 
 
 class TestRingAxioms:
-    @given(cyclotomics(), cyclotomics(), cyclotomics())
+    @given(one_field(3))
     @settings(max_examples=60, deadline=None)
-    def test_mul_associative_and_distributive(self, a, b, c):
+    def test_mul_associative_and_distributive(self, values):
+        a, b, c = values
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @given(cyclotomics(), cyclotomics())
+    @given(one_field(2))
     @settings(max_examples=80, deadline=None)
-    def test_commutative(self, a, b):
+    def test_commutative(self, values):
+        a, b = values
         assert a * b == b * a
         assert a + b == b + a
 
-    @given(cyclotomics())
+    @given(one_field(1))
     @settings(max_examples=80, deadline=None)
-    def test_units_and_negation(self, a):
+    def test_units_and_negation(self, values):
+        [a] = values
         assert a + ZERO == a
         assert a * ONE == a
         assert a - a == 0
         assert -(-a) == a
 
-    @given(cyclotomics(), cyclotomics())
+    @given(one_field(2))
     @settings(max_examples=80, deadline=None)
-    def test_conjugation_is_a_ring_map(self, a, b):
+    def test_conjugation_is_a_ring_map(self, values):
+        a, b = values
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
         assert (a + b).conjugate() == a.conjugate() + b.conjugate()
 
-    @given(cyclotomics())
+    @given(one_field(1))
     @settings(max_examples=80, deadline=None)
-    def test_conjugation_involutive(self, a):
+    def test_conjugation_involutive(self, values):
+        [a] = values
         assert a.conjugate().conjugate() == a
 
-    @given(st.sampled_from([2, 3, 4, 5, 8, 12]), st.integers(0, 30))
+    @given(st.sampled_from(PRIMES), st.integers(0, 30))
     @settings(max_examples=80, deadline=None)
-    def test_root_norm_is_one(self, n, k):
-        z = root_of_unity(n, k)
+    def test_root_norm_is_one(self, p, k):
+        z = root_of_unity(p, k)
         assert (z * z.conjugate()).as_rational() == 1
+
+
+class TestProduct:
+    @given(p=st.sampled_from(PRIMES), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_product_is_the_remainder_mod_phi_p(self, p, data):
+        # up to p coefficients each, so the factors are reduced as well
+        a = data.draw(st.lists(small_rationals | st.integers(-9, 9), min_size=1, max_size=p))
+        b = data.draw(st.lists(small_rationals | st.integers(-9, 9), min_size=1, max_size=p))
+        _, a_rem = poly_divmod(a, phi_by_division(p))
+        _, rem = poly_divmod(poly_mul(a, b), phi_by_division(p))
+        assert Cyclotomic(p, a).coeffs_at(p) == tuple(a_rem)
+        assert (Cyclotomic(p, a) * Cyclotomic(p, b)).coeffs_at(p) == tuple(rem)
 
 
 class TestMixedOrders:
     def test_rational_times_root(self):
         assert 2 * root_of_unity(13, 1) == Cyclotomic(13, [0, 2])
-
-    def test_orders_3_and_4_lift_to_12(self):
-        v = root_of_unity(3, 1) + root_of_unity(4, 1)
-        assert v.n == 12
-        # conjugate splits back over both parts
-        assert v.conjugate() == root_of_unity(3, 2) + root_of_unity(4, 3)
 
     def test_scalar_division(self):
         v = Cyclotomic(5, [2, 4, 0, 0]) / 2
@@ -218,8 +325,13 @@ class TestMixedOrders:
 
     def test_power(self):
         z = root_of_unity(7, 3)
-        assert z ** 7 == 1
-        assert z ** 2 == root_of_unity(7, 6)
+        powers = [ONE]
+        for _ in range(7):
+            powers.append(powers[-1] * z)
+        assert powers[7] == 1
+        assert powers[2] == root_of_unity(7, 6)
+        assert all(powers[k] == root_of_unity(7, 3 * k) for k in range(8))
+        assert all(powers[k] != 1 for k in range(1, 7))
 
 
 class TestHygiene:
@@ -273,8 +385,9 @@ class TestRootSum:
         assert RootSum(3, [4, 4, 4]).is_zero() and RootSum(3, [4, 4, 4]) == 0
 
     def test_cyclotomic_of_another_order(self):
-        assert RootSum(3, [0, 1, 0]) == root_of_unity(6, 2)
-        assert RootSum(3, [0, 1, 0]) != root_of_unity(6, 1)
+        assert RootSum(3, [0, 1, 0]) == root_of_unity(3, 1)
+        assert RootSum(3, [0, 1, 0]) != root_of_unity(5, 1)
+        assert RootSum(5, [9, 2, 2, 2, 2]) == Cyclotomic(1, [7]) == RootSum(3, [7, 0, 0])
 
     def test_counts_must_be_exact_ints(self):
         with pytest.raises(TypeError):

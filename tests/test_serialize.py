@@ -114,9 +114,9 @@ def cyclotomic_from_json(obj):
 
 
 class TestCyclotomicJson:
-    @given(st.sampled_from([1, 3, 4, 5, 8, 12]), st.lists(coefficients, min_size=1, max_size=4))
-    def test_round_trip(self, n, coeffs):
-        v = Cyclotomic(n, coeffs)
+    @given(n=st.sampled_from([1, 3, 5, 7, 13]), data=st.data())
+    def test_round_trip(self, n, data):
+        v = Cyclotomic(n, data.draw(st.lists(coefficients, min_size=1, max_size=n)))
         obj = v.to_json_obj()
         assert obj["coeffs"] == [[str(Fraction(c).numerator), str(Fraction(c).denominator)]
                                  for c in v.coeffs]
