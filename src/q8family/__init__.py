@@ -3,7 +3,7 @@
 For every odd prime p the library builds the semidirect product of the
 natural module V = C_p x C_p with a quaternion subgroup Q8 of SL2(p),
 computes its full complex character table in exact arithmetic over
-Q(zeta_p), the field of every character value, attaches Frobenius-Schur
+Z[zeta_p], the ring of every character value, attaches Frobenius-Schur
 indicators, and certifies that every character induced from a nontrivial
 character of V is irreducible with indicator +1 while its tensor square
 contains the quaternionic degree-2 character.

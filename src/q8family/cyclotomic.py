@@ -1,21 +1,23 @@
-"""Exact arithmetic in Q and in the cyclotomic fields Q(zeta_p), p an odd prime.
+"""Exact arithmetic in Z and in the rings Z[zeta_p], p an odd prime.
 
-Every character value of (C_p x C_p) : Q8 lies in Z[zeta_p], so these are
-the only fields kept.  A value of order p is held in the power basis 1,
-zeta, ..., zeta^(p-2) of Q[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1),
-so equality is coefficient-wise.  On the counts of the p roots, reducing
-mod Phi_p subtracts the last count from the others: `_canonical`, for both
+Every character value of (C_p x C_p) : Q8 is a sum of p-th roots of
+unity, so it lies in Z[zeta_p], and these are the only rings kept.  A
+value of order p is held in the power basis 1, zeta, ..., zeta^(p-2) of
+Z[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1), so equality is
+coefficient-wise.  On the counts of the p roots, reducing mod Phi_p
+subtracts the last count from the others: `_canonical`, for both
 `Cyclotomic` and `RootSum`.  A value whose non-constant coefficients all
 vanish is demoted to order 1, so values of different orders are never
-equal.  Coefficients are exact: ints where possible, else Fractions.  A
-rational lifts into Q(zeta_p) as the constant term; arithmetic between
-two different primes raises ValueError.  `RootSum`, at the end, holds the
-values of character tables as counts of p-th roots of unity.
+equal.  Every coefficient and count is a plain int: a bool, float or
+Fraction raises TypeError.  An integer lifts into Z[zeta_p] as the
+constant term; arithmetic between two different primes raises ValueError.
+`RootSum`, at the end, holds the values of character tables as counts of
+p-th roots of unity.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from numbers import Rational
+from operator import countOf, sub
 
 from .modp import is_odd_prime
 
@@ -28,15 +30,10 @@ def _require_odd_prime(p):
         raise ValueError(f"p={p!r}: not an odd prime")
 
 
-def _as_coeff(c):
-    """Normalize a coefficient: integral Fractions become ints, floats are rejected."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):  # bool and int subclasses
-        return int(c)
-    raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
+def _require_ints(values):
+    """Refuse any value but a plain int (a bool, float or Fraction), in one pass."""
+    if countOf(map(type, values), int) != len(values):
+        raise TypeError("coefficients and counts must be ints")
 
 
 def _canonical(p, counts):
@@ -86,34 +83,23 @@ def _decimal_int(text):
     return value
 
 
-def _json_obj(n, coeffs):
-    """Serialized form of the canonical value (n, coeffs)."""
-    pairs = [[str(c), "1"] if type(c) is int else [str(c.numerator), str(c.denominator)]
-             for c in coeffs]
-    return {"n": n, "coeffs": pairs}
-
-
 class Cyclotomic:
-    """An exact element of Q (order 1) or of Q(zeta_p) (order p) in the canonical power basis."""
+    """An element of Z (order 1) or of Z[zeta_p] (order p) in the canonical power basis."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        """The value sum_i coeffs[i] zeta_n^i; n is 1 or an odd prime, at most n coefficients."""
+        """The value sum_i coeffs[i] zeta_n^i; n is 1 or an odd prime, at most n int coefficients."""
         if type(n) is not int or n != 1:
             _require_odd_prime(n)
         coeffs = list(coeffs)
         if len(coeffs) > n:
             raise ValueError(f"{len(coeffs)} coefficients at order {n}")
-        ints = set(map(type, coeffs)) <= {int}
-        if not ints:
-            coeffs = [_as_coeff(c) for c in coeffs]
+        _require_ints(coeffs)
         if n == 1:
             coeffs = tuple(coeffs) or (0,)
         else:
             n, coeffs = _canonical(n, coeffs + [0] * (n - len(coeffs)))
-            if not ints:  # a difference of Fractions may be integral
-                coeffs = tuple(map(_as_coeff, coeffs))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -132,8 +118,8 @@ class Cyclotomic:
         return self.coeffs + (0,) * (m - 2)
 
     def as_rational(self):
-        """The value as a Fraction if it is rational, else None."""
-        return Fraction(self.coeffs[0]) if self.n == 1 else None
+        """The value as an int if it is rational, else None."""
+        return self.coeffs[0] if self.n == 1 else None
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -142,7 +128,7 @@ class Cyclotomic:
 
     def _common(self, other):
         """Coerce to (m, coeffs_a, coeffs_b), both at the order m of the two."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Cyclotomic(1, [other])
         elif not isinstance(other, Cyclotomic):
             return None
@@ -156,20 +142,9 @@ class Cyclotomic:
         m, ca, cb = common
         return Cyclotomic(m, [x + y for x, y in zip(ca, cb)])
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (int, Fraction, Cyclotomic)) else NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Cyclotomic(self.n, [-c for c in self.coeffs])
-
     def __mul__(self, other):
-        """A scalar scales the coefficients; otherwise a cyclic convolution, zeta^m = 1."""
-        if isinstance(other, (int, Fraction)):
+        """An int scales the coefficients; otherwise a cyclic convolution, zeta^m = 1."""
+        if isinstance(other, int):
             return Cyclotomic(self.n, [c * other for c in self.coeffs])
         common = self._common(other)
         if common is None:
@@ -187,14 +162,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 0:
-            raise ZeroDivisionError("division of cyclotomic value by zero")
-        inv = Fraction(1, 1) / other
-        return Cyclotomic(self.n, [c * inv for c in self.coeffs])
-
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^-1: the counts reversed, e -> -e."""
         if self.n == 1:
@@ -206,7 +173,7 @@ class Cyclotomic:
 
     def __eq__(self, other):
         """Coefficient-wise; the canonical forms of different orders differ."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.n == 1 and self.coeffs[0] == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
@@ -214,17 +181,13 @@ class Cyclotomic:
 
     __hash__ = None  # values are compared, never used as keys
 
-    # -- rendering / serialization ------------------------------------------
+    # -- rendering ----------------------------------------------------------
 
     def __str__(self):
         return _format(self.n, self.coeffs)
 
     def __repr__(self):
         return f"Cyclotomic({self.n}, {list(self.coeffs)})"
-
-    def to_json_obj(self):
-        """Serialized form: {"n": ..., "coeffs": [[num, den], ...]} with exact decimal strings."""
-        return _json_obj(self.n, self.coeffs)
 
 
 ZERO = Cyclotomic(1, [0])
@@ -256,8 +219,7 @@ class RootSum:
         _require_odd_prime(p)
         if len(counts) != p:
             raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
-        if type(sum(counts)) is not int:  # a float, Fraction or Decimal count spreads to the sum
-            raise TypeError("root counts must be ints")
+        _require_ints(counts)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "counts", counts)
 
@@ -276,9 +238,9 @@ class RootSum:
         return Cyclotomic(*self.canonical())
 
     def as_rational(self):
-        """The value as a Fraction if it is rational, else None."""
+        """The value as an int if it is rational, else None."""
         n, coeffs = self.canonical()
-        return Fraction(coeffs[0]) if n == 1 else None
+        return coeffs[0] if n == 1 else None
 
     def is_zero(self):
         return self.counts.count(self.counts[0]) == self.p
@@ -288,7 +250,7 @@ class RootSum:
             if other.p == self.p:
                 return len(set(map(sub, self.counts, other.counts))) == 1
             other = other.to_cyclotomic()
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self.as_rational() == other
         if isinstance(other, Cyclotomic):
             return self.to_cyclotomic() == other
@@ -303,8 +265,9 @@ class RootSum:
         return f"RootSum({self.p}, {list(self.counts)})"
 
     def to_json_obj(self):
-        """The serialized form of the equal Cyclotomic."""
-        return _json_obj(*self.canonical())
+        """The serialized form of the equal Cyclotomic: {"n": n, "coeffs": [[str(c), "1"], ...]}."""
+        n, coeffs = self.canonical()
+        return {"n": n, "coeffs": [[str(c), "1"] for c in coeffs]}
 
     @classmethod
     def from_json_obj(cls, obj, p):

@@ -2,7 +2,7 @@
 
 This is the slow-but-independent path: the literal element-wise indicator
 sum, the averaging form of induction, brute-force counts, and inner
-products in exact `Cyclotomic` arithmetic over Q(zeta_p), against which
+products in exact `Cyclotomic` arithmetic over Z[zeta_p], against which
 the F_l kernel, the root-count indicator, the squaring pass and the rows'
 root counts are compared.  Each row is converted to `Cyclotomic` once per
 run.  Each check reports one line; the CLI turns any failure into exit
@@ -29,6 +29,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -69,16 +70,24 @@ def induced_by_averaging(label, ct):
 
     lambda is the label's character on V extended by zero off V; this is
     the textbook averaging form of induction and never looks at orbits.
+    The division by |V| = p^2 is exact, count by count, for a correct
+    group: each of the 8 conjugates (N v, I) of a g in V is hit by exactly
+    the p^2 elements (w, N), and no conjugate of a g off V lies in V.  A
+    count that is not a multiple of p^2 raises InvariantError.
     """
     group = ct.group
     p = group.p
+    core_order = p * p
     a, b = label
     values = []
     for k in range(ct.n_classes):
         counts = [0] * p
         for (y0, y1), n in _conjugates_in_core(group, ct.rep_element(k)):
             counts[(a * y0 + b * y1) % p] += n
-        values.append(Cyclotomic(p, counts) / (p * p))
+        if any(c % core_order for c in counts):
+            raise InvariantError(f"averaging sum of label {label} at class {k} "
+                                 f"is not divisible by |V| = {core_order}")
+        values.append(Cyclotomic(p, [c // core_order for c in counts]))
     return tuple(values)
 
 
@@ -92,7 +101,7 @@ def exact_inner_product(ct, f, g):
     r = total.as_rational()
     if r is None:
         raise InvariantError("inner product of class functions is not rational")
-    return r / ct.order
+    return Fraction(r, ct.order)
 
 
 @lru_cache(maxsize=4)
@@ -111,7 +120,7 @@ def element_wise_indicator(ct, values):
     r = Cyclotomic(n, [sum(column) for column in zip(*terms)]).as_rational()
     if r is None:
         raise InvariantError("element-wise indicator sum is not rational")
-    return r / ct.order
+    return Fraction(r, ct.order)
 
 
 def q8_table_checks():
@@ -233,9 +242,9 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     check("fs_sum_rule", *verdict["sum_rule"])
 
     orders_ok = all(v.n in (1, p) for values in exact.values() for v in values)
-    inflated_ok = all(
-        v.as_rational() is not None and v.as_rational().denominator == 1
-        for name, values in exact.items() if not name.startswith("ind_") for v in values)
+    # order 1 with an int coefficient: a rational integer
+    inflated_ok = all(v.n == 1 for name, values in exact.items()
+                      if not name.startswith("ind_") for v in values)
     check("values_in_base_field", orders_ok and inflated_ok,
           "values lie in Q(zeta_p); inflated rows are rational integers")
 

@@ -214,18 +214,17 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
 def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
     """Verify every orbit-representative label for every odd prime in [lo, hi].
 
-    Every prime is checked against the bound before any work starts.  A
+    Every prime is checked against the bound before any work starts, as
+    the range is walked, so the walk stops at the first prime past it.  A
     pool forks all its workers at once, so the primes run in this process
     or in min(jobs, number of primes) workers.  Returns a list of per-prime
     summary dicts in prime order, each deterministic apart from "seconds".
     """
     if lo > hi or lo < 1:
         raise UsageError(f"bad prime range {lo}..{hi}")
-    primes = [p for p in range(lo, hi + 1) if is_odd_prime(p)]
+    primes = [require_odd_prime(p, bound) for p in range(lo, hi + 1) if is_odd_prime(p)]
     if not primes:
         raise UsageError(f"no odd primes in range {lo}..{hi}")
-    for p in primes:
-        require_odd_prime(p, bound)
     workers = min(jobs, len(primes))
     if workers > 1:
         # Imported here: it loads multiprocessing, which no other command needs.

@@ -298,13 +298,15 @@ class TestCorruptInputsRejected:
             inner_product(classes3, f, g)
 
     def test_non_integer_indicator(self, classes3):
-        # 1/3 is no sum of roots of unity: RootSum refuses it, and the kernel
-        # refuses every value that is not a RootSum at p = 3
+        # 1/3 is no sum of roots of unity: neither value type can hold it, and
+        # the kernel refuses every value that is not a RootSum at p = 3
         with pytest.raises(TypeError):
             RootSum(3, [Fraction(1, 3), 0, 0])
-        third = Cyclotomic(1, [Fraction(1, 3)])
-        with pytest.raises(InvariantError, match=r"is not a RootSum with p = 3"):
-            fs_indicator(classes3, (third,) * 6)
+        with pytest.raises(TypeError):
+            Cyclotomic(1, [Fraction(1, 3)])
+        for value in (Fraction(1, 3), Cyclotomic(1, [1])):
+            with pytest.raises(InvariantError, match=r"is not a RootSum with p = 3"):
+                fs_indicator(classes3, (value,) * 6)
 
     def test_integral_non_integer_indicator(self, classes3):
         # 1 on the identity class: the class formula gives #{g : g^2 = 1} / |G| = 10/72

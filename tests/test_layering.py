@@ -1,0 +1,43 @@
+"""The package's import layering, read from the source of every module.
+
+Character values are integer counts of roots of unity, so the arithmetic
+module needs no `fractions`, and only `selftest`'s oracles (and the
+package's exports) use the `Cyclotomic` arithmetic: `verify`, `scan` and
+`table` run on `RootSum` counts alone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import q8family
+
+MODULES = sorted(Path(q8family.__file__).parent.glob("*.py"))
+
+
+def imports(path):
+    """(module, name) for every name the module imports; name None for a plain import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.module or "", alias.name) for alias in node.names]
+    return found
+
+
+def test_every_module_is_read():
+    assert {"cyclotomic.py", "selftest.py", "__init__.py", "verify.py"} <= {m.name for m in MODULES}
+
+
+def test_cyclotomic_imports_nothing_from_fractions():
+    [path] = [m for m in MODULES if m.name == "cyclotomic.py"]
+    assert [(mod, name) for mod, name in imports(path)
+            if mod.split(".")[0] == "fractions"] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_only_selftest_and_the_exports_import_cyclotomic(path):
+    names = {name for _, name in imports(path)}
+    assert ("Cyclotomic" in names) == (path.name in ("selftest.py", "__init__.py"))

@@ -88,9 +88,10 @@ class TestKernelAgreesWithExactRoute:
         core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX]
         for r in table.rows:
             v, x = r.values, _exact(r.values)
-            indicator = sum((ct.sizes[k] * x[k2] for k, k2 in enumerate(ct.square_map)),
-                            ZERO).as_rational() / ct.order
-            restriction = sum((ct.sizes[k] * x[k] for k in core), ZERO).as_rational() / p ** 2
+            indicator = Fraction(sum((ct.sizes[k] * x[k2] for k, k2 in enumerate(ct.square_map)),
+                                     ZERO).as_rational(), ct.order)
+            restriction = Fraction(sum((ct.sizes[k] * x[k] for k in core), ZERO).as_rational(),
+                                   p ** 2)
             assert fs_indicator(ct, v) == indicator == fs_indicator_direct(ct, v) == r.indicator
             got = restriction_to_core_inner(ct, v)
             assert got == restriction and type(got) is Fraction
@@ -202,10 +203,14 @@ def test_square_map_must_commute_with_galois_action(table7):
 
 
 def test_values_outside_z_zeta_p_are_refused(classes3):
-    # RootSum refuses a count that is not an int, so 1/2 cannot be written as one
+    # neither value type takes a coefficient that is not an int, so 1/2 cannot be
+    # written as one
     with pytest.raises(TypeError):
         RootSum(3, [Fraction(1, 2), 0, 0])
-    refused = [RootSum(5, [0, 1, 0, 0, 0]), Cyclotomic(1, [1]) / 2, root_of_unity(3, 1), 1]
+    with pytest.raises(TypeError):
+        Cyclotomic(1, [Fraction(1, 2)])
+    refused = [RootSum(5, [0, 1, 0, 0, 0]), Fraction(1, 2), Cyclotomic(1, [1]),
+               root_of_unity(3, 1), 1]
     for value in refused:
         with pytest.raises(InvariantError, match="is not a RootSum with p = 3"):
             ModularImage(classes3, [(value,) * classes3.n_classes])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from q8family import cli, selftest
 from q8family.characters import (CharacterTable, assemble_character_table,
                                  label_orbits)
+from q8family.errors import InvariantError
 from q8family.groups import (SemidirectGroup, build_group, conjugacy_classes,
                              conjugated_subgroup, quaternion_subgroup)
 from q8family.modp import Mat2
@@ -177,3 +178,21 @@ def test_corrupted_table_fails_its_oracle_and_exits_three(target, corrupt, check
     assert not line.ok
     assert cli.main(["selftest", "--prime", "5"]) == 3
     assert f"FAIL {check}" in capsys.readouterr().out
+
+
+def test_inexact_averaging_division_raises_and_exits_three(monkeypatch, capsys):
+    # one conjugate counted once too often: a count is no longer a multiple of |V| = 25
+    real = selftest._conjugates_in_core
+
+    def one_extra(group, g):
+        counts = real(group, g)
+        return ((counts[0][0], counts[0][1] + 1),) + counts[1:] if counts else counts
+
+    monkeypatch.setattr(selftest, "_conjugates_in_core", one_extra)
+    ct = conjugacy_classes(build_group(5))
+    with pytest.raises(InvariantError, match=r"is not divisible by \|V\| = 25"):
+        induced_by_averaging(min(label_orbits(ct.group.quaternion)), ct)
+    assert cli.main(["selftest", "--prime", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: averaging sum of label ")
+    assert err.endswith(" is not divisible by |V| = 25\n")

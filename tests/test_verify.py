@@ -144,6 +144,21 @@ class TestScan:
         with pytest.raises(UsageError, match="p=11 exceeds the prime bound 7"):
             scan_primes(3, 13, bound=7)
 
+    def test_walk_stops_at_the_first_prime_past_the_bound(self, monkeypatch):
+        tested = []
+        is_odd_prime = verify.is_odd_prime
+
+        def counted(p):
+            tested.append(p)
+            if len(tested) > 1000:
+                raise AssertionError("the range was walked past the first prime beyond the bound")
+            return is_odd_prime(p)
+
+        monkeypatch.setattr(verify, "is_odd_prime", counted)
+        with pytest.raises(UsageError, match="p=101 exceeds the prime bound 97"):
+            scan_primes(3, 10 ** 9)
+        assert tested == list(range(3, 102))
+
     def test_inverted_range_rejected(self):
         with pytest.raises(UsageError, match="bad prime range"):
             scan_primes(7, 3)
