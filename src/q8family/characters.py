@@ -3,16 +3,19 @@
 The table has two kinds of rows: the five characters of Q8 inflated along
 G -> G/V, and one induced character per orbit of nontrivial characters of
 V under the Q8 action.  Assembly asserts the counting identities and full
-first orthogonality before returning, and attaches a Frobenius-Schur
-indicator to every row.
+first orthogonality before returning, records what it proved on the
+table, and attaches a Frobenius-Schur indicator to every row.
 
 Every value is a `RootSum`, a count vector over the p-th roots of unity.
-Every inner product, both orthogonality relations, the tensor-square
+Every inner product, first orthogonality, the tensor-square
 multiplicities, the class-formula indicators and the restriction to V are
 decided in a prime field F_l by `modular.image_of`, which checks the rows
 Galois-closed first; its docstring gives the argument why one residue
-decides each exact sum.  The element-wise indicator is a root-count sum;
-its literal per-element form lives in `selftest`.
+decides each exact sum.  Second orthogonality follows from the first for
+a square table, so its verdict is derived (`_second_orthogonality`); the
+column sums, also in F_l, are `selftest`'s oracle.  The element-wise
+indicator is a root-count sum; its literal per-element form lives in
+`selftest`.
 
 TABLE_CHECKS, at the end, is the one ordered registry of named table
 checks: `verify` records its verdicts in every report, `selftest` prints
@@ -222,12 +225,16 @@ class CharRow:
 class CharacterTable:
     """Rows certified by `assemble_character_table`, the only code that makes one.
 
-    Assembly raises unless first orthogonality holds, and the frozen
-    dataclass keeps the certified rows from being swapped afterwards.
+    Assembly raises unless first orthogonality holds, and records what it
+    proved as `certificate`: the class sizes and the row values it found
+    orthonormal.  Both orthogonality verdicts of `TABLE_CHECKS` hold only
+    while the table still has those sizes and values, so a table built
+    directly, or edited through `dataclasses.replace`, reads False.
     """
 
     class_table: object
     rows: tuple
+    certificate: tuple = ()
 
     @property
     def prime(self):
@@ -287,8 +294,9 @@ def check_first_orthogonality(ct, values_list):
 def check_second_orthogonality(ct, values_list):
     """Column relations: sum over rows of chi(K) conj(chi(K')) = delta |C(K)|.
 
-    Both orders of every class pair are checked mod l, which the modular
-    kernel's argument needs to decide each relation exactly.
+    `selftest`'s oracle for the derived verdict of `TABLE_CHECKS`.  Both
+    orders of every class pair are checked mod l, which step 4 of the
+    modular kernel's argument needs to decide each relation exactly.
     """
     image = image_of(ct, values_list)
     rows = [image.position(f) for f in values_list]
@@ -325,7 +333,8 @@ def assemble_character_table(ct):
         if ind not in (-1, 0, 1):
             raise InvariantError(f"indicator of irreducible row {name} is {ind}")
         rows.append(CharRow(name=name, values=values, degree=degree, indicator=ind))
-    return CharacterTable(class_table=ct, rows=tuple(rows))
+    return CharacterTable(class_table=ct, rows=tuple(rows),
+                          certificate=(ct.sizes, tuple(v for _, v, _ in named)))
 
 
 def character_table(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
@@ -393,16 +402,26 @@ def quaternionic_row_unique(degrees, indicators):
 
 
 def _first_orthogonality(table):
-    # assembly raised unless it held, and the frozen table keeps those rows
-    return True, "all row pairs exactly orthonormal"
+    # assembly raised unless it held for the sizes and values it certified;
+    # RootSum's == compares values, so re-represented counts still match
+    ok = table.certificate == (table.class_table.sizes, tuple(r.values for r in table.rows))
+    return ok, ("all row pairs exactly orthonormal" if ok
+                else "rows or class sizes are not those assembly certified orthonormal")
 
 
 def _second_orthogonality(table):
-    try:
-        check_second_orthogonality(table.class_table, [r.values for r in table.rows])
-    except InvariantError as e:
-        return False, str(e)
-    return True, "all class pairs match centralizer orders"
+    # Assembly has as many rows as classes, so the table X is square.  With
+    # D = diag(|K| / |G|), first orthogonality X D X^* = I gives X^-1 = D X^*,
+    # hence X^* X = D^-1: the column sums are delta |G| / |K|, which is
+    # delta |C(K)| once |K| |C(K)| = |G| (Isaacs, proof of Theorem 2.18).
+    # That |G| is the one assembly used: the trivial row's norm gives it as
+    # sum |K|, which `class_partition_holds` also checks.
+    ct = table.class_table
+    ok = (_first_orthogonality(table)[0]
+          and class_partition_holds(ct.order, ct.sizes, ct.centralizer_orders))
+    return ok, ("all class pairs match centralizer orders" if ok
+                else "not implied: rows not certified orthonormal, or class sizes "
+                     "times centralizer orders are not |G|")
 
 
 def _degree_sum(table):

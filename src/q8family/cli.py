@@ -240,7 +240,10 @@ def cmd_table(args):
         doc = table_document(character_table(p, bound=args.bound))
         if cache_dir:
             text = canonical_json(doc)
-            store_cached_table(cache_dir, p, text)
+            try:
+                store_cached_table(cache_dir, p, text)
+            except OSError as e:
+                raise UsageError(f"cannot write cache {cache_path(cache_dir, p)}: {e}") from None
     render = {"csv": render_table_csv, "text": render_table_text}.get(args.fmt)
     _emit(args, render(doc) if render else text or canonical_json(doc))
     return 0

@@ -37,22 +37,24 @@ image is built:
    p mod l, so 1 + w + ... + w^(p-1) = 0 mod l and zeta -> w is a ring map
    sending sum_e c_e zeta^e to sum_e c_e w^e and S to S mod l.  The
    residue of absolute value below l/2 is S itself.
-4. Second orthogonality.  A column sum T(K, K') = sum_chi chi(K)
-   conj(chi(K')) is not rational, but sigma_g T(K, K') = T(pi K, pi K')
-   and pi preserves centralizer orders, so checking D = T - delta |C(K)|
-   against w for every ordered pair of classes checks D at all p - 1
-   primes of Z[zeta_p] above l.  Then every power-basis coefficient of D
-   is divisible by l.  T has a count vector t of l1-norm at most n m^2 (a
-   sum of n products of two vectors of l1-norm at most m), so each
-   coefficient t_i - t_(p-1), less delta |C(K)| at i = 0, is at most
-   2 n m^2 + max |C(K)| <= B < l/2 in absolute value, and D = 0.
+4. Second orthogonality, checked only as `selftest`'s oracle, since
+   `verify` derives it from the first (`characters._second_orthogonality`).
+   A column sum T(K, K') = sum_chi chi(K) conj(chi(K')) is not rational,
+   but sigma_g T(K, K') = T(pi K, pi K') and pi preserves centralizer
+   orders, so checking D = T - delta |C(K)| against w for every ordered
+   pair of classes checks D at all p - 1 primes of Z[zeta_p] above l.
+   Then every power-basis coefficient of D is divisible by l.  T has a
+   count vector t of l1-norm at most n m^2 (a sum of n products of two
+   vectors of l1-norm at most m), so each coefficient t_i - t_(p-1), less
+   delta |C(K)| at i = 0, is at most 2 n m^2 + max |C(K)| <= B < l/2 in
+   absolute value, and D = 0.
 
 `image_of` keeps the last image on its class table and serves it again
 while the requested functions are all, by identity, functions it was
-built from, so a table assembled once shares one embedding across both
-orthogonality checks and every label.  Functions are held by reference
-and must be tuples to be shared; a table rebuilt with other rows gets a
-fresh image.
+built from, so a table assembled once shares one embedding across first
+orthogonality, the indicators, every label and `selftest`'s column sums.
+Functions are held by reference and must be tuples to be shared; a table
+rebuilt with other rows gets a fresh image.
 """
 
 from operator import itemgetter, mul, sub

@@ -6,10 +6,13 @@ products in exact `Cyclotomic` arithmetic over Z[zeta_p], against which
 the F_l kernel, the root-count indicator, the squaring pass and the rows'
 root counts are compared.  Each row is converted to `Cyclotomic` once per
 run.  Each check reports one line; the CLI turns any failure into exit
-code 3.  The table-level lines (class partition, degree sum, both
-orthogonality relations, square locus, vanishing off V and the sum rule)
-take their verdicts and details from the shared registry
-`characters.TABLE_CHECKS`.
+code 3.  The table-level lines (class partition, degree sum, first
+orthogonality, square locus, vanishing off V and the sum rule) take their
+verdicts and details from the shared registry `characters.TABLE_CHECKS`.
+The registry derives second orthogonality from the first; the
+`second_orthogonality` line also runs the column sums in F_l
+(`check_second_orthogonality`, step 4 of `modular`'s argument) as the
+oracle of that derived verdict.
 
 Group work that no row changes is done once per group and shared.  Each
 class representative is conjugated by every element of G once, and every
@@ -34,10 +37,10 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
-                         assemble_character_table, default_label,
-                         family_class_count, fs_indicator_direct, inner_product,
-                         label_orbit, label_orbits, stabilizer_in_q,
-                         tensor_square_decompose)
+                         assemble_character_table, check_second_orthogonality,
+                         default_label, family_class_count, fs_indicator_direct,
+                         inner_product, label_orbit, label_orbits,
+                         stabilizer_in_q, tensor_square_decompose)
 from .cyclotomic import ONE, ZERO, Cyclotomic, root_of_unity
 from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
@@ -214,9 +217,15 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
 
     check("row_count", len(rows) == ct.n_classes,
           f"{len(rows)} rows = {ct.n_classes} classes")
-    for name in ("degree_sum", "first_orthogonality", "second_orthogonality",
-                 "induced_vanish_off_core"):
+    for name in ("degree_sum", "first_orthogonality"):
         check(name, *verdict[name])
+    column_ok, column_detail = verdict["second_orthogonality"]
+    try:
+        check_second_orthogonality(ct, [r.values for r in rows])
+    except InvariantError as e:
+        column_ok, column_detail = False, str(e)
+    check("second_orthogonality", column_ok, column_detail)
+    check("induced_vanish_off_core", *verdict["induced_vanish_off_core"])
 
     exact = {r.name: tuple(v.to_cyclotomic() for v in r.values) for r in rows}
     if p <= FULL_ORACLE_PRIME_LIMIT:

@@ -7,8 +7,12 @@ quaternionic degree-2 character.  A Report records the exact quantities
 behind each of the three claims plus the structural health checks of the
 table they were read from.  Those checks are the entries of
 `characters.TABLE_CHECKS`; they and psi's element-wise indicator are
-computed once per table and shared by every label of the prime.  The
-element-wise indicators are root-count sums; the literal one is `selftest`'s.
+computed once per table and shared by every label of the prime.  Both
+orthogonality verdicts come from the certificate assembly recorded: the
+first is that certificate, and the second is derived from it and the
+class partition, so no column sums run here; `selftest` runs them as an
+oracle.  The element-wise indicators are root-count sums; the literal one
+is `selftest`'s.
 """
 
 import time

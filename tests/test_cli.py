@@ -192,6 +192,20 @@ class TestTableCache:
         assert "cache hit" not in captured.err
         assert json.loads(captured.out)["prime"] == 3
 
+    @pytest.mark.parametrize("dir_is_a_file", [False, True],
+                             ids=["file_is_a_directory", "dir_is_a_file"])
+    def test_unwritable_cache_is_usage_error(self, tmp_path, capsys, dir_is_a_file):
+        cache = tmp_path / "cache"
+        if dir_is_a_file:
+            cache.write_text("")
+        else:
+            (cache / "table_p5.json").mkdir(parents=True)
+        assert cli.main(["table", "--prime", "5", "--cache", str(cache)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write cache {cache / 'table_p5.json'}: ")
+        assert err.count("\n") == 1
+
     def test_stale_format_recomputed(self, tmp_path, capsys):
         cache = str(tmp_path)
         (tmp_path / "table_p3.json").write_text(json.dumps({"format": 0, "prime": 3}))

@@ -3,7 +3,8 @@
 Character values are integer counts of roots of unity, so the arithmetic
 module needs no `fractions`, and only `selftest`'s oracles (and the
 package's exports) use the `Cyclotomic` arithmetic: `verify`, `scan` and
-`table` run on `RootSum` counts alone.
+`table` run on `RootSum` counts alone.  Second orthogonality is derived
+from assembly's certificate, so only `selftest` runs the column sums.
 """
 
 import ast
@@ -27,8 +28,24 @@ def imports(path):
     return found
 
 
+def identifiers(path):
+    """Every name the module defines, imports, reads or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
 def test_every_module_is_read():
-    assert {"cyclotomic.py", "selftest.py", "__init__.py", "verify.py"} <= {m.name for m in MODULES}
+    assert ({"characters.py", "cyclotomic.py", "selftest.py", "__init__.py", "verify.py"}
+            <= {m.name for m in MODULES})
 
 
 def test_cyclotomic_imports_nothing_from_fractions():
@@ -41,3 +58,9 @@ def test_cyclotomic_imports_nothing_from_fractions():
 def test_only_selftest_and_the_exports_import_cyclotomic(path):
     names = {name for _, name in imports(path)}
     assert ("Cyclotomic" in names) == (path.name in ("selftest.py", "__init__.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_only_selftest_names_the_column_sums(path):
+    named = "check_second_orthogonality" in identifiers(path)
+    assert named == (path.name in ("characters.py", "selftest.py"))

@@ -2,7 +2,9 @@
 
 `selftest.exact_inner_product` sums in exact `Cyclotomic` arithmetic and is
 the independent oracle; column sums, class-formula indicators and
-restrictions to V are recomputed the same way here.
+restrictions to V are recomputed the same way here.  The registry derives
+second orthogonality from assembly's certificate; wherever that verdict
+reads True the column sums must pass too.
 """
 
 from dataclasses import replace
@@ -61,6 +63,7 @@ class TestKernelAgreesWithExactRoute:
         table = _table(p)
         ct = table.class_table
         values = _values(table)
+        assert dict(TABLE_CHECKS)["second_orthogonality"](table)[0] is True
         check_second_orthogonality(ct, values)
         image = image_of(ct, values)
         exact_rows = [_exact(v) for v in values]
@@ -187,6 +190,8 @@ def test_centralizer_orders_must_be_galois_invariant(table7):
         galois_class_permutation(bad.class_table)
     ok, detail = dict(TABLE_CHECKS)["second_orthogonality"](bad)
     assert ok is False and "centralizer orders" in detail
+    with pytest.raises(InvariantError, match="does not preserve centralizer orders"):
+        check_second_orthogonality(bad.class_table, _values(bad))
 
 
 def test_square_map_must_commute_with_galois_action(table7):
@@ -261,3 +266,5 @@ def test_a_table_with_other_rows_gets_its_own_image(table5):
     assert image_of(ct, _values(other)) is not genuine
     ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](other)
     assert ok is False
+    with pytest.raises(InvariantError, match="second orthogonality fails at classes"):
+        check_second_orthogonality(ct, _values(other))

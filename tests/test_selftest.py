@@ -163,6 +163,9 @@ def _swap_core_square_map(group):
 
 CORRUPTIONS = [
     ("assemble_character_table", _permute_induced_rows, "induction_oracle"),
+    # built outside assembly, so neither orthogonality verdict is certified
+    ("assemble_character_table", _permute_induced_rows, "first_orthogonality"),
+    ("assemble_character_table", _permute_induced_rows, "second_orthogonality"),
     ("conjugacy_classes", _bump_identity_root_count, "indicator_oracle"),
     ("conjugacy_classes", _bump_identity_root_count, "square_roots_count"),
     ("conjugacy_classes", _swap_core_square_map, "square_map_total"),

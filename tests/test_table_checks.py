@@ -2,9 +2,12 @@
 
 Every case corrupts one thing in a genuine p=5 table and asserts that the
 targeted registry entry reports False, both directly and as recorded by
-`verify.run_table_checks`.  First orthogonality is asserted by assembly
-itself, so its fault is a corrupted row that assembly must refuse.  The
-same integer invariants guard cached table documents.
+`verify.run_table_checks`.  First orthogonality is decided by assembly,
+which refuses a corrupted row; the registry then reads the certificate
+assembly recorded, so a row edited afterwards reads False.  Second
+orthogonality is derived from that certificate, and the column sums
+`selftest` runs as its oracle must never be stricter.  The same integer
+invariants guard cached table documents.
 """
 
 import json
@@ -13,8 +16,9 @@ from dataclasses import replace
 import pytest
 
 from q8family import characters
-from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS,
-                                 assemble_character_table)
+from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
+                                 assemble_character_table,
+                                 check_second_orthogonality)
 from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
 from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
@@ -58,6 +62,16 @@ def _wrong_central_involution(table):
     return _with_classes(table, group=SemidirectGroup(replace(q, z=q.x)))
 
 
+def _edited_induced_value(table):
+    """One more zeta^0 in an induced row's value at a nonidentity class inside V."""
+    ct = table.class_table
+    k = next(k for k in range(1, ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX)
+    row = next(r for r in table.rows if r.name.startswith("ind_"))
+    counts = row.values[k].counts
+    value = RootSum(ct.p, (counts[0] + 1, *counts[1:]))
+    return _with_row(table, row.name, values=row.values[:k] + (value,) + row.values[k + 1:])
+
+
 def _induced_value_off_core(table):
     ct = table.class_table
     off = next(k for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX)
@@ -67,6 +81,7 @@ def _induced_value_off_core(table):
 
 
 CORRUPTIONS = {
+    "first_orthogonality": _edited_induced_value,
     "second_orthogonality": _wrong_centralizer,
     "degree_sum": _wrong_degree,
     "class_partition": _wrong_size,
@@ -86,7 +101,7 @@ def test_registry_order_is_the_report_order():
 
 def test_every_entry_has_a_fault_case():
     names = {name for name, _ in TABLE_CHECKS}
-    assert names == set(CORRUPTIONS) | {"first_orthogonality"}
+    assert names == set(CORRUPTIONS)
 
 
 def test_genuine_table_passes_every_entry(table5):
@@ -101,6 +116,21 @@ def test_entry_reports_its_fault(table5, name):
     ok, _ = dict(TABLE_CHECKS)[name](bad)
     assert ok is False
     assert run_table_checks(bad).checks[name] is False
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_derived_second_orthogonality_is_never_laxer_than_the_column_sums(table5, name):
+    bad = CORRUPTIONS[name](table5)
+    ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](bad)
+    if ok:
+        check_second_orthogonality(bad.class_table, [r.values for r in bad.rows])
+
+
+def test_table_built_outside_assembly_is_not_certified(table5):
+    direct = CharacterTable(class_table=table5.class_table, rows=table5.rows)
+    checks = dict(TABLE_CHECKS)
+    assert checks["first_orthogonality"](direct)[0] is False
+    assert checks["second_orthogonality"](direct)[0] is False
 
 
 def test_corrupted_row_refused_by_assembly(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from q8family import verify
+from q8family import characters, selftest, verify
 from q8family.characters import label_orbits
 from q8family.cyclotomic import Cyclotomic
 from q8family.errors import UsageError
@@ -101,6 +101,24 @@ def test_verify_builds_no_cyclotomic(built_cyclotomics):
     assert built_cyclotomics == []
     Cyclotomic(3, [0, 1])  # the counter counts
     assert built_cyclotomics == [3]
+
+
+def test_only_selftest_runs_the_column_sums(monkeypatch):
+    calls = []
+    column_sums = characters.check_second_orthogonality
+
+    def counted(ct, values_list):
+        calls.append(ct.p)
+        column_sums(ct, values_list)
+
+    # the only modules that name it (tests/test_layering.py)
+    for module in (characters, selftest):
+        monkeypatch.setattr(module, "check_second_orthogonality", counted)
+    assert verify_prime(7).overall_pass
+    assert scan_one_prime(7)["pass"]
+    assert calls == []
+    assert all(r.ok for r in selftest.run_selftest(7))
+    assert calls == [7]
 
 
 class TestOverallPass:
