@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q8family import cli, selftest
+from q8family import characters
 from q8family.characters import (CharacterTable, assemble_character_table,
                                  label_orbits)
+from q8family.cyclotomic import RootSum, root_of_unity
 from q8family.errors import InvariantError
 from q8family.groups import (SemidirectGroup, build_group, conjugacy_classes,
                              conjugated_subgroup, quaternion_subgroup)
@@ -161,25 +163,55 @@ def _swap_core_square_map(group):
     return replace(ct, square_map=tuple(square_map))
 
 
+def _shift_trivial_row_by_induced_difference(ct):
+    """The real table, but triv + ind_1_1 - ind_1_3 in place of the trivial row (p = 7).
+
+    The two induced rows agree at the identity and have the same
+    multiplicity in chi^2, so the edited row is Galois-closed, its
+    indicators and tensor-square multiplicity are those of triv, and every
+    other oracle runs to a verdict; only its values leave Q.  At p = 5
+    every row is rational, and a value outside Q that is not Galois-closed
+    makes the kernel raise before the line is reached.
+    """
+    table = assemble_character_table(ct)
+    triv, plus, minus = (table.row(name).values for name in ("triv", "ind_1_1", "ind_1_3"))
+    shifted = tuple(RootSum(ct.p, [a + b - c for a, b, c in zip(t.counts, x.counts, y.counts)])
+                    for t, x, y in zip(triv, plus, minus))
+    rows = (replace(table.rows[0], values=shifted),) + table.rows[1:]
+    return CharacterTable(class_table=ct, rows=rows)
+
+
+def _inner_product_plus_one(ct, f, g):
+    return characters.inner_product(ct, f, g) + 1
+
+
+def _zeta_plus_zeta_squared(p, k):
+    return root_of_unity(p, k) + root_of_unity(p, 2 * k)
+
+
 CORRUPTIONS = [
-    ("assemble_character_table", _permute_induced_rows, "induction_oracle"),
+    ("assemble_character_table", _permute_induced_rows, "induction_oracle", 5),
     # built outside assembly, so neither orthogonality verdict is certified
-    ("assemble_character_table", _permute_induced_rows, "first_orthogonality"),
-    ("assemble_character_table", _permute_induced_rows, "second_orthogonality"),
-    ("conjugacy_classes", _bump_identity_root_count, "indicator_oracle"),
-    ("conjugacy_classes", _bump_identity_root_count, "square_roots_count"),
-    ("conjugacy_classes", _swap_core_square_map, "square_map_total"),
+    ("assemble_character_table", _permute_induced_rows, "first_orthogonality", 5),
+    ("assemble_character_table", _permute_induced_rows, "second_orthogonality", 5),
+    ("conjugacy_classes", _bump_identity_root_count, "indicator_oracle", 5),
+    ("conjugacy_classes", _bump_identity_root_count, "square_roots_count", 5),
+    ("conjugacy_classes", _swap_core_square_map, "square_map_total", 5),
+    ("assemble_character_table", _shift_trivial_row_by_induced_difference,
+     "values_in_base_field", 7),
+    ("inner_product", _inner_product_plus_one, "orthogonality_oracle", 5),
+    ("root_of_unity", _zeta_plus_zeta_squared, "cyclotomic_basics", 5),
 ]
 
 
-@pytest.mark.parametrize("target, corrupt, check", CORRUPTIONS,
-                         ids=[c for _, _, c in CORRUPTIONS])
-def test_corrupted_table_fails_its_oracle_and_exits_three(target, corrupt, check,
+@pytest.mark.parametrize("target, corrupt, check, p", CORRUPTIONS,
+                         ids=[c for _, _, c, _ in CORRUPTIONS])
+def test_corrupted_table_fails_its_oracle_and_exits_three(target, corrupt, check, p,
                                                           monkeypatch, capsys):
     monkeypatch.setattr(selftest, target, corrupt)
-    [line] = [r for r in run_selftest(5) if r.name == check]
+    [line] = [r for r in run_selftest(p) if r.name == check]
     assert not line.ok
-    assert cli.main(["selftest", "--prime", "5"]) == 3
+    assert cli.main(["selftest", "--prime", str(p)]) == 3
     assert f"FAIL {check}" in capsys.readouterr().out
 
 
