@@ -6,12 +6,13 @@ V under the Q8 action.  Assembly asserts the counting identities and full
 first orthogonality before returning, records what it proved on the
 table, and attaches a Frobenius-Schur indicator to every row.
 
-Every value is a `RootSum`, a count vector over the p-th roots of unity.
-Every inner product, first orthogonality, the tensor-square
-multiplicities, the class-formula indicators and the restriction to V are
-decided in a prime field F_l by `modular.image_of`, which checks the rows
-Galois-closed first; its docstring gives the argument why one residue
-decides each exact sum.  Second orthogonality follows from the first for
+Every value is a `RootSum`, a count vector over the p-th roots of unity
+with no arithmetic of its own.  Every inner product, first orthogonality,
+the tensor-square multiplicities, the class-formula indicators and the
+restriction to V are decided in a prime field F_l by `modular.image_of`,
+which checks the rows Galois-closed, and so real, first; its docstring
+gives the argument why one residue per value decides each exact sum, the
+conjugate included.  Second orthogonality follows from the first for
 a square table, so its verdict is derived (`_second_orthogonality`); the
 column sums, also in F_l, are `selftest`'s oracle.  The element-wise
 indicator is a root-count sum; its literal per-element form lives in
@@ -161,7 +162,7 @@ def inner_product(ct, f, g):
     """
     image = image_of(ct, (f, g))
     return Fraction(image.exact_sum(image.residues[image.position(f)],
-                                    image.conjugates[image.position(g)]), ct.order)
+                                    image.residues[image.position(g)]), ct.order)
 
 
 def restriction_to_core_inner(ct, values):
@@ -285,7 +286,7 @@ def check_first_orthogonality(ct, values_list):
     rows = [image.position(f) for f in values_list]
     for i, a in enumerate(rows):
         for j in range(i, len(rows)):
-            got = image.exact_sum(image.residues[a], image.conjugates[rows[j]])
+            got = image.exact_sum(image.residues[a], image.residues[rows[j]])
             if got != (ct.order if i == j else 0):
                 raise InvariantError(f"first orthogonality fails at rows ({i}, {j}): "
                                      f"got {Fraction(got, ct.order)}")
@@ -294,19 +295,18 @@ def check_first_orthogonality(ct, values_list):
 def check_second_orthogonality(ct, values_list):
     """Column relations: sum over rows of chi(K) conj(chi(K')) = delta |C(K)|.
 
-    `selftest`'s oracle for the derived verdict of `TABLE_CHECKS`.  Both
-    orders of every class pair are checked mod l, which step 4 of the
-    modular kernel's argument needs to decide each relation exactly.
+    `selftest`'s oracle for the derived verdict of `TABLE_CHECKS`.  The
+    rows are real, so each sum is symmetric in the two classes, and one
+    check mod l per unordered class pair decides every relation exactly
+    (step 4 of the modular kernel's argument).
     """
     image = image_of(ct, values_list)
     rows = [image.position(f) for f in values_list]
     cols = list(zip(*(image.residues[i] for i in rows)))
-    conj_cols = list(zip(*(image.conjugates[i] for i in rows)))
     for k in range(ct.n_classes):
         for k2 in range(k, ct.n_classes):
             want = ct.centralizer_orders[k] if k == k2 else 0
-            if ((sum(map(mul, cols[k], conj_cols[k2])) - want) % image.ell
-                    or (sum(map(mul, cols[k2], conj_cols[k])) - want) % image.ell):
+            if (sum(map(mul, cols[k], cols[k2])) - want) % image.ell:
                 raise InvariantError(
                     f"second orthogonality fails at classes ({k}, {k2})")
 
@@ -354,7 +354,7 @@ def tensor_square_decompose(table, row):
     squared = [x * x % image.ell for x in image.residues[image.position(row.values)]]
     out = {}
     for r in table.rows:
-        m = Fraction(image.exact_sum(squared, image.conjugates[image.position(r.values)]),
+        m = Fraction(image.exact_sum(squared, image.residues[image.position(r.values)]),
                      ct.order)
         mi = _rational_integer(m, f"multiplicity of {r.name}")
         if mi < 0:

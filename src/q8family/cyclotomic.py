@@ -1,23 +1,26 @@
-"""Exact arithmetic in Z and in the rings Z[zeta_p], p an odd prime.
+"""Character values as sums of p-th roots of unity, p an odd prime.
 
 Every character value of (C_p x C_p) : Q8 is a sum of p-th roots of
-unity, so it lies in Z[zeta_p], and these are the only rings kept.  A
-value of order p is held in the power basis 1, zeta, ..., zeta^(p-2) of
-Z[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1), so equality is
-coefficient-wise.  On the counts of the p roots, reducing mod Phi_p
-subtracts the last count from the others: `_canonical`, for both
-`Cyclotomic` and `RootSum`.  A value whose non-constant coefficients all
-vanish is demoted to order 1, so values of different orders are never
-equal.  Every coefficient and count is a plain int: a bool, float or
-Fraction raises TypeError.  An integer lifts into Z[zeta_p] as the
-constant term; arithmetic between two different primes raises ValueError.
-`RootSum`, at the end, holds the values of character tables as counts of
-p-th roots of unity.
+unity, so it lies in Z[zeta_p], and it is held as the int counts of the p
+roots: `RootSum`.  1 + zeta + ... + zeta^(p-1) = 0 spans the relations
+among the powers, so two count vectors name the same value exactly when
+they differ by a multiple of the all-ones vector.  Subtracting the last
+count from the others gives the power basis 1, zeta, ..., zeta^(p-2) of
+Z[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1): `_canonical`, the form
+that is printed and serialized, with a rational value written as the one
+constant (c,) so that a rational is one value at every prime.  Every count
+is a plain int: a bool, float or Fraction raises TypeError.
+
+`RootSum` has no arithmetic; table values are only compared, printed and
+serialized, and the F_l kernel (`modular`) computes with their counts.
+`Cyclotomic`, at the end, is a `RootSum` with the ring operations that
+`selftest`'s exact oracles use; values of two different primes do not
+combine (ValueError).
 """
 
 from functools import lru_cache
 from numbers import Rational
-from operator import countOf, sub
+from operator import add, countOf, sub
 
 from .modp import is_odd_prime
 
@@ -41,7 +44,7 @@ def _canonical(p, counts):
 
     zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)), so the power-basis
     coefficients are counts[i] - counts[p - 1]; a rational value is
-    demoted to (1, (c,)).
+    written (1, (c,)).
     """
     top = counts[-1]
     coeffs = tuple([c - top for c in counts[:-1]] if top else counts[:-1])
@@ -83,133 +86,11 @@ def _decimal_int(text):
     return value
 
 
-class Cyclotomic:
-    """An element of Z (order 1) or of Z[zeta_p] (order p) in the canonical power basis."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        """The value sum_i coeffs[i] zeta_n^i; n is 1 or an odd prime, at most n int coefficients."""
-        if type(n) is not int or n != 1:
-            _require_odd_prime(n)
-        coeffs = list(coeffs)
-        if len(coeffs) > n:
-            raise ValueError(f"{len(coeffs)} coefficients at order {n}")
-        _require_ints(coeffs)
-        if n == 1:
-            coeffs = tuple(coeffs) or (0,)
-        else:
-            n, coeffs = _canonical(n, coeffs + [0] * (n - len(coeffs)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic values are immutable")
-
-    # -- conversions -------------------------------------------------------
-
-    def coeffs_at(self, m):
-        """The coefficients at order m: the value's own order, or an odd prime for a rational."""
-        if m == self.n:
-            return self.coeffs
-        if self.n != 1:
-            raise ValueError(f"cannot lift order {self.n} into order {m}")
-        _require_odd_prime(m)
-        return self.coeffs + (0,) * (m - 2)
-
-    def as_rational(self):
-        """The value as an int if it is rational, else None."""
-        return self.coeffs[0] if self.n == 1 else None
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _common(self, other):
-        """Coerce to (m, coeffs_a, coeffs_b), both at the order m of the two."""
-        if isinstance(other, int):
-            other = Cyclotomic(1, [other])
-        elif not isinstance(other, Cyclotomic):
-            return None
-        m = max(self.n, other.n)
-        return m, self.coeffs_at(m), other.coeffs_at(m)
-
-    def __add__(self, other):
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        m, ca, cb = common
-        return Cyclotomic(m, [x + y for x, y in zip(ca, cb)])
-
-    def __mul__(self, other):
-        """An int scales the coefficients; otherwise a cyclic convolution, zeta^m = 1."""
-        if isinstance(other, int):
-            return Cyclotomic(self.n, [c * other for c in self.coeffs])
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        m, ca, cb = common
-        if not (any(ca) and any(cb)):
-            return ZERO
-        conv = [0] * m
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        conv[(i + j) % m] += x * y
-        return Cyclotomic(m, conv)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        """Complex conjugation, zeta -> zeta^-1: the counts reversed, e -> -e."""
-        if self.n == 1:
-            return self
-        c = self.coeffs
-        return Cyclotomic(self.n, (c[0], 0) + c[:0:-1])
-
-    # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        """Coefficient-wise; the canonical forms of different orders differ."""
-        if isinstance(other, Rational):
-            return self.n == 1 and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    __hash__ = None  # values are compared, never used as keys
-
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self):
-        return _format(self.n, self.coeffs)
-
-    def __repr__(self):
-        return f"Cyclotomic({self.n}, {list(self.coeffs)})"
-
-
-ZERO = Cyclotomic(1, [0])
-ONE = Cyclotomic(1, [1])
-
-
-def root_of_unity(p, k):
-    """zeta_p^k as a canonical Cyclotomic, p an odd prime (exponent taken mod p)."""
-    _require_odd_prime(p)
-    return Cyclotomic(p, [0] * (k % p) + [1])
-
-
 class RootSum:
     """The formal sum sum_e counts[e] zeta_p^e of p-th roots of unity, p an odd prime.
 
-    Integer counts, so the value lies in Z[zeta_p].  1 + zeta + ... +
-    zeta^(p-1) = 0 spans the relations among the powers, so two count
-    vectors name the same element exactly when they differ by a multiple
-    of the all-ones vector.  The equal `Cyclotomic` has the power-basis
-    coefficients counts[i] - counts[p - 1]; equality, `str` and
-    `to_json_obj` agree with it without building it, and `from_json_obj`
-    reads that form back.  `to_cyclotomic` is for arithmetic.
+    Equality is modulo the all-ones vector; `str` and `to_json_obj` write
+    the power-basis form `canonical()`, and `from_json_obj` reads it back.
     """
 
     __slots__ = ("p", "counts")
@@ -227,7 +108,7 @@ class RootSum:
         raise AttributeError("RootSum values are immutable")
 
     def canonical(self):
-        """(n, coeffs) of the equal Cyclotomic, coeffs a tuple.
+        """(n, coeffs): the power-basis coefficients at n = p, or (1, (c,)) for a rational c.
 
         Hashable, and equal for two RootSums exactly when they are equal
         values, whatever their primes: the key of every memo of value texts.
@@ -235,7 +116,7 @@ class RootSum:
         return _canonical(self.p, self.counts)
 
     def to_cyclotomic(self):
-        return Cyclotomic(*self.canonical())
+        return Cyclotomic(self.p, self.counts)
 
     def as_rational(self):
         """The value as an int if it is rational, else None."""
@@ -249,11 +130,9 @@ class RootSum:
         if isinstance(other, RootSum):
             if other.p == self.p:
                 return len(set(map(sub, self.counts, other.counts))) == 1
-            other = other.to_cyclotomic()
+            return self.canonical() == other.canonical()
         if isinstance(other, Rational):
             return self.as_rational() == other
-        if isinstance(other, Cyclotomic):
-            return self.to_cyclotomic() == other
         return NotImplemented
 
     __hash__ = None
@@ -262,10 +141,10 @@ class RootSum:
         return _format(*self.canonical())
 
     def __repr__(self):
-        return f"RootSum({self.p}, {list(self.counts)})"
+        return f"{type(self).__name__}({self.p}, {list(self.counts)})"
 
     def to_json_obj(self):
-        """The serialized form of the equal Cyclotomic: {"n": n, "coeffs": [[str(c), "1"], ...]}."""
+        """The serialized form of `canonical()`: {"n": n, "coeffs": [[str(c), "1"], ...]}."""
         n, coeffs = self.canonical()
         return {"n": n, "coeffs": [[str(c), "1"] for c in coeffs]}
 
@@ -294,3 +173,66 @@ class RootSum:
             raise ValueError("an order-p value whose coefficients past the first are all 0, "
                              "which is written as order 1")
         return cls(p, counts + [0] * (p - len(counts)))
+
+
+class Cyclotomic(RootSum):
+    """A `RootSum` with the ring operations of Z[zeta_p]: +, *, and conjugation."""
+
+    __slots__ = ()
+
+    def __init__(self, p, counts):
+        """The value sum_e counts[e] zeta_p^e; missing counts are 0, so [1] is one and [] zero."""
+        counts = tuple(counts)
+        if len(counts) != p:
+            _require_odd_prime(p)  # before p sizes the padding
+            counts += (0,) * (p - len(counts))
+        RootSum.__init__(self, p, counts)
+
+    def _counts_of(self, other):
+        """The counts of an int (as the zeta^0 count) or a Cyclotomic at this prime, else None."""
+        if type(other) is int:
+            return (other,) + (0,) * (self.p - 1)
+        if not isinstance(other, Cyclotomic):
+            return None
+        if other.p != self.p:
+            raise ValueError(f"values at p={self.p} and p={other.p} do not combine")
+        return other.counts
+
+    def __add__(self, other):
+        counts = self._counts_of(other)
+        if counts is None:
+            return NotImplemented
+        return Cyclotomic(self.p, map(add, self.counts, counts))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        """An int scales the counts; otherwise a cyclic convolution, zeta^p = 1."""
+        if type(other) is int:
+            return Cyclotomic(self.p, [c * other for c in self.counts])
+        counts = self._counts_of(other)
+        if counts is None:
+            return NotImplemented
+        p = self.p
+        conv = [0] * p
+        for i, x in enumerate(self.counts):
+            if x:
+                for j, y in enumerate(counts):
+                    if y:
+                        conv[(i + j) % p] += x * y
+        return Cyclotomic(p, conv)
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        """Complex conjugation, zeta -> zeta^-1: the counts reversed, e -> -e."""
+        c = self.counts
+        if c[1:] == c[:0:-1]:  # a real value: its own conjugate
+            return self
+        return Cyclotomic(self.p, c[:1] + c[:0:-1])
+
+
+def root_of_unity(p, k):
+    """zeta_p^k as a Cyclotomic, p an odd prime (exponent taken mod p)."""
+    _require_odd_prime(p)
+    return Cyclotomic(p, [0] * (k % p) + [1])

@@ -13,20 +13,25 @@ same element exactly when they differ by a constant vector.  Why one
 residue decides each sum, with every step checked at run time when an
 image is built:
 
-1. Galois closure, checked on the counts.  Let g generate (Z/p)^*,
-   sigma_g the automorphism zeta -> zeta^g, and pi the class permutation
-   induced by v -> g v on V (the identity off V).  pi must be a bijection
-   preserving class sizes and centralizer orders and commuting with the
-   square map (sq(pi K) = pi(sq K)); and sigma_g(f(K)) = f(pi K) for every
-   function f and class K, checked as: the counts of f(K) moved by
-   e -> g e, minus the counts of f(pi K), are a constant vector (so
-   re-representing a value is never a false rejection).  Then f o sq is
-   Galois-closed too, since sigma_g(f(sq K)) = f(pi sq K) = f(sq pi K),
-   and the 0/1 mask of the classes inside V is pi-invariant, since pi maps
-   classes of V to classes of V.  So every S = sum_K |K| f(K) conj(h(K))
+1. Galois closure and realness, checked on the counts.  Let g generate
+   (Z/p)^*, sigma_g the automorphism zeta -> zeta^g, and pi the class
+   permutation induced by v -> g v on V (the identity off V).  pi must be
+   a bijection preserving class sizes and centralizer orders and
+   commuting with the square map (sq(pi K) = pi(sq K)); and
+   sigma_g(f(K)) = f(pi K) for every function f and class K, checked as:
+   the counts of f(K) moved by e -> g e, minus the counts of f(pi K), are
+   a constant vector (so re-representing a value is never a false
+   rejection).  Then f o sq is Galois-closed too, since
+   sigma_g(f(sq K)) = f(pi sq K) = f(sq pi K), and the 0/1 mask of the
+   classes inside V is pi-invariant, since pi maps classes of V to
+   classes of V.  Each such f is real: g^((p-1)/2) = -1 mod p, so
+   iterating the closure relation gives conj f(K) = sigma_(-1) f(K) =
+   f(pi^((p-1)/2) K), and pi^((p-1)/2), the class permutation of
+   v -> -v, is the identity, checked (-I lies in Q8, so v and -v share a
+   class).  So conj(h(K)) = h(K), and every S = sum_K |K| f(K) conj(h(K))
    over such functions (f = chi^2, f = chi o sq with h = 1, h = the mask
-   among them) is fixed by sigma_g (sum over pi K instead of K): S is a
-   rational algebraic integer, an integer.
+   among them) is sum_K |K| f(K) h(K), fixed by sigma_g (sum over pi K
+   instead of K): S is a rational algebraic integer, an integer.
 2. Bound.  With m the largest l1-norm of a stored count vector,
    |f(K)| <= m, as roots of unity have absolute value 1, so
    |S| <= |G| m^3 <= B with B = max(|G| m^3, 2 n m^2 + max |C(K)|, 1) for
@@ -39,9 +44,10 @@ image is built:
    residue of absolute value below l/2 is S itself.
 4. Second orthogonality, checked only as `selftest`'s oracle, since
    `verify` derives it from the first (`characters._second_orthogonality`).
-   A column sum T(K, K') = sum_chi chi(K) conj(chi(K')) is not rational,
-   but sigma_g T(K, K') = T(pi K, pi K') and pi preserves centralizer
-   orders, so checking D = T - delta |C(K)| against w for every ordered
+   A column sum T(K, K') = sum_chi chi(K) conj(chi(K')) = sum_chi
+   chi(K) chi(K') (step 1) is not rational, but it is symmetric in K and
+   K', sigma_g T(K, K') = T(pi K, pi K') and pi preserves centralizer
+   orders, so checking D = T - delta |C(K)| against w for every unordered
    pair of classes checks D at all p - 1 primes of Z[zeta_p] above l.
    Then every power-basis coefficient of D is divisible by l.  T has a
    count vector t of l1-norm at most n m^2 (a sum of n products of two
@@ -90,8 +96,9 @@ def galois_class_permutation(ct):
     """(g, pi): a generator g of (Z/p)^* and the class permutation of v -> g v.
 
     pi is the identity off V.  Raises unless pi is a bijection that
-    preserves class sizes and centralizer orders and commutes with the
-    square map.
+    preserves class sizes and centralizer orders, commutes with the square
+    map, and composed (p - 1)/2 times is the identity: then every
+    Galois-closed class function is real (step 1 above).
     """
     p = ct.p
     g = primitive_root(p)
@@ -110,6 +117,12 @@ def galois_class_permutation(ct):
         raise InvariantError("the Galois class permutation does not preserve centralizer orders")
     if any(ct.square_map[pk] != perm[ct.square_map[k]] for k, pk in enumerate(perm)):
         raise InvariantError("the Galois class permutation does not commute with the square map")
+    negation = list(range(ct.n_classes))
+    for _ in range((p - 1) // 2):
+        negation = [perm[k] for k in negation]
+    if negation != list(range(ct.n_classes)):
+        raise InvariantError("the Galois class permutation of v -> -v is not the identity, "
+                             "so closed class functions need not be real")
     return g, perm
 
 
@@ -123,8 +136,8 @@ def count_vector(value, p):
 class ModularImage:
     """Galois-closed class functions of one class table, sent into F_l.
 
-    `residues[i][K]` is the image of f_i(K) under zeta -> w, and
-    `conjugates[i][K]` that of conj(f_i(K)), under zeta -> w^-1.
+    `residues[i][K]` is the image of f_i(K) under zeta -> w; f_i is real,
+    so it is also the image of conj(f_i(K)).
     """
 
     def __init__(self, ct, functions):
@@ -148,11 +161,8 @@ class ModularImage:
                          2 * len(functions) * m * m + max(ct.centralizer_orders), 1)
         self.ell, self.w = split_prime(p, self.bound)
         powers = [pow(self.w, i, self.ell) for i in range(p)]
-        inverse_powers = powers[:1] + powers[:0:-1]
         self.sizes = ct.sizes
         self.residues = [[sum(map(mul, c, powers)) % self.ell for c in row] for row in counts]
-        self.conjugates = [[sum(map(mul, c, inverse_powers)) % self.ell for c in row]
-                           for row in counts]
         self._functions = tuple(functions)  # keeps every id below alive
         self._position = {id(f): i for i, f in enumerate(self._functions)}
 
@@ -164,9 +174,9 @@ class ModularImage:
         """True when every function is one of this image's, all immutable tuples."""
         return all(type(f) is tuple and id(f) in self._position for f in functions)
 
-    def exact_sum(self, residues, conjugates):
-        """The integer sum_K |K| f(K) conj(h(K)) from the images of f and conj(h)."""
-        s = sum(map(mul, map(mul, self.sizes, residues), conjugates)) % self.ell
+    def exact_sum(self, f, h):
+        """The integer sum_K |K| f(K) conj(h(K)) from the residue rows of f and of h, h real."""
+        s = sum(map(mul, map(mul, self.sizes, f), h)) % self.ell
         return s - self.ell if s > self.ell // 2 else s
 
 

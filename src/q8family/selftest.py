@@ -2,13 +2,14 @@
 
 This is the slow-but-independent path: the literal element-wise indicator
 sum, the averaging form of induction, brute-force counts, and inner
-products in exact `Cyclotomic` arithmetic over Z[zeta_p], against which
-the F_l kernel, the root-count indicator, the squaring pass and the rows'
-root counts are compared.  Each row is converted to `Cyclotomic` once per
-run.  Each check reports one line; the CLI turns any failure into exit
-code 3.  The table-level lines (class partition, degree sum, first
-orthogonality, square locus, vanishing off V and the sum rule) take their
-verdicts and details from the shared registry `characters.TABLE_CHECKS`.
+products in exact `Cyclotomic` arithmetic on the root counts of
+Z[zeta_p], against which the F_l kernel, the root-count indicator, the
+squaring pass and the rows' root counts are compared.  Each row is
+converted to `Cyclotomic` once per run.  Each check reports one line;
+the CLI turns any failure into exit code 3.  The table-level lines (class
+partition, degree sum, first orthogonality, square locus, vanishing off V
+and the sum rule) take their verdicts and details from the shared
+registry `characters.TABLE_CHECKS`.
 The registry derives second orthogonality from the first; the
 `second_orthogonality` line also runs the column sums in F_l
 (`check_second_orthogonality`, step 4 of `modular`'s argument) as the
@@ -41,7 +42,7 @@ from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          default_label, family_class_count, fs_indicator_direct,
                          inner_product, label_orbit, label_orbits,
                          stabilizer_in_q, tensor_square_decompose)
-from .cyclotomic import ONE, ZERO, Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity
 from .errors import InvariantError
 from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
                      require_odd_prime)
@@ -96,7 +97,7 @@ def induced_by_averaging(label, ct):
 
 def exact_inner_product(ct, f, g):
     """Independent inner-product oracle: the sum taken in exact `Cyclotomic` arithmetic."""
-    total = ZERO
+    total = Cyclotomic(ct.p, [])
     for size, fv, gv in zip(ct.sizes, f, g):
         if fv.is_zero() or gv.is_zero():
             continue
@@ -116,11 +117,9 @@ def _square_indices(group):
 
 def element_wise_indicator(ct, values):
     """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element."""
-    n = max(v.n for v in values)  # 1 or p
-    lifted = [v.coeffs_at(n) for v in values]
     class_of = ct.class_of
-    terms = [lifted[class_of[s]] for s in _square_indices(ct.group)]
-    r = Cyclotomic(n, [sum(column) for column in zip(*terms)]).as_rational()
+    terms = [values[class_of[s]].counts for s in _square_indices(ct.group)]
+    r = Cyclotomic(ct.p, [sum(column) for column in zip(*terms)]).as_rational()
     if r is None:
         raise InvariantError("element-wise indicator sum is not rational")
     return Fraction(r, ct.order)
@@ -147,8 +146,8 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
 
     # exact arithmetic used below: zeta has order p, so its minimal polynomial is Phi_p
     z1 = root_of_unity(p, 1)
-    powers = list(accumulate(repeat(z1, p), operator.mul, initial=ONE))
-    zeta_sum = sum(powers[:p], ZERO)
+    powers = list(accumulate(repeat(z1, p), operator.mul, initial=Cyclotomic(p, [1])))
+    zeta_sum = sum(powers[:p], Cyclotomic(p, []))
     check("cyclotomic_basics",
           zeta_sum == 0 and powers[p] == 1 and all(z != 1 for z in powers[1:p])
           and z1 * z1.conjugate() == 1 and z1.conjugate().conjugate() == z1,
@@ -250,11 +249,11 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
 
     check("fs_sum_rule", *verdict["sum_rule"])
 
-    orders_ok = all(v.n in (1, p) for values in exact.values() for v in values)
-    # order 1 with an int coefficient: a rational integer
-    inflated_ok = all(v.n == 1 for name, values in exact.items()
+    primes_ok = all(v.p == p for values in exact.values() for v in values)
+    # a rational value of Z[zeta_p] is a rational integer
+    inflated_ok = all(v.as_rational() is not None for name, values in exact.items()
                       if not name.startswith("ind_") for v in values)
-    check("values_in_base_field", orders_ok and inflated_ok,
+    check("values_in_base_field", primes_ok and inflated_ok,
           "values lie in Q(zeta_p); inflated rows are rational integers")
 
     chi = table.induced_row_for_label(default_label(p))

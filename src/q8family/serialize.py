@@ -27,9 +27,10 @@ builds each list's or dict's text with one `str.join` over its encoded
 children, and leaves strings to the C-backed `encode_basestring_ascii`.
 
 Writes go through a temp file plus rename so a crashed run never leaves
-partial JSON behind.  A cached document is served only when its integer
-fields satisfy the table invariants and every value parses as a `RootSum`
-at its prime; the values are not checked against the group.
+partial JSON behind.  A cached document is served only when it has
+exactly the keys and types `table_document` writes, its integer fields
+satisfy the table invariants and every value parses as a `RootSum` at its
+prime; the values are not checked against the group.
 """
 
 import json
@@ -46,6 +47,11 @@ from .cyclotomic import RootSum
 
 TABLE_FORMAT = 1
 REPORT_FORMAT = 1
+
+# the keys `table_document` writes, at each level; a cached document has exactly these
+TABLE_KEYS = {"format", "prime", "group_order", "classes", "characters"}
+CLASS_KEYS = {"rep", "size", "centralizer"}
+CHARACTER_KEYS = {"name", "degree", "indicator", "values"}
 
 
 def _frac_pair(f):
@@ -228,19 +234,30 @@ def cache_path(cache_dir, p):
 
 
 def table_document_problem(doc, p):
-    """The first integer invariant the table document for p breaks, or None."""
+    """The first shape or integer invariant the table document for p breaks, or None.
+
+    Its keys must be exactly those `table_document` writes, at each level.
+    """
     try:
         classes, chars = doc["classes"], doc["characters"]
+        if (doc.keys() != TABLE_KEYS or not all(c.keys() == CLASS_KEYS for c in classes)
+                or not all(ch.keys() == CHARACTER_KEYS for ch in chars)):
+            return "fields other than those of a table document"
         order = doc["group_order"]
+        reps = [c["rep"] for c in classes]
         sizes = [c["size"] for c in classes]
         cents = [c["centralizer"] for c in classes]
         degrees = [ch["degree"] for ch in chars]
         indicators = [ch["indicator"] for ch in chars]
         value_counts = [len(ch["values"]) for ch in chars]
-    except (KeyError, TypeError):
+    except (AttributeError, KeyError, TypeError):
         return "missing or malformed fields"
     if not all(type(x) is int for x in [order, *sizes, *cents, *degrees, *indicators]):
         return "non-integer order, size, centralizer, degree or indicator"
+    if not all(type(ch["name"]) is str for ch in chars):
+        return "a character name that is not a string"
+    if not all(type(r) is list and len(r) == 6 and all(type(x) is int for x in r) for r in reps):
+        return "a class rep that is not a list of six ints"
     if order != 8 * p * p:
         return f"group order {order} != 8 p^2"
     if not len(classes) == len(chars) == family_class_count(p):
@@ -261,9 +278,12 @@ def table_document_problem(doc, p):
 def load_cached_table(cache_dir, p):
     """The cached table document for p, or None if absent, stale, unreadable or invalid.
 
-    p must be an odd prime.  A document is invalid when it breaks an
-    integer invariant or a value does not parse; it is reported on stderr
-    and then treated as a miss, so the caller recomputes and overwrites it.
+    p must be an odd prime; a "format" or "prime" other than the int
+    TABLE_FORMAT or p is a miss.  A document is invalid when its keys are
+    not exactly those `table_document` writes, a name is not a str or a
+    rep not six ints, it breaks an integer invariant, or a value does not
+    parse; it is reported on stderr and then treated as a miss, so the
+    caller recomputes and overwrites it.
     A valid one is returned as `table_document` builds it: its values are
     the parsed `RootSum`s.
     """
@@ -273,10 +293,11 @@ def load_cached_table(cache_dir, p):
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError):  # not UTF-8, not JSON, too deep
         return None
-    if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
+    if type(doc) is not dict:
         return None
-    if doc.get("prime") != p:
-        return None
+    fmt, prime = doc.get("format"), doc.get("prime")
+    if type(fmt) is not int or fmt != TABLE_FORMAT or type(prime) is not int or prime != p:
+        return None  # another format or prime: a miss, not a fault
     problem = table_document_problem(doc, p)
     if problem is None:
         try:

@@ -32,13 +32,13 @@ def table7():
 
 @pytest.fixture
 def built_cyclotomics(monkeypatch):
-    """The order of every Cyclotomic built while the test runs, in order."""
+    """The prime of every Cyclotomic built while the test runs, in order."""
     built = []
     init = Cyclotomic.__init__
 
-    def counted(self, n, coeffs):
-        built.append(n)
-        init(self, n, coeffs)
+    def counted(self, p, counts):
+        built.append(p)
+        init(self, p, counts)
 
     monkeypatch.setattr(Cyclotomic, "__init__", counted)
     return built

@@ -236,8 +236,11 @@ class TestTableCache:
         assert path.read_text() == genuine
 
     @staticmethod
-    def assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edit):
-        """A p=3 cache whose last row gets edit(values) is rejected, rebuilt and rewritten."""
+    def assert_edit_rebuilt(tmp_path, capsys, fmt, edit, rejected=True):
+        """A p=3 cache document given edit(doc) is rebuilt and rewritten.
+
+        A rejected one is reported in one stderr line; any other is a silent miss.
+        """
         cache = str(tmp_path)
         assert cli.main(["table", "--prime", "3", "--format", "json", "--cache", cache]) == 0
         stored = capsys.readouterr().out
@@ -245,16 +248,25 @@ class TestTableCache:
         genuine = capsys.readouterr().out
         path = tmp_path / "table_p3.json"
         doc = json.loads(path.read_text())
-        edit(doc["characters"][-1]["values"])
+        edit(doc)
         path.write_text(json.dumps(doc, indent=2) + "\n")
 
         assert cli.main(["table", "--prime", "3", "--format", fmt, "--cache", cache]) == 0
         captured = capsys.readouterr()
         assert captured.out == genuine
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("cache rejected:")
+        if rejected:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(f"cache rejected: {path}: ")
+        else:
+            assert captured.err == ""
         assert path.read_text() == stored
         return captured.err
+
+    @staticmethod
+    def assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edit):
+        """A p=3 cache whose last row gets edit(values) is rejected, rebuilt and rewritten."""
+        return TestTableCache.assert_edit_rebuilt(
+            tmp_path, capsys, fmt, lambda doc: edit(doc["characters"][-1]["values"]))
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
@@ -288,6 +300,25 @@ class TestTableCache:
         err = self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, "json", respell)
         path = tmp_path / "table_p3.json"
         assert err == f"cache rejected: {path}: a character value does not parse: {reason}\n"
+
+    # edits of a p=3 document's JSON type or shape -> True if the document is
+    # rejected on stderr, False if it is a silent miss like another format
+    SHAPE_EDITS = {
+        "prime float": (lambda doc: doc.update(prime=3.0), False),
+        "format true": (lambda doc: doc.update(format=True), False),
+        "format float": (lambda doc: doc.update(format=1.0), False),
+        "character without name": (lambda doc: doc["characters"][0].pop("name"), True),
+        "class without rep": (lambda doc: doc["classes"][0].pop("rep"), True),
+        "extra top-level key": (lambda doc: doc.update(note="kept"), True),
+        "name not a string": (lambda doc: doc["characters"][0].update(name=1), True),
+        "rep of five ints": (lambda doc: doc["classes"][0]["rep"].pop(), True),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("edit", sorted(SHAPE_EDITS))
+    def test_wrong_type_or_shape_is_rebuilt(self, tmp_path, capsys, fmt, edit):
+        change, rejected = self.SHAPE_EDITS[edit]
+        self.assert_edit_rebuilt(tmp_path, capsys, fmt, change, rejected)
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_prime_bound_checked_before_the_cache(self, tmp_path, capsys, fmt):

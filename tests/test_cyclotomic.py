@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q8family.cyclotomic import ONE, ZERO, Cyclotomic, RootSum, root_of_unity
+from q8family.characters import character_table
+from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -18,8 +19,8 @@ def phi_by_counting(n):
 
 
 def kept(n):
-    """The orders the arithmetic keeps: 1 and the odd primes, phi(p) = p - 1."""
-    return n == 1 or (n % 2 == 1 and phi_by_counting(n) == n - 1)
+    """The orders the arithmetic keeps: the odd primes, phi(p) = p - 1."""
+    return n % 2 == 1 and phi_by_counting(n) == n - 1
 
 
 def poly_mul(a, b):
@@ -61,19 +62,21 @@ def phi_by_division(n):
 class TestCyclotomicPolynomial:
     """Phi_n, from its division definition, against the arithmetic at order n.
 
-    Q[x]/(Phi_n) is kept for n = 1 and the odd primes, where the Moebius
-    product is x - 1 and (x^p - 1)/(x - 1) = 1 + x + ... + x^(p-1), the
-    relation the reduction applies.  Any other order is refused.
+    Z[x]/(Phi_n) is kept for the odd primes, where (x^p - 1)/(x - 1) =
+    1 + x + ... + x^(p-1) is the relation the reduction applies.  Any other
+    order is refused, 1 included: a rational is held at a prime.
     """
 
     def test_phi_1(self):
-        # zeta_1 = 1: order 1 is Q, with one coefficient
+        # zeta_1 = 1: Q needs no order of its own, a rational is one power-basis constant
         assert phi_by_division(1) == [-1, 1]
-        assert Cyclotomic(1, [5]).coeffs == (5,) and Cyclotomic(1, [5]) * 2 == 10
+        assert Cyclotomic(3, [5]).canonical() == (1, (5,)) and Cyclotomic(3, [5]) * 2 == 10
+        with pytest.raises(ValueError, match="not an odd prime"):
+            Cyclotomic(1, [5])
 
     def test_phi_3(self):
         assert phi_by_division(3) == [1, 1, 1]
-        assert root_of_unity(3, 2).coeffs == (-1, -1)  # zeta^2 = -1 - zeta
+        assert root_of_unity(3, 2).canonical() == (3, (-1, -1))  # zeta^2 = -1 - zeta
 
     def test_phi_12_against_division_oracle(self):
         # the oracle: x^12 - 1 divided by Phi_1 Phi_2 Phi_3 Phi_4 Phi_6, all hardcoded
@@ -92,10 +95,10 @@ class TestCyclotomicPolynomial:
                 Cyclotomic(n, [0, 1])
             return
         # zeta^(n-1) reduces to minus the lower terms of the monic Phi_n
-        top = Cyclotomic(n, [0] * (n - 1) + [1])
-        assert len(top.coeffs) == phi_by_counting(n)
-        assert all(type(c) is int for c in top.coeffs)
-        assert top.coeffs == tuple(-c for c in phi_by_division(n)[:-1])
+        n_, coeffs = Cyclotomic(n, [0] * (n - 1) + [1]).canonical()
+        assert n_ == n and len(coeffs) == phi_by_counting(n)
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == tuple(-c for c in phi_by_division(n)[:-1])
 
     def test_bad_index(self):
         with pytest.raises(ValueError, match="not an odd prime"):
@@ -108,8 +111,8 @@ class TestCyclotomicPolynomial:
                 Cyclotomic(n, [1])
             return
         # zeta_n is a root of the division definition's Phi_n
-        zeta = Cyclotomic(n, [0, 1]) if n > 1 else ONE
-        power, value = ONE, ZERO
+        zeta = Cyclotomic(n, [0, 1])
+        power, value = Cyclotomic(n, [1]), Cyclotomic(n, [])
         for c in phi_by_division(n):
             value = value + c * power
             power = power * zeta
@@ -128,7 +131,7 @@ small_ints = st.integers(-9, 9)
 
 
 class TestOrders:
-    @pytest.mark.parametrize("n", [True, 2, 4, 9, 15, 0, -3, 3.0])
+    @pytest.mark.parametrize("n", [True, 2, 4, 9, 15, 0, -3, 3.0, 1])
     def test_refused_orders(self, n):
         with pytest.raises(ValueError, match="not an odd prime"):
             Cyclotomic(n, [1])
@@ -140,33 +143,32 @@ class TestOrders:
             root_of_unity(1, 0)
 
     def test_too_many_coefficients(self):
-        with pytest.raises(ValueError, match="4 coefficients at order 3"):
+        with pytest.raises(ValueError, match="4 counts for the 3-th roots of unity"):
             Cyclotomic(3, [1, 2, 3, 4])
-        with pytest.raises(ValueError, match="2 coefficients at order 1"):
-            Cyclotomic(1, [1, 2])
 
     def test_p_counts_reduce_mod_phi_p(self):
-        assert Cyclotomic(3, [1, 2, 3]).coeffs == (-2, -1)
+        assert Cyclotomic(3, [1, 2, 3]).canonical() == (3, (-2, -1))
         assert Cyclotomic(5, [2, 2, 2, 2, 2]) == 0
-        assert Cyclotomic(5, [4, 3, 3, 3, 3]).coeffs == (1,)
-        assert type(Cyclotomic(5, [4, 3, 3, 3, 3]).coeffs[0]) is int
+        assert Cyclotomic(5, [4, 3, 3, 3, 3]).canonical() == (1, (1,))
+        assert type(Cyclotomic(5, [4, 3, 3, 3, 3]).as_rational()) is int
 
     def test_empty_is_zero(self):
-        assert Cyclotomic(1, []) == 0 and Cyclotomic(7, []) == 0
+        assert Cyclotomic(7, []) == 0 and Cyclotomic(3, []).counts == (0, 0, 0)
+        assert Cyclotomic(3, [1]).counts == (1, 0, 0) and Cyclotomic(3, [1]) == 1
 
     def test_rational_lifts_as_the_constant_term(self):
-        assert (ONE + root_of_unity(5, 1)).coeffs == (1, 1, 0, 0)
-        assert Cyclotomic(1, [3]).coeffs_at(7) == (3, 0, 0, 0, 0, 0)
-        with pytest.raises(ValueError, match="not an odd prime"):
-            ONE.coeffs_at(4)
+        z = root_of_unity(5, 1)
+        assert (1 + z).counts == (z + 1).counts == (1, 1, 0, 0, 0)
+        assert (1 + z).canonical() == (5, (1, 1, 0, 0))
+        assert (3 * z).counts == (z * 3).counts == (0, 3, 0, 0, 0)
 
     def test_two_primes_do_not_combine(self):
         z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
         for op in (operator.add, operator.mul):
-            with pytest.raises(ValueError, match="cannot lift order 3 into order 5"):
+            with pytest.raises(ValueError, match="values at p=3 and p=5 do not combine"):
                 op(z3, z5)
-        with pytest.raises(ValueError, match="cannot lift order 5 into order 3"):
-            z5.coeffs_at(3)
+            with pytest.raises(ValueError, match="values at p=5 and p=3 do not combine"):
+                op(z5, z3)
 
 
 class TestRoots:
@@ -176,7 +178,7 @@ class TestRoots:
     def test_phi3_relation(self):
         # zeta_3^2 = -1 - zeta_3 in the power basis
         z2 = root_of_unity(3, 2)
-        assert z2.n == 3 and z2.coeffs == (-1, -1)
+        assert z2.canonical() == (3, (-1, -1))
 
     def test_exponent_wraps(self):
         assert root_of_unity(5, 7) == root_of_unity(5, 2)
@@ -186,7 +188,7 @@ class TestRoots:
 
     def test_sum_of_nontrivial_cube_roots(self):
         s = root_of_unity(3, 1) + root_of_unity(3, 2)
-        assert s * ONE == -1
+        assert s * Cyclotomic(3, [1]) == -1
 
     def test_exponent_arithmetic(self):
         assert root_of_unity(5, 2) * root_of_unity(5, 4) == root_of_unity(5, 1)
@@ -197,7 +199,7 @@ class TestRoots:
             with pytest.raises(ValueError, match="not an odd prime"):
                 root_of_unity(n, 1)
             return
-        total = ZERO
+        total = Cyclotomic(n, [])
         for k in range(n):
             total = total + root_of_unity(n, k)
         assert total == 0
@@ -213,14 +215,14 @@ class TestRoots:
 
 class TestConjugation:
     def test_rational_fixed(self):
-        assert ONE.conjugate() == 1
+        assert Cyclotomic(5, [1]).conjugate() == 1
 
     def test_zeta5_squared(self):
         assert root_of_unity(5, 2).conjugate() == root_of_unity(5, 3)
 
     def test_zeta3(self):
         c = root_of_unity(3, 1).conjugate()
-        assert c.coeffs == (-1, -1)
+        assert c.counts == (0, 0, 1) and c.canonical() == (3, (-1, -1))
 
 
 class TestRationalDetection:
@@ -237,19 +239,29 @@ class TestRationalDetection:
 
     def test_rational_demotes_to_order_one(self):
         v = Cyclotomic(7, [3] + [0] * 5)
-        assert v.n == 1 and v.coeffs == (3,)
+        assert v.canonical() == (1, (3,))
 
 
-def cyclotomics(p):
-    """Values of order 1 or p, from up to that many small int coefficients."""
-    return st.sampled_from([1, p]).flatmap(
-        lambda n: st.lists(small_ints, min_size=1, max_size=n).map(
-            lambda coeffs: Cyclotomic(n, coeffs)))
+def counts_at(p):
+    """Up to p small int counts of the p-th roots of unity; missing ones are 0."""
+    return st.lists(small_ints, max_size=p)
 
 
 def one_field(k):
-    """k values of orders 1 or p, for one p drawn from 3, 5, 7, 13."""
-    return st.sampled_from([3, 5, 7, 13]).flatmap(lambda p: st.tuples(*[cyclotomics(p)] * k))
+    """k values of Z[zeta_p], from counts, for one p drawn from 3, 5, 7, 13."""
+    return st.sampled_from([3, 5, 7, 13]).flatmap(
+        lambda p: st.tuples(*[counts_at(p).map(lambda c, p=p: Cyclotomic(p, c))] * k))
+
+
+def power_basis(value):
+    """The p - 1 power-basis coefficients of a value, zeros included."""
+    coeffs = value.canonical()[1]
+    return list(coeffs) + [0] * (value.p - 1 - len(coeffs))
+
+
+def reduced(poly, p):
+    """The remainder of poly mod (x^p - 1)/(x - 1), by the independent long division."""
+    return poly_divmod(poly, phi_by_division(p))[1]
 
 
 class TestRingAxioms:
@@ -271,8 +283,8 @@ class TestRingAxioms:
     @settings(max_examples=80, deadline=None)
     def test_units_and_negation(self, values):
         [a] = values
-        assert a + ZERO == a
-        assert a * ONE == a
+        assert a + Cyclotomic(a.p, []) == a and a + 0 == a == 0 + a
+        assert a * Cyclotomic(a.p, [1]) == a and a * 1 == a == 1 * a
         assert a + -1 * a == 0
 
     @given(one_field(2))
@@ -296,16 +308,33 @@ class TestRingAxioms:
 
 
 class TestProduct:
+    """+, * and conjugation on counts against polynomials reduced mod Phi_p."""
+
     @given(p=st.sampled_from(PRIMES), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_product_is_the_remainder_mod_phi_p(self, p, data):
-        # up to p coefficients each, so the factors are reduced as well
-        a = data.draw(st.lists(small_ints, min_size=1, max_size=p))
-        b = data.draw(st.lists(small_ints, min_size=1, max_size=p))
-        _, a_rem = poly_divmod(a, phi_by_division(p))
-        _, rem = poly_divmod(poly_mul(a, b), phi_by_division(p))
-        assert Cyclotomic(p, a).coeffs_at(p) == tuple(a_rem)
-        assert (Cyclotomic(p, a) * Cyclotomic(p, b)).coeffs_at(p) == tuple(rem)
+        # up to p counts each, so the factors are reduced as well
+        a = data.draw(counts_at(p))
+        b = data.draw(counts_at(p))
+        assert power_basis(Cyclotomic(p, a)) == reduced(a, p)
+        assert power_basis(Cyclotomic(p, a) * Cyclotomic(p, b)) == reduced(poly_mul(a, b), p)
+
+    @given(p=st.sampled_from(PRIMES), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_scaling_and_conjugate_are_the_remainders_mod_phi_p(self, p, data):
+        a = data.draw(counts_at(p))
+        b = data.draw(counts_at(p))
+        k = data.draw(small_ints)
+        pa, pb = a + [0] * (p - len(a)), b + [0] * (p - len(b))
+        assert power_basis(Cyclotomic(p, a) + Cyclotomic(p, b)) == reduced(
+            [x + y for x, y in zip(pa, pb)], p)
+        assert power_basis(Cyclotomic(p, a) + k) == reduced([pa[0] + k] + pa[1:], p)
+        assert power_basis(k * Cyclotomic(p, a)) == reduced([k * c for c in a], p)
+        # conj sum_e a_e x^e = sum_e a_e x^(p - e), with x^p = 1
+        mirrored = [0] * p
+        for e, c in enumerate(a):
+            mirrored[-e % p] += c
+        assert power_basis(Cyclotomic(p, a).conjugate()) == reduced(mirrored, p)
 
 
 class TestMixedOrders:
@@ -314,7 +343,7 @@ class TestMixedOrders:
 
     def test_power(self):
         z = root_of_unity(7, 3)
-        powers = [ONE]
+        powers = [Cyclotomic(7, [1])]
         for _ in range(7):
             powers.append(powers[-1] * z)
         assert powers[7] == 1
@@ -333,13 +362,14 @@ class TestHygiene:
         with pytest.raises(TypeError, match="must be ints"):
             Cyclotomic(3, [coeff, 0])
         with pytest.raises(TypeError, match="must be ints"):
-            Cyclotomic(1, [coeff])
+            Cyclotomic(5, [coeff])
         with pytest.raises(TypeError, match="must be ints"):
             RootSum(3, [coeff, 0, 0])  # a sum of bools is an int, yet str would read "True"
 
     def test_only_int_scalars(self):
         z = root_of_unity(3, 1)
-        for scalar in (Fraction(1, 2), 0.5):
+        # a table value (a plain RootSum) has no arithmetic, and a bool is no count
+        for scalar in (Fraction(1, 2), 0.5, True, RootSum(3, [0, 1, 0])):
             with pytest.raises(TypeError):
                 z * scalar
             with pytest.raises(TypeError):
@@ -347,14 +377,15 @@ class TestHygiene:
 
     def test_immutable(self):
         z = root_of_unity(3, 1)
-        with pytest.raises(AttributeError):
-            z.n = 4
+        for attr in ("p", "counts"):
+            with pytest.raises(AttributeError):
+                setattr(z, attr, 5)
 
     def test_str_forms(self):
-        assert str(Cyclotomic(1, [-7])) == "-7"
+        assert str(Cyclotomic(3, [-7])) == "-7"
         assert str(root_of_unity(3, 2)) == "-1 - z3"
         assert str(Cyclotomic(5, [2, -1, 0, 3])) == "2 - z5 + 3*z5^3"
-        assert str(ZERO) == "0"
+        assert str(Cyclotomic(5, [])) == "0"
 
 
 class TestRootSum:
@@ -365,11 +396,13 @@ class TestRootSum:
     def test_agrees_with_the_equal_cyclotomic(self, p, data):
         counts = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
         v = RootSum(p, counts)
-        exact = sum((c * root_of_unity(p, e) for e, c in enumerate(counts)), ZERO)
+        exact = sum((c * root_of_unity(p, e) for e, c in enumerate(counts)), Cyclotomic(p, []))
         assert v.to_cyclotomic() == exact and repr(v.to_cyclotomic()) == repr(exact)
+        assert repr(v) == f"RootSum({p}, {counts})" and repr(exact) == f"Cyclotomic({p}, {counts})"
         assert v == exact and exact == v and not (v != exact)
         assert str(v) == str(exact)
-        assert v.to_json_obj() == {"n": exact.n, "coeffs": [[str(c), "1"] for c in exact.coeffs]}
+        n, coeffs = exact.canonical()
+        assert v.to_json_obj() == {"n": n, "coeffs": [[str(c), "1"] for c in coeffs]}
         assert v.as_rational() == exact.as_rational()
         assert v.is_zero() == exact.is_zero()
         shift = data.draw(st.integers(-5, 5))
@@ -390,7 +423,7 @@ class TestRootSum:
     def test_cyclotomic_of_another_order(self):
         assert RootSum(3, [0, 1, 0]) == root_of_unity(3, 1)
         assert RootSum(3, [0, 1, 0]) != root_of_unity(5, 1)
-        assert RootSum(5, [9, 2, 2, 2, 2]) == Cyclotomic(1, [7]) == RootSum(3, [7, 0, 0])
+        assert RootSum(5, [9, 2, 2, 2, 2]) == Cyclotomic(7, [7]) == RootSum(3, [7, 0, 0])
 
     def test_counts_must_be_exact_ints(self):
         with pytest.raises(TypeError):
@@ -413,3 +446,12 @@ class TestRootSum:
             v.counts = (0, 0, 0)
         with pytest.raises(TypeError):
             hash(v)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_table_value_is_its_own_cyclotomic(self, p):
+        for row in character_table(p).rows:
+            for v in row.values:
+                c = v.to_cyclotomic()
+                assert type(c) is Cyclotomic and c.counts == v.counts
+                assert c == v and v == c
+                assert str(c) == str(v) and c.to_json_obj() == v.to_json_obj()

@@ -3,7 +3,9 @@
 Character values are integer counts of roots of unity, so the arithmetic
 module needs no `fractions`, and only `selftest`'s oracles (and the
 package's exports) use the `Cyclotomic` arithmetic: `verify`, `scan` and
-`table` run on `RootSum` counts alone.  Second orthogonality is derived
+`table` run on `RootSum` counts alone.  `RootSum` has no arithmetic, and
+`Cyclotomic` is a `RootSum` that adds the ring operations and nothing
+else, so Z[zeta_p] has one representation.  Second orthogonality is derived
 from assembly's certificate, so only `selftest` runs the column sums.
 """
 
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import q8family
+from q8family import cyclotomic
+from q8family.cyclotomic import Cyclotomic, RootSum
 
 MODULES = sorted(Path(q8family.__file__).parent.glob("*.py"))
 
@@ -46,6 +50,20 @@ def identifiers(path):
 def test_every_module_is_read():
     assert ({"characters.py", "cyclotomic.py", "selftest.py", "__init__.py", "verify.py"}
             <= {m.name for m in MODULES})
+
+
+def test_table_values_have_no_arithmetic_and_cyclotomic_adds_only_ring_operations():
+    assert not {"__add__", "__radd__", "__mul__", "__rmul__", "conjugate"} & set(vars(RootSum))
+    assert issubclass(Cyclotomic, RootSum) and Cyclotomic.__slots__ == ()
+    own = set(vars(Cyclotomic)) - {"__module__", "__doc__", "__slots__", "__qualname__"}
+    assert {name for name in own if not name.startswith("_") or name.endswith("__")} == {
+        "__init__", "__add__", "__radd__", "__mul__", "__rmul__", "conjugate"}
+
+
+def test_cyclotomic_has_one_representation():
+    for name in ("ZERO", "ONE", "coeffs_at"):
+        assert not hasattr(cyclotomic, name)
+        assert not hasattr(Cyclotomic, name) and not hasattr(RootSum, name)
 
 
 def test_cyclotomic_imports_nothing_from_fractions():

@@ -10,6 +10,7 @@ reads True the column sums must pass too.
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, character_table,
                                  check_second_orthogonality, fs_indicator,
                                  fs_indicator_direct, inner_product, label_orbits,
                                  restriction_to_core_inner, tensor_square_decompose)
-from q8family.cyclotomic import ZERO, Cyclotomic, RootSum, root_of_unity
+from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
 from q8family.modp import is_odd_prime
 from q8family.modular import (ModularImage, galois_class_permutation, image_of,
@@ -44,9 +45,10 @@ def _exact(values):
     return tuple(v.to_cyclotomic() for v in values)
 
 
-def _residue(value, p, image):
+def _residue(value, image):
+    """The image under zeta -> w, from the power-basis coefficients."""
     return sum(c * pow(image.w, i, image.ell)
-               for i, c in enumerate(value.coeffs_at(p))) % image.ell
+               for i, c in enumerate(value.canonical()[1])) % image.ell
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -66,14 +68,19 @@ class TestKernelAgreesWithExactRoute:
         assert dict(TABLE_CHECKS)["second_orthogonality"](table)[0] is True
         check_second_orthogonality(ct, values)
         image = image_of(ct, values)
+        # the images of the conjugates, under zeta -> w^-1: every row is real
+        inverse_powers = [pow(image.w, -e, image.ell) for e in range(p)]
+        conjugates = [[sum(c * x for c, x in zip(v.counts, inverse_powers)) % image.ell
+                       for v in row] for row in values]
+        assert conjugates == image.residues and not hasattr(image, "conjugates")
         exact_rows = [_exact(v) for v in values]
         for k in range(ct.n_classes):
             for k2 in range(ct.n_classes):
-                exact = sum((v[k] * v[k2].conjugate() for v in exact_rows), ZERO)
+                exact = sum((v[k] * v[k2].conjugate() for v in exact_rows), Cyclotomic(p, []))
                 assert exact == (ct.centralizer_orders[k] if k == k2 else 0)
-                kernel = sum(image.residues[i][k] * image.conjugates[i][k2]
+                kernel = sum(image.residues[i][k] * conjugates[i][k2]
                              for i in range(len(values))) % image.ell
-                assert kernel == _residue(exact, p, image)
+                assert kernel == _residue(exact, image)
 
     def test_every_tensor_square(self, p):
         table = _table(p)
@@ -91,9 +98,10 @@ class TestKernelAgreesWithExactRoute:
         core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX]
         for r in table.rows:
             v, x = r.values, _exact(r.values)
+            zero = Cyclotomic(p, [])
             indicator = Fraction(sum((ct.sizes[k] * x[k2] for k, k2 in enumerate(ct.square_map)),
-                                     ZERO).as_rational(), ct.order)
-            restriction = Fraction(sum((ct.sizes[k] * x[k] for k in core), ZERO).as_rational(),
+                                     zero).as_rational(), ct.order)
+            restriction = Fraction(sum((ct.sizes[k] * x[k] for k in core), zero).as_rational(),
                                    p ** 2)
             assert fs_indicator(ct, v) == indicator == fs_indicator_direct(ct, v) == r.indicator
             got = restriction_to_core_inner(ct, v)
@@ -110,7 +118,8 @@ def test_one_changed_coefficient_is_refused(p, data):
     k = data.draw(st.integers(0, len(values[i]) - 1), label="class")
     e = data.draw(st.integers(0, p - 2), label="power")
     delta = data.draw(st.integers(-3, 3).filter(bool), label="delta")
-    coeffs = list(values[i][k].to_cyclotomic().coeffs_at(p))
+    coeffs = list(values[i][k].canonical()[1])
+    coeffs += [0] * (p - 1 - len(coeffs))  # a rational has one
     coeffs[e] += delta
     row = values[i][:k] + (RootSum(p, coeffs + [0]),) + values[i][k + 1:]
     with pytest.raises(InvariantError, match="first orthogonality"):
@@ -207,15 +216,31 @@ def test_square_map_must_commute_with_galois_action(table7):
         fs_indicator(bad, table7.rows[0].values)
 
 
+def test_a_class_permutation_not_squaring_to_negation_is_refused():
+    # A stub at p = 5, g = 2, whose classes 1..4 are the single vectors
+    # (1, 0), (2, 0), (4, 0), (3, 0): v -> 2v is one 4-cycle, so pi^2, the
+    # permutation of v -> -v, is not the identity and closed functions
+    # need not be real.  Sizes, centralizers and the square map pass.
+    reps = [(0, 0), (1, 0), (2, 0), (4, 0), (3, 0)]
+    ct = SimpleNamespace(p=5, n_classes=5, sizes=(1,) * 5, centralizer_orders=(5,) * 5,
+                         square_map=(0,) * 5, group=SimpleNamespace(in_core=lambda e: True),
+                         rep_element=lambda k: reps[k] + IDENTITY_MATRIX,
+                         class_of_element=lambda e: reps.index(e[:2]))
+    with pytest.raises(InvariantError, match=r"permutation of v -> -v is not the identity"):
+        galois_class_permutation(ct)
+    with pytest.raises(InvariantError, match=r"permutation of v -> -v is not the identity"):
+        ModularImage(ct, [(RootSum(5, [1, 0, 0, 0, 0]),) * 5])
+
+
 def test_values_outside_z_zeta_p_are_refused(classes3):
     # neither value type takes a coefficient that is not an int, so 1/2 cannot be
     # written as one
     with pytest.raises(TypeError):
         RootSum(3, [Fraction(1, 2), 0, 0])
     with pytest.raises(TypeError):
-        Cyclotomic(1, [Fraction(1, 2)])
-    refused = [RootSum(5, [0, 1, 0, 0, 0]), Fraction(1, 2), Cyclotomic(1, [1]),
-               root_of_unity(3, 1), 1]
+        Cyclotomic(3, [Fraction(1, 2)])
+    refused = [RootSum(5, [0, 1, 0, 0, 0]), Fraction(1, 2), Cyclotomic(5, [1]),
+               root_of_unity(5, 1), 1]
     for value in refused:
         with pytest.raises(InvariantError, match="is not a RootSum with p = 3"):
             ModularImage(classes3, [(value,) * classes3.n_classes])

@@ -104,10 +104,10 @@ class TestRejectsWhatJsonDumpsRejects:
         assert text == oracle(obj)
 
 
-def cyclotomic_from_json(obj):
-    """The Cyclotomic a serialized value names, each [num, "1"] coefficient read as an int."""
-    assert all(den == "1" for _, den in obj["coeffs"])
-    return Cyclotomic(obj["n"], [int(num) for num, _ in obj["coeffs"]])
+def cyclotomic_from_json(obj, p):
+    """The Cyclotomic at p a serialized value names, each [num, "1"] coefficient read as an int."""
+    assert obj["n"] in (1, p) and all(den == "1" for _, den in obj["coeffs"])
+    return Cyclotomic(p, [int(num) for num, _ in obj["coeffs"]])
 
 
 class TestRootSumJson:
@@ -119,7 +119,7 @@ class TestRootSumJson:
                 back = RootSum.from_json_obj(obj, p)
                 assert back.p == p and back.counts[-1] == 0
                 assert back == v and str(back) == str(v)
-                assert back == cyclotomic_from_json(obj)
+                assert back == cyclotomic_from_json(obj, p)
 
     def test_orders_one_and_p(self):
         seven = RootSum.from_json_obj({"n": 1, "coeffs": [["-7", "1"]]}, 5)
