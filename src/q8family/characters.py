@@ -37,7 +37,7 @@ from operator import mul
 
 from .cyclotomic import RootSum
 from .errors import InvariantError, UsageError
-from .groups import DEFAULT_PRIME_BOUND, build_group, conjugacy_classes
+from .groups import build_group, conjugacy_classes
 from .modular import count_vector, image_of
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -337,9 +337,9 @@ def assemble_character_table(ct):
                           certificate=(ct.sizes, tuple(v for _, v, _ in named)))
 
 
-def character_table(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
+def character_table(p, quaternion=None):
     """Build everything for one prime: group, classes, then the table."""
-    group = build_group(p, quaternion, bound)
+    group = build_group(p, quaternion)
     return assemble_character_table(conjugacy_classes(group))
 
 

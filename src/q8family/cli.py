@@ -13,7 +13,7 @@ import sys
 
 from .characters import character_table
 from .errors import InvariantError, UsageError
-from .groups import DEFAULT_PRIME_BOUND, require_odd_prime
+from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
 from .selftest import run_selftest
 from .serialize import (cache_path, canonical_json, load_cached_table,
                         report_document, scan_document, store_cached_table,
@@ -237,7 +237,7 @@ def cmd_table(args):
     if doc:
         print(f"cache hit: {cache_path(cache_dir, p)}", file=sys.stderr)
     else:
-        doc = table_document(character_table(p, bound=args.bound))
+        doc = table_document(character_table(p))
         if cache_dir:
             text = canonical_json(doc)
             try:

@@ -9,7 +9,8 @@ count from the others gives the power basis 1, zeta, ..., zeta^(p-2) of
 Z[x]/(Phi_p(x)), Phi_p = 1 + x + ... + x^(p-1): `_canonical`, the form
 that is printed and serialized, with a rational value written as the one
 constant (c,) so that a rational is one value at every prime.  Every count
-is a plain int: a bool, float or Fraction raises TypeError.
+is a plain int: a bool, float or Fraction raises TypeError.  p passes
+`modp.require_odd_prime`, whose UsageError is a ValueError.
 
 `RootSum` has no arithmetic; table values are only compared, printed and
 serialized, and the F_l kernel (`modular`) computes with their counts.
@@ -22,15 +23,7 @@ from functools import lru_cache
 from numbers import Rational
 from operator import add, countOf, sub
 
-from .modp import is_odd_prime
-
-# every RootSum checks its p; a table builds thousands, all at one prime
-_odd_prime = lru_cache(maxsize=128)(is_odd_prime)
-
-
-def _require_odd_prime(p):
-    if type(p) is not int or not _odd_prime(p):
-        raise ValueError(f"p={p!r}: not an odd prime")
+from .modp import require_odd_prime
 
 
 def _require_ints(values):
@@ -97,7 +90,7 @@ class RootSum:
 
     def __init__(self, p, counts):
         counts = tuple(counts)
-        _require_odd_prime(p)
+        require_odd_prime(p)
         if len(counts) != p:
             raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
         _require_ints(counts)
@@ -184,7 +177,7 @@ class Cyclotomic(RootSum):
         """The value sum_e counts[e] zeta_p^e; missing counts are 0, so [1] is one and [] zero."""
         counts = tuple(counts)
         if len(counts) != p:
-            _require_odd_prime(p)  # before p sizes the padding
+            require_odd_prime(p)  # before p sizes the padding
             counts += (0,) * (p - len(counts))
         RootSum.__init__(self, p, counts)
 
@@ -234,5 +227,5 @@ class Cyclotomic(RootSum):
 
 def root_of_unity(p, k):
     """zeta_p^k as a Cyclotomic, p an odd prime (exponent taken mod p)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return Cyclotomic(p, [0] * (k % p) + [1])

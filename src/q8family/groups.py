@@ -9,25 +9,16 @@ part.  That encoding is what appears in JSON reports.
 G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
 fixes a nonzero vector.  Conjugacy classes are read off that structure
 (Q-orbits on V, whole cosets of V off it), then one pass squares every
-element (|G| = 8 p^2 <= 75,272 up to the prime bound 97).
+element (|G| = 8 p^2 for any odd prime p: 75,272 at the commands'
+default bound 97, which only they check).
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InvariantError, UsageError
-from .modp import Mat2, is_odd_prime
-
-DEFAULT_PRIME_BOUND = 97
+from .modp import Mat2, require_odd_prime
 
 # conjugation convention used throughout: h ** g = g h g^-1
-
-
-def require_odd_prime(p, bound=DEFAULT_PRIME_BOUND):
-    if not isinstance(p, int) or not is_odd_prime(p):
-        raise UsageError(f"p={p}: not an odd prime")
-    if p > bound:
-        raise UsageError(f"p={p} exceeds the prime bound {bound}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -76,9 +67,9 @@ def _build_subgroup(p, x, y):
     return QuaternionSubgroup(p=p, x=x, y=y, z=z, elements=elements, class_of=class_of)
 
 
-def quaternion_subgroup(p, bound=DEFAULT_PRIME_BOUND):
+def quaternion_subgroup(p):
     """The canonical quaternion subgroup of SL2(p) for an odd prime p."""
-    require_odd_prime(p, bound)
+    require_odd_prime(p)
     x = Mat2.make(0, -1, 1, 0, p)
     y = None
     target = p - 1  # -1 mod p
@@ -178,10 +169,10 @@ class SemidirectGroup:
         return g[2:] == (1, 0, 0, 1)
 
 
-def build_group(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
+def build_group(p, quaternion=None):
     """Enumerate G for the given odd prime; 8 p^2 elements, identity first."""
     if quaternion is None:
-        quaternion = quaternion_subgroup(p, bound)
+        quaternion = quaternion_subgroup(p)
     elif quaternion.p != p:
         raise UsageError("subgroup prime does not match requested prime")
     return SemidirectGroup(quaternion)
@@ -221,18 +212,6 @@ class ClassTable:
         return self.class_of[self.group.index[g]]
 
 
-def _conjugate(n, m):
-    """The entries of N M N^-1 for det N = 1, so that N^-1 = [[d, -b], [-c, a]].
-
-    Written out because two Mat2 products and an inverse cost about three
-    times as much, and the 56 conjugations are most of the work at small p.
-    """
-    a, b, c, d, p = n
-    x, y = a * m.a + b * m.c, a * m.b + b * m.d
-    z, w = c * m.a + d * m.c, c * m.b + d * m.d
-    return ((x * d - y * c) % p, (y * a - x * b) % p, (z * d - w * c) % p, (w * a - z * b) % p)
-
-
 def conjugacy_classes(group):
     """Partition the element list into conjugacy classes from the Frobenius structure.
 
@@ -260,11 +239,13 @@ def conjugacy_classes(group):
             raise InvariantError(f"quaternion element {m.entries()} has det != 1")
         if m != ident and ((1 - m.a) * (1 - m.d) - m.b * m.c) % p == 0:
             raise InvariantError(f"quaternion element {m.entries()} fixes a nonzero vector")
-    # M -> the entries of its class in Q, for M != I
+    # M -> the entries of its class in Q, for M != I: the matrix parts of
+    # (0, N) (0, M) (0, N)^-1, so `group.conj` is the one conjugation formula
     q_class = {}
     for m in q:
         if m != ident:
-            conj = {_conjugate(n, m) for n in q}
+            h = (0, 0) + m.entries()
+            conj = {group.conj((0, 0) + n.entries(), h)[2:] for n in q}
             if not conj <= in_q:
                 raise InvariantError(f"a conjugate of {m.entries()} is not in Q")
             q_class[m.entries()] = conj

@@ -1,11 +1,19 @@
-"""Prime-field scalars and 2x2 matrices over F_p.
+"""Prime-field scalars and 2x2 matrices over F_p, and the one check that p is an odd prime.
 
 Scalars are plain int residues in [0, p); the modulus travels on the
 containing structure.  Matrices are NamedTuples so they are hashable and
 cheap to compare.
+
+The prime bound is the commands' cost policy (`--bound`): only their
+entry points pass one to `require_odd_prime`; every builder takes any
+odd prime.
 """
 
 from typing import NamedTuple
+
+from .errors import UsageError
+
+DEFAULT_PRIME_BOUND = 97
 
 
 def is_odd_prime(p):
@@ -17,6 +25,15 @@ def is_odd_prime(p):
             return False
         d += 2
     return True
+
+
+def require_odd_prime(p, bound=None):
+    """p, if it is a plain int that is an odd prime and, given a bound, at most it; else UsageError."""
+    if type(p) is not int or not is_odd_prime(p):
+        raise UsageError(f"p={p!r}: not an odd prime")
+    if bound is not None and p > bound:
+        raise UsageError(f"p={p} exceeds the prime bound {bound}")
+    return p
 
 
 class Mat2(NamedTuple):

@@ -6,7 +6,9 @@ products in exact `Cyclotomic` arithmetic on the root counts of
 Z[zeta_p], against which the F_l kernel, the root-count indicator, the
 squaring pass and the rows' root counts are compared.  Each row is
 converted to `Cyclotomic` once per run.  Each check reports one line;
-the CLI turns any failure into exit code 3.  The table-level lines (class
+the CLI turns any failure into exit code 3.  An oracle line after
+assembly that raises InvariantError fails with the error's text, and the
+run goes on to the next line.  The table-level lines (class
 partition, degree sum, first orthogonality, square locus, vanishing off V
 and the sum rule) take their verdicts and details from the shared
 registry `characters.TABLE_CHECKS`.
@@ -44,8 +46,8 @@ from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          stabilizer_in_q, tensor_square_decompose)
 from .cyclotomic import Cyclotomic, root_of_unity
 from .errors import InvariantError
-from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     require_odd_prime)
+from .groups import build_group, conjugacy_classes
+from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
 
 ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
@@ -137,12 +139,19 @@ def q8_table_checks():
 
 
 def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
-    """All invariant checks for one prime; returns the per-check results."""
+    """All invariant checks for one odd prime p <= bound; returns the per-check results."""
     require_odd_prime(p, bound)
     results = []
 
     def check(name, ok, detail=""):
         results.append(CheckResult(name, bool(ok), detail))
+
+    def oracle(name, run):
+        """check(name, *run()), or a FAIL with the text of the InvariantError run raises."""
+        try:
+            check(name, *run())
+        except InvariantError as e:
+            check(name, False, str(e))
 
     # exact arithmetic used below: zeta has order p, so its minimal polynomial is Phi_p
     z1 = root_of_unity(p, 1)
@@ -153,7 +162,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           and z1 * z1.conjugate() == 1 and z1.conjugate().conjugate() == z1,
           f"sum of p-th roots = {zeta_sum}; Phi_p all-ones")
 
-    group = build_group(p, bound=bound)
+    group = build_group(p)
     q = group.quaternion
     order = len(group)
     check("quaternion_subgroup", True,
@@ -218,12 +227,12 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           f"{len(rows)} rows = {ct.n_classes} classes")
     for name in ("degree_sum", "first_orthogonality"):
         check(name, *verdict[name])
-    column_ok, column_detail = verdict["second_orthogonality"]
-    try:
+
+    def column_sums():
         check_second_orthogonality(ct, [r.values for r in rows])
-    except InvariantError as e:
-        column_ok, column_detail = False, str(e)
-    check("second_orthogonality", column_ok, column_detail)
+        return verdict["second_orthogonality"]
+
+    oracle("second_orthogonality", column_sums)
     check("induced_vanish_off_core", *verdict["induced_vanish_off_core"])
 
     exact = {r.name: tuple(v.to_cyclotomic() for v in r.values) for r in rows}
@@ -231,16 +240,15 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
         oracle_labels = list(orbits)
     else:
         oracle_labels = [min(label_orbit(q, default_label(p)))]
-    oracle_ok = all(
-        induced_by_averaging(l, ct) == exact[f"ind_{l[0]}_{l[1]}"]
-        for l in oracle_labels)
-    check("induction_oracle", oracle_ok,
-          f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)")
+    oracle("induction_oracle", lambda: (
+        all(induced_by_averaging(l, ct) == exact[f"ind_{l[0]}_{l[1]}"]
+            for l in oracle_labels),
+        f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)"))
 
-    check("indicator_oracle",
-          all(r.indicator == fs_indicator_direct(ct, r.values)
-              == element_wise_indicator(ct, exact[r.name]) for r in rows),
-          "class-formula indicator = element-wise sum on every row")
+    oracle("indicator_oracle", lambda: (
+        all(r.indicator == fs_indicator_direct(ct, r.values)
+            == element_wise_indicator(ct, exact[r.name]) for r in rows),
+        "class-formula indicator = element-wise sum on every row"))
 
     negatives = [r.name for r in rows if r.indicator == -1]
     check("indicator_signs",
@@ -257,23 +265,29 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
           "values lie in Q(zeta_p); inflated rows are rational integers")
 
     chi = table.induced_row_for_label(default_label(p))
-    dec = tensor_square_decompose(table, chi)
-    weight = sum(m * table.row(nm).degree for nm, m in dec.items())
-    check("tensor_square",
-          all(m >= 0 for m in dec.values()) and weight == 64
-          and dec["triv"] == 1 and dec["psi"] >= 1,
-          f"multiplicities >= 0, weight sum {weight} = 64, "
-          f"[triv] = {dec['triv']}, [psi] = {dec['psi']}")
+
+    def tensor_square():
+        dec = tensor_square_decompose(table, chi)
+        weight = sum(m * table.row(nm).degree for nm, m in dec.items())
+        return (all(m >= 0 for m in dec.values()) and weight == 64
+                and dec["triv"] == 1 and dec["psi"] >= 1,
+                f"multiplicities >= 0, weight sum {weight} = 64, "
+                f"[triv] = {dec['triv']}, [psi] = {dec['psi']}")
+
+    oracle("tensor_square", tensor_square)
 
     if p <= FULL_ORACLE_PRIME_LIMIT:
         pairs = [(f, g) for i, f in enumerate(rows) for g in rows[i:]]
     else:
         pairs = [(chi, g) for g in rows]
     squared = tuple(v * v for v in exact[chi.name])
-    check("orthogonality_oracle",
-          all(inner_product(ct, f.values, g.values)
-              == exact_inner_product(ct, exact[f.name], exact[g.name]) for f, g in pairs)
-          and dec["psi"] == exact_inner_product(ct, squared, exact["psi"]),
-          f"F_l kernel = exact Cyclotomic sum on {len(pairs)} row pair(s) and [chi^2, psi]")
+    # the F_l [chi^2, psi] is decomposed again (well under a millisecond), so
+    # an InvariantError of the tensor_square line also fails this one
+    oracle("orthogonality_oracle", lambda: (
+        all(inner_product(ct, f.values, g.values)
+            == exact_inner_product(ct, exact[f.name], exact[g.name]) for f, g in pairs)
+        and tensor_square_decompose(table, chi)["psi"]
+        == exact_inner_product(ct, squared, exact["psi"]),
+        f"F_l kernel = exact Cyclotomic sum on {len(pairs)} row pair(s) and [chi^2, psi]"))
 
     return results

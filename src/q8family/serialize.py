@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -52,11 +53,6 @@ REPORT_FORMAT = 1
 TABLE_KEYS = {"format", "prime", "group_order", "classes", "characters"}
 CLASS_KEYS = {"rep", "size", "centralizer"}
 CHARACTER_KEYS = {"name", "degree", "indicator", "values"}
-
-
-def _frac_pair(f):
-    f = Fraction(f)
-    return [str(f.numerator), str(f.denominator)]
 
 
 def table_document(table):
@@ -102,39 +98,28 @@ def document_values(doc):
     return [[value(obj) for obj in ch["values"]] for ch in doc["characters"]]
 
 
+def _report_value(value):
+    """A Report field as its document holds it: a Fraction as [num, den], a tuple as a list."""
+    if isinstance(value, Fraction):
+        return [str(value.numerator), str(value.denominator)]
+    if isinstance(value, dict):
+        return {k: _report_value(v) for k, v in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def report_document(report):
-    """The serializable form of a verification Report."""
-    breakdown = dict(report.indicator_breakdown)
-    breakdown["restriction_inner"] = _frac_pair(breakdown["restriction_inner"])
-    breakdown["numerator"] = _frac_pair(breakdown["numerator"])
-    doc = {
-        "format": REPORT_FORMAT,
-        "kind": "verification_report",
-        "prime": report.prime,
-        "label": list(report.label),
-        "orbit_rep": list(report.orbit_rep),
-        "group_order": report.group_order,
-        "class_count": report.class_count,
-        "degree_multiset": list(report.degree_multiset),
-        "indicator_list": list(report.indicator_list),
-        "row_names": list(report.row_names),
-        "stabilizer_size": report.stabilizer_size,
-        "induced_norm": _frac_pair(report.induced_norm),
-        "indicator_induced": report.indicator_induced,
-        "indicator_induced_direct": report.indicator_induced_direct,
-        "indicator_psi": report.indicator_psi,
-        "indicator_psi_direct": report.indicator_psi_direct,
-        "psi_multiplicity": report.psi_multiplicity,
-        "decomposition": dict(report.decomposition),
-        "indicator_breakdown": breakdown,
-        "claims": dict(report.claims),
-        "checks": dict(report.checks),
-        "square_locus_size": report.square_locus_size,
-        "overall_pass": report.overall_pass,
-        "timings": dict(report.timings),
-    }
-    if report.alt_subgroup is not None:
-        doc["alt_subgroup"] = dict(report.alt_subgroup)
+    """The serializable form of a verification Report.
+
+    Its fields in order, `overall_pass` just before `timings`, and
+    `alt_subgroup` only when set.
+    """
+    doc = {"format": REPORT_FORMAT, "kind": "verification_report"}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == "timings":
+            doc["overall_pass"] = report.overall_pass
+        if value is not None:
+            doc[f.name] = _report_value(value)
     return doc
 
 

@@ -12,7 +12,8 @@ orthogonality verdicts come from the certificate assembly recorded: the
 first is that certificate, and the second is derived from it and the
 class partition, so no column sums run here; `selftest` runs them as an
 oracle.  The element-wise indicators are root-count sums; the literal one
-is `selftest`'s.
+is `selftest`'s.  The prime bound, a cost policy, is checked once, where
+`verify_prime` and `scan_primes` start; the builders take any odd prime.
 """
 
 import time
@@ -27,9 +28,9 @@ from .characters import (TABLE_CHECKS, assemble_character_table, default_label,
                          restriction_to_core_inner, stabilizer_in_q,
                          tensor_square_decompose)
 from .errors import InvariantError, UsageError
-from .groups import (DEFAULT_PRIME_BOUND, build_group, conjugacy_classes,
-                     conjugated_subgroup, quaternion_subgroup, require_odd_prime)
-from .modp import Mat2, is_odd_prime
+from .groups import (build_group, conjugacy_classes, conjugated_subgroup,
+                     quaternion_subgroup)
+from .modp import DEFAULT_PRIME_BOUND, Mat2, is_odd_prime, require_odd_prime
 
 
 @dataclass
@@ -152,12 +153,11 @@ def verify_label(table, label, facts=None):
     )
 
 
-def build_table_timed(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
+def build_table_timed(p, quaternion=None):
     """Group, classes and table for one prime, with per-phase wall times."""
-    require_odd_prime(p, bound)
     timings = {}
     t0 = time.perf_counter()
-    group = build_group(p, quaternion, bound)
+    group = build_group(p, quaternion)
     t1 = time.perf_counter()
     ct = conjugacy_classes(group)
     t2 = time.perf_counter()
@@ -172,7 +172,7 @@ def build_table_timed(p, quaternion=None, bound=DEFAULT_PRIME_BOUND):
 ALT_CONJUGATOR = (1, 1, 0, 1)  # unipotent, det 1; moves Q off itself for p > 3
 
 
-def _alt_subgroup_summary(p, label, reference, bound):
+def _alt_subgroup_summary(p, label, reference):
     """Verify against a conjugate quaternion subgroup and compare verdicts.
 
     All quaternion subgroups of SL2(p) are conjugate, so every certified
@@ -180,8 +180,8 @@ def _alt_subgroup_summary(p, label, reference, bound):
     error, not a verification failure.
     """
     t = Mat2.make(*ALT_CONJUGATOR, p)
-    alt_q = conjugated_subgroup(quaternion_subgroup(p, bound), t)
-    table, _ = build_table_timed(p, alt_q, bound)
+    alt_q = conjugated_subgroup(quaternion_subgroup(p), t)
+    table, _ = build_table_timed(p, alt_q)
     rep = verify_label(table, label)
     summary = {
         "conjugator": list(ALT_CONJUGATOR),
@@ -200,17 +200,17 @@ def _alt_subgroup_summary(p, label, reference, bound):
 
 
 def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
-    """Full pipeline for one prime: build, check, and certify the claims."""
+    """Full pipeline for one odd prime p <= bound: build, check, and certify the claims."""
     require_odd_prime(p, bound)
     if label is None:
         label = default_label(p)
     label = nontrivial_label(label, p)
     total0 = time.perf_counter()
-    table, timings = build_table_timed(p, None, bound)
+    table, timings = build_table_timed(p)
     report = verify_label(table, label)
     report.timings.update(timings)
     if alt_subgroup:
-        report.alt_subgroup = _alt_subgroup_summary(p, label, report, bound)
+        report.alt_subgroup = _alt_subgroup_summary(p, label, report)
     report.timings["total_seconds"] = time.perf_counter() - total0
     return report
 
@@ -234,15 +234,14 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
         # Imported here: it loads multiprocessing, which no other command needs.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(scan_one_prime, primes, repeat(bound),
-                                 repeat(alt_subgroup)))
-    return [scan_one_prime(p, bound, alt_subgroup) for p in primes]
+            return list(pool.map(scan_one_prime, primes, repeat(alt_subgroup)))
+    return [scan_one_prime(p, alt_subgroup) for p in primes]
 
 
-def scan_one_prime(p, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
+def scan_one_prime(p, alt_subgroup=False):
     """Verify all orbit representatives for one prime; summary dict."""
     t0 = time.perf_counter()
-    table, _ = build_table_timed(p, None, bound)
+    table, _ = build_table_timed(p)
     facts = run_table_checks(table)
     reps = label_orbits(table.class_table.group.quaternion)
     failures = []
@@ -265,7 +264,7 @@ def scan_one_prime(p, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
         "seconds": time.perf_counter() - t0,
     }
     if alt_subgroup:
-        alt = _alt_subgroup_summary(p, default_label(p), default_report, bound)
+        alt = _alt_subgroup_summary(p, default_label(p), default_report)
         summary["alt_subgroup_pass"] = alt["pass"]
         summary["pass"] = summary["pass"] and alt["pass"]
     return summary

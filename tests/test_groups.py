@@ -61,8 +61,13 @@ class TestQuaternionSubgroup:
             quaternion_subgroup(2)
         with pytest.raises(UsageError):
             quaternion_subgroup(9)
-        with pytest.raises(UsageError):
-            quaternion_subgroup(101, bound=97)
+        with pytest.raises(UsageError, match="not an odd prime"):
+            quaternion_subgroup(3.0)
+
+    def test_takes_any_odd_prime(self):
+        # the prime bound is the commands' cost policy, not the builders'
+        q = quaternion_subgroup(101)
+        assert q.p == 101 and len(set(q.elements)) == 8
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_conjugated_subgroup_satisfies_relations(self, p):

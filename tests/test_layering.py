@@ -7,6 +7,9 @@ package's exports) use the `Cyclotomic` arithmetic: `verify`, `scan` and
 `Cyclotomic` is a `RootSum` that adds the ring operations and nothing
 else, so Z[zeta_p] has one representation.  Second orthogonality is derived
 from assembly's certificate, so only `selftest` runs the column sums.
+`modp` holds the one check that p is an odd prime; the prime bound is a
+parameter only of that check and of the three entry points that apply it,
+and `groups` conjugates with `SemidirectGroup.conj` alone.
 """
 
 import ast
@@ -82,3 +85,35 @@ def test_only_selftest_and_the_exports_import_cyclotomic(path):
 def test_only_selftest_names_the_column_sums(path):
     named = "check_second_orthogonality" in identifiers(path)
     assert named == (path.name in ("characters.py", "selftest.py"))
+
+
+def functions(path):
+    """Every function the module defines, at any depth."""
+    return [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def strings(path):
+    """Every string constant in the module."""
+    return {node.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_only_modp_checks_that_p_is_an_odd_prime(path):
+    in_modp = path.name == "modp.py"
+    assert any("odd_prime" in f.name for f in functions(path)) == in_modp
+    assert any("not an odd prime" in text for text in strings(path)) == in_modp
+
+
+def test_the_prime_bound_is_a_parameter_of_the_check_and_the_entry_points_only():
+    # `modular.split_prime`'s bound is on the sums an F_l image must hold, not on p
+    capped = {f.name for path in MODULES if path.name != "modular.py"
+              for f in functions(path)
+              if "bound" in [a.arg for a in f.args.args + f.args.kwonlyargs]}
+    assert capped == {"require_odd_prime", "verify_prime", "scan_primes", "run_selftest"}
+
+
+def test_groups_has_one_conjugation_formula():
+    [path] = [m for m in MODULES if m.name == "groups.py"]
+    assert "_conjugate" not in {f.name for f in functions(path)}

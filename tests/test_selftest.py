@@ -86,8 +86,9 @@ class TestOracleCost:
         calls = _count_calls(monkeypatch, "conj")
         results = run_selftest(7)
         assert all(r.ok for r in results)
-        # 11 class reps by the 392 elements, plus z on each of the 49 v in V
-        assert len(calls) == 11 * 392 + 7 ** 2 == 4361
+        # 11 class reps by the 392 elements, plus z on each of the 49 v in V,
+        # plus the class partition's 7 nonidentity matrices of Q by its 8
+        assert len(calls) == 11 * 392 + 7 ** 2 + 7 * 8 == 4417
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_element_wise_indicator_squares_each_element_once_per_group(
@@ -228,6 +229,38 @@ def test_inexact_averaging_division_raises_and_exits_three(monkeypatch, capsys):
     with pytest.raises(InvariantError, match=r"is not divisible by \|V\| = 25"):
         induced_by_averaging(min(label_orbits(ct.group.quaternion)), ct)
     assert cli.main(["selftest", "--prime", "5"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("internal invariant violation: averaging sum of label ")
-    assert err.endswith(" is not divisible by |V| = 25\n")
+    out, err = capsys.readouterr()
+    assert err == ""
+    [line] = [ln for ln in out.splitlines() if ln.startswith("FAIL induction_oracle")]
+    assert " averaging sum of label " in line and line.endswith(" is not divisible by |V| = 25")
+    assert out.endswith("selftest p=5: 23/24 checks passed\n")
+
+
+def _zeta_as_last_linx_value(ct):
+    """The real table, but zeta in place of the linX row's last value.
+
+    The row is no longer Galois-closed, so the F_l kernel and the
+    element-wise indicator raise InvariantError inside their oracles.
+    """
+    table = assemble_character_table(ct)
+    i = table.row_index_by_name["linX"]
+    zeta = RootSum(ct.p, [0, 1] + [0] * (ct.p - 2))
+    rows = list(table.rows)
+    rows[i] = replace(rows[i], values=rows[i].values[:-1] + (zeta,))
+    return CharacterTable(class_table=ct, rows=tuple(rows))
+
+
+def test_an_oracle_that_raises_fails_its_own_line_and_the_run_goes_on(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "assemble_character_table", _zeta_as_last_linx_value)
+    results = run_selftest(5)
+    assert [r.name for r in results][-1] == "orthogonality_oracle"
+    failed = {r.name: r.detail for r in results if not r.ok}
+    assert failed["indicator_oracle"] == "element-wise indicator sum is not rational"
+    for name in ("second_orthogonality", "tensor_square", "orthogonality_oracle"):
+        assert "is not Galois-closed" in failed[name]
+    assert cli.main(["selftest", "--prime", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "FAIL indicator_oracle         element-wise indicator sum is not rational\n" in out
+    assert out.endswith(f"selftest p=5: {len(results) - len(failed)}/{len(results)} "
+                        "checks passed\n")

@@ -83,6 +83,24 @@ class TestMatchesJsonDumps:
         assert canonical_json(doc) == oracle(doc)
 
 
+REPORT_KEYS = [
+    "format", "kind", "prime", "label", "orbit_rep", "group_order", "class_count",
+    "degree_multiset", "indicator_list", "row_names", "stabilizer_size", "induced_norm",
+    "indicator_induced", "indicator_induced_direct", "indicator_psi",
+    "indicator_psi_direct", "psi_multiplicity", "decomposition", "indicator_breakdown",
+    "claims", "checks", "square_locus_size", "overall_pass", "timings",
+]
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_report_document_keys_and_fractions(alt):
+    doc = report_document(verify_prime(3, alt_subgroup=alt))
+    assert list(doc) == REPORT_KEYS + ["alt_subgroup"] * alt
+    assert doc["label"] == [0, 1] and doc["induced_norm"] == ["1", "1"]
+    breakdown = doc["indicator_breakdown"]
+    assert (breakdown["restriction_inner"], breakdown["numerator"]) == (["0", "1"], ["72", "1"])
+
+
 class TestRejectsWhatJsonDumpsRejects:
     @pytest.mark.parametrize("obj", [
         Fraction(1, 2), {1, 2}, [1, {"a": {2}}], {"v": Fraction(1, 3)}, object(),

@@ -206,7 +206,7 @@ class TestScan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(verify, "scan_one_prime", lambda p, bound, alt: p)
+        monkeypatch.setattr(verify, "scan_one_prime", lambda p, alt: p)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         primes = [p for p in (3, 5, 7, 11, 13) if lo <= p <= hi]
         assert scan_primes(lo, hi, jobs=jobs) == primes
