@@ -91,6 +91,10 @@ class RootSum:
     def __init__(self, p, counts):
         counts = tuple(counts)
         require_odd_prime(p)
+        self._fill(p, counts)
+
+    def _fill(self, p, counts):
+        """Set p, already checked, and counts: exactly p plain ints (ValueError, TypeError)."""
         if len(counts) != p:
             raise ValueError(f"{len(counts)} counts for the {p}-th roots of unity")
         _require_ints(counts)
@@ -176,10 +180,8 @@ class Cyclotomic(RootSum):
     def __init__(self, p, counts):
         """The value sum_e counts[e] zeta_p^e; missing counts are 0, so [1] is one and [] zero."""
         counts = tuple(counts)
-        if len(counts) != p:
-            require_odd_prime(p)  # before p sizes the padding
-            counts += (0,) * (p - len(counts))
-        RootSum.__init__(self, p, counts)
+        require_odd_prime(p)  # before p sizes the padding
+        self._fill(p, counts + (0,) * (p - len(counts)))
 
     def _counts_of(self, other):
         """The counts of an int (as the zeta^0 count) or a Cyclotomic at this prime, else None."""

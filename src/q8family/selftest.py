@@ -2,10 +2,10 @@
 
 This is the slow-but-independent path: the literal element-wise indicator
 sum, the averaging form of induction, brute-force counts, and inner
-products in exact `Cyclotomic` arithmetic on the root counts of
-Z[zeta_p], against which the F_l kernel, the root-count indicator, the
-squaring pass and the rows' root counts are compared.  Each row is
-converted to `Cyclotomic` once per run.  Each check reports one line;
+products summed exactly on Z[zeta_p] counts, against which the F_l
+kernel, the root-count indicator, the squaring pass and the rows' root
+counts are compared.  A sum builds one `Cyclotomic`, from its total
+counts, to read its rational value.  Each check reports one line;
 the CLI turns any failure into exit code 3.  An oracle line after
 assembly that raises InvariantError fails with the error's text, and the
 run goes on to the next line.  The table-level lines (class
@@ -18,17 +18,22 @@ The registry derives second orthogonality from the first; the
 oracle of that derived verdict.
 
 Group work that no row changes is done once per group and shared.  Each
-class representative is conjugated by every element of G once, and every
-label reads the resulting counts of conjugates in V.  Each element is
-squared once, and `square_map_total`, `square_roots_count` and every row
-of the element-wise indicator read those squares.  Both memos are
-bounded, hold counts or indices only, and are keyed on the group object
-(and the representative), never on a class table or a label, so what
-they hold is a fact about G alone.  The oracles stay independent of the
-routes they check: the averaging sum still runs over every x in G and
-never uses orbits, and the indicator is still one term per element, each
-square found by multiplication, not read from the class table's squaring
-pass or root counts.
+class representative g = (v, M) is conjugated by every element of G
+once, by blocks of one matrix part N: x = (w, N) is the translation
+(w, I) times (0, N), so x g x^-1 is (0, N) g (0, N)^-1 = (N v, M'),
+M' = N M N^-1, conjugated by (w, I), which is ((I - M') w + N v, M').
+One product per block gives that affine map, and each x still counts its
+own conjugate; every label reads the counts of conjugates in V.  Each
+element is squared once, and `square_map_total`, `square_roots_count`
+and every row of the element-wise indicator read those squares.  The
+memos are bounded, hold elements, counts or indices only, and are keyed
+on the group object (and the representative), never on a class table or
+a label, so what they hold is a fact about G alone.  The oracles stay
+independent of the routes they check: the averaging sum still runs over
+every x in G and never uses orbits, and the indicator is still one term
+per element, each square found by multiplication, not read from the
+class table's squaring pass or root counts, and only then grouped by
+the class of g^2.
 """
 
 import operator
@@ -44,7 +49,7 @@ from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          default_label, family_class_count, fs_indicator_direct,
                          inner_product, label_orbit, label_orbits,
                          stabilizer_in_q, tensor_square_decompose)
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, RootSum, root_of_unity
 from .errors import InvariantError
 from .groups import build_group, conjugacy_classes
 from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
@@ -60,15 +65,38 @@ class CheckResult:
     detail: str
 
 
+@lru_cache(maxsize=4)
+def _elements_by_matrix(group):
+    """The elements of G grouped by matrix part: ((N, (x, ...)), ...), each element once."""
+    blocks = {}
+    for e in group.elements:
+        blocks.setdefault(e[2:], []).append(e)
+    return tuple((n, tuple(xs)) for n, xs in blocks.items())
+
+
+def _conjugates_by_matrix(group, g):
+    """{M': Counter({y0 * p + y1: #x})}, x g x^-1 = (y0, y1, M'), over all x in G by blocks."""
+    p, mul, inv = group.p, group.mul, group.inv
+    conjugates = {}
+    for n, xs in _elements_by_matrix(group):
+        h = (0, 0) + n
+        u0, u1, ma, mb, mc, md = mul(mul(h, g), inv(h))
+        ia, ib, ic, id_ = 1 - ma, -mb, -mc, 1 - md
+        counts = conjugates.setdefault((ma, mb, mc, md), Counter())
+        counts.update((ia * w0 + ib * w1 + u0) % p * p + (ic * w0 + id_ * w1 + u1) % p
+                      for w0, w1, _, _, _, _ in xs)
+    return conjugates
+
+
 @lru_cache(maxsize=64)
 def _conjugates_in_core(group, g):
     """The counts {(y0, y1): #x} over every x in G with x g x^-1 = (y0, y1, I).
 
-    One pass of |G| conjugations per group and representative, whatever
-    the label; counts only, as a tuple of items.
+    One pass of |G| conjugates per group and representative, whatever the
+    label, filtered to V afterwards; counts only, as a tuple of items.
     """
-    conjugates = Counter(map(group.conj, group.elements, repeat(g)))
-    return tuple((y[:2], n) for y, n in conjugates.items() if y[2:] == IDENTITY_MATRIX)
+    in_core = _conjugates_by_matrix(group, g).get(IDENTITY_MATRIX, {})
+    return tuple((divmod(y, group.p), n) for y, n in in_core.items())
 
 
 def induced_by_averaging(label, ct):
@@ -98,13 +126,17 @@ def induced_by_averaging(label, ct):
 
 
 def exact_inner_product(ct, f, g):
-    """Independent inner-product oracle: the sum taken in exact `Cyclotomic` arithmetic."""
-    total = Cyclotomic(ct.p, [])
+    """Independent inner-product oracle: the exact sum on counts in Z[zeta_p], where
+    zeta^i times the conjugate of zeta^j is zeta^(i - j)."""
+    p = ct.p
+    total = [0] * p
     for size, fv, gv in zip(ct.sizes, f, g):
-        if fv.is_zero() or gv.is_zero():
-            continue
-        total = total + size * (fv * gv.conjugate())
-    r = total.as_rational()
+        terms = [(j, y) for j, y in enumerate(gv.counts) if y]
+        for i, x in enumerate(fv.counts):
+            if x:
+                for j, y in terms:
+                    total[(i - j) % p] += size * x * y
+    r = Cyclotomic(p, total).as_rational()
     if r is None:
         raise InvariantError("inner product of class functions is not rational")
     return Fraction(r, ct.order)
@@ -118,10 +150,11 @@ def _square_indices(group):
 
 
 def element_wise_indicator(ct, values):
-    """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element."""
-    class_of = ct.class_of
-    terms = [values[class_of[s]].counts for s in _square_indices(ct.group)]
-    r = Cyclotomic(ct.p, [sum(column) for column in zip(*terms)]).as_rational()
+    """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element,
+    as n_K chi(K) on counts, n_K the number of elements whose square lies in K."""
+    landed = Counter(map(ct.class_of.__getitem__, _square_indices(ct.group))).items()
+    total = [sum(n * values[k].counts[e] for k, n in landed) for e in range(ct.p)]
+    r = Cyclotomic(ct.p, total).as_rational()
     if r is None:
         raise InvariantError("element-wise indicator sum is not rational")
     return Fraction(r, ct.order)
@@ -235,19 +268,18 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     oracle("second_orthogonality", column_sums)
     check("induced_vanish_off_core", *verdict["induced_vanish_off_core"])
 
-    exact = {r.name: tuple(v.to_cyclotomic() for v in r.values) for r in rows}
     if p <= FULL_ORACLE_PRIME_LIMIT:
         oracle_labels = list(orbits)
     else:
         oracle_labels = [min(label_orbit(q, default_label(p)))]
     oracle("induction_oracle", lambda: (
-        all(induced_by_averaging(l, ct) == exact[f"ind_{l[0]}_{l[1]}"]
+        all(induced_by_averaging(l, ct) == table.row(f"ind_{l[0]}_{l[1]}").values
             for l in oracle_labels),
         f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)"))
 
     oracle("indicator_oracle", lambda: (
         all(r.indicator == fs_indicator_direct(ct, r.values)
-            == element_wise_indicator(ct, exact[r.name]) for r in rows),
+            == element_wise_indicator(ct, r.values) for r in rows),
         "class-formula indicator = element-wise sum on every row"))
 
     negatives = [r.name for r in rows if r.indicator == -1]
@@ -257,10 +289,10 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
 
     check("fs_sum_rule", *verdict["sum_rule"])
 
-    primes_ok = all(v.p == p for values in exact.values() for v in values)
+    primes_ok = all(v.p == p for r in rows for v in r.values)
     # a rational value of Z[zeta_p] is a rational integer
-    inflated_ok = all(v.as_rational() is not None for name, values in exact.items()
-                      if not name.startswith("ind_") for v in values)
+    inflated_ok = all(v.as_rational() is not None for r in rows
+                      if not r.name.startswith("ind_") for v in r.values)
     check("values_in_base_field", primes_ok and inflated_ok,
           "values lie in Q(zeta_p); inflated rows are rational integers")
 
@@ -280,14 +312,14 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
         pairs = [(f, g) for i, f in enumerate(rows) for g in rows[i:]]
     else:
         pairs = [(chi, g) for g in rows]
-    squared = tuple(v * v for v in exact[chi.name])
+    squared = tuple(v * v for v in map(RootSum.to_cyclotomic, chi.values))
     # the F_l [chi^2, psi] is decomposed again (well under a millisecond), so
     # an InvariantError of the tensor_square line also fails this one
     oracle("orthogonality_oracle", lambda: (
         all(inner_product(ct, f.values, g.values)
-            == exact_inner_product(ct, exact[f.name], exact[g.name]) for f, g in pairs)
+            == exact_inner_product(ct, f.values, g.values) for f, g in pairs)
         and tensor_square_decompose(table, chi)["psi"]
-        == exact_inner_product(ct, squared, exact["psi"]),
+        == exact_inner_product(ct, squared, table.row("psi").values),
         f"F_l kernel = exact Cyclotomic sum on {len(pairs)} row pair(s) and [chi^2, psi]"))
 
     return results

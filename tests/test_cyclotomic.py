@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from q8family import cyclotomic
 from q8family.characters import character_table
 from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 
@@ -141,6 +142,23 @@ class TestOrders:
     def test_root_of_unity_needs_an_odd_prime(self):
         with pytest.raises(ValueError, match="not an odd prime"):
             root_of_unity(1, 0)
+
+    def test_each_construction_checks_p_once(self, monkeypatch):
+        calls = []
+        check = cyclotomic.require_odd_prime
+
+        def counted(p, bound=None):
+            calls.append(p)
+            return check(p, bound)
+
+        monkeypatch.setattr(cyclotomic, "require_odd_prime", counted)
+        z = Cyclotomic(5, [0, 1, 0, 0, 0])
+        for build in (lambda: Cyclotomic(17, [1]), lambda: Cyclotomic(7, []),
+                      lambda: Cyclotomic(5, [0, 1, 0, 0, 0]), lambda: RootSum(5, [1] * 5),
+                      lambda: z + z, lambda: z * z, lambda: 3 * z, z.conjugate):
+            calls.clear()
+            value = build()
+            assert calls == [value.p]
 
     def test_too_many_coefficients(self):
         with pytest.raises(ValueError, match="4 counts for the 3-th roots of unity"):

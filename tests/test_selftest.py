@@ -2,7 +2,9 @@
 its printed bytes, and that each oracle fails on a table corrupted for it."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -13,13 +15,13 @@ from q8family import cli, selftest
 from q8family import characters
 from q8family.characters import (CharacterTable, assemble_character_table,
                                  label_orbits)
-from q8family.cyclotomic import RootSum, root_of_unity
+from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
 from q8family.groups import (SemidirectGroup, build_group, conjugacy_classes,
                              conjugated_subgroup, quaternion_subgroup)
 from q8family.modp import Mat2
-from q8family.selftest import (element_wise_indicator, induced_by_averaging,
-                               run_selftest)
+from q8family.selftest import (element_wise_indicator, exact_inner_product,
+                               induced_by_averaging, run_selftest)
 
 # sha256 of `q8family selftest --prime p` stdout, as first recorded
 SELFTEST_STDOUT_SHA256 = {
@@ -82,13 +84,14 @@ class TestConjKernel:
 
 
 class TestOracleCost:
-    def test_run_selftest_conjugates_each_rep_by_each_element_once(self, monkeypatch):
+    def test_run_selftest_conjugates_only_in_z_inverts_core_and_the_partition(
+            self, monkeypatch):
         calls = _count_calls(monkeypatch, "conj")
         results = run_selftest(7)
         assert all(r.ok for r in results)
-        # 11 class reps by the 392 elements, plus z on each of the 49 v in V,
-        # plus the class partition's 7 nonidentity matrices of Q by its 8
-        assert len(calls) == 11 * 392 + 7 ** 2 + 7 * 8 == 4417
+        # z on each of the 49 v in V, plus the class partition's 7 nonidentity
+        # matrices of Q by its 8; the averaging oracle counts conjugates by blocks
+        assert len(calls) == 7 ** 2 + 7 * 8 == 105
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_element_wise_indicator_squares_each_element_once_per_group(
@@ -101,6 +104,117 @@ class TestOracleCost:
                 exact = tuple(v.to_cyclotomic() for v in r.values)
                 assert element_wise_indicator(table.class_table, exact) == r.indicator
         assert len(calls) == len(group)
+
+
+# ---------------------------------------------------------------- literal oracles
+
+
+def _conjugate_multiset(group, g):
+    """The averaging kernel's counts as a Counter of conjugates (y0, y1, a, b, c, d)."""
+    return Counter({divmod(y, group.p) + m: n
+                    for m, counts in selftest._conjugates_by_matrix(group, g).items()
+                    for y, n in counts.items()})
+
+
+class TestConjugateCounts:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_each_reps_conjugates_total_the_group_order(self, p):
+        group = _group(p, False)
+        blocks = selftest._elements_by_matrix(group)
+        assert sorted(x for _, xs in blocks for x in xs) == sorted(group.elements)
+        assert all(x[2:] == n for n, xs in blocks for x in xs)
+        ct = conjugacy_classes(group)
+        for k in range(ct.n_classes):
+            assert sum(_conjugate_multiset(group, ct.rep_element(k)).values()) == len(group)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_reps_conjugates_are_those_of_conj_and_of_two_products(self, p, conjugated):
+        group = _group(p, conjugated)
+        ct = conjugacy_classes(group)
+        for k in range(ct.n_classes):
+            g = ct.rep_element(k)
+            counted = _conjugate_multiset(group, g)
+            assert counted == Counter(group.conj(x, g) for x in group.elements)
+            assert counted == Counter(group.mul(group.mul(x, g), group.inv(x))
+                                      for x in group.elements)
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.sampled_from([11, 13]), conjugated=st.booleans(), data=st.data())
+    def test_sampled_conjugates_are_those_of_conj(self, p, conjugated, data):
+        group = _group(p, conjugated)
+        g = group.elements[data.draw(st.integers(0, len(group) - 1))]
+        assert _conjugate_multiset(group, g) == Counter(group.conj(x, g) for x in group.elements)
+
+
+def _cyclotomic_inner_product(ct, f, g):
+    """The reference sum of size * f * g.conjugate() in `Cyclotomic` arithmetic, or None."""
+    total = Cyclotomic(ct.p, [])
+    for size, fv, gv in zip(ct.sizes, f, g):
+        total = total + size * (fv.to_cyclotomic() * gv.to_cyclotomic().conjugate())
+    r = total.as_rational()
+    return None if r is None else Fraction(r, ct.order)
+
+
+def _literal_indicator(ct, values):
+    """The reference column sum of chi(g^2), one term per element, or None."""
+    group = ct.group
+    terms = [values[ct.class_of_element(group.mul(e, e))].counts for e in group.elements]
+    r = RootSum(ct.p, [sum(column) for column in zip(*terms)]).as_rational()
+    return None if r is None else Fraction(r, ct.order)
+
+
+def _or_none(oracle, *args):
+    try:
+        return oracle(*args)
+    except InvariantError:
+        return None
+
+
+class TestSumsOnCounts:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_inner_products_match_the_cyclotomic_sum(self, p):
+        table = _table(_group(p, False))
+        ct, rows = table.class_table, table.rows
+        chi = table.induced_row_for_label(characters.default_label(p))
+        pairs = ([(f, g) for f in rows for g in rows] if p <= 7
+                 else [(chi, g) for g in rows])
+        for f, g in pairs:
+            assert (exact_inner_product(ct, f.values, g.values)
+                    == _cyclotomic_inner_product(ct, f.values, g.values))
+        squared = tuple(v.to_cyclotomic() * v.to_cyclotomic() for v in chi.values)
+        psi = table.row("psi").values
+        assert exact_inner_product(ct, squared, psi) == _cyclotomic_inner_product(
+            ct, squared, psi) >= 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_indicators_match_the_literal_column_sum(self, p):
+        table = _table(_group(p, True))
+        for r in table.rows:
+            assert (element_wise_indicator(table.class_table, r.values)
+                    == _literal_indicator(table.class_table, r.values) == r.indicator)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_sums_of_arbitrary_class_functions_match_the_references(self, p, data):
+        # complex values included: a wrong direction of conjugation shows here,
+        # while every row of the table is real
+        ct = _table(_group(p, False)).class_table
+        counts = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=p, max_size=p)
+        function = st.lists(counts.map(lambda c: RootSum(p, c)),
+                            min_size=ct.n_classes, max_size=ct.n_classes)
+        f, g = data.draw(function), data.draw(function)
+        for h in (f, g):
+            assert _or_none(element_wise_indicator, ct, h) == _literal_indicator(ct, h)
+            assert _or_none(exact_inner_product, ct, h, h) == _cyclotomic_inner_product(ct, h, h)
+        assert _or_none(exact_inner_product, ct, f, g) == _cyclotomic_inner_product(ct, f, g)
+
+    def test_a_root_of_unity_has_norm_one_and_is_orthogonal_to_its_square(self):
+        ct = _table(_group(5, False)).class_table
+        zeta, zeta_squared = ([root_of_unity(5, k)] * ct.n_classes for k in (1, 2))
+        assert exact_inner_product(ct, zeta, zeta) == 1
+        with pytest.raises(InvariantError, match="not rational"):
+            exact_inner_product(ct, zeta, zeta_squared)
 
 
 # ---------------------------------------------------------------- memo freshness
