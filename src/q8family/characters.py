@@ -30,7 +30,6 @@ inverse-transpose, matching the convention that M sends the character
 lambda to v |-> lambda(M^-1 v).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -119,6 +118,27 @@ def label_orbits(q):
 # -- the two row constructions ------------------------------------------------
 
 
+def _pooled(ct, key):
+    """The one `RootSum` of this table build named by key, made on first use.
+
+    A key is an int x, for x copies of zeta^0 (inflated values, and zero
+    off V), or the sorted exponents of an induced value's eight roots;
+    the two never name one count vector, as inflated values are at most 2.
+    The pool lives on the class table (`ClassTable.value_pool`), so equal
+    values share one object within a build and nothing across builds.
+    """
+    value = ct.value_pool.get(key)
+    if value is None:
+        counts = [0] * ct.p
+        if type(key) is int:
+            counts[0] = key
+        else:
+            for e in key:
+                counts[e] += 1
+        value = ct.value_pool[key] = RootSum(ct.p, counts)
+    return value
+
+
 def induced_values(label, ct):
     """Induce the label's character of V up to G: orbit sums on V, zero off V.
 
@@ -129,26 +149,21 @@ def induced_values(label, ct):
     orbit = label_orbit(ct.group.quaternion, label)
     if len(orbit) != 8:
         raise InvariantError("induced from a label with nontrivial stabilizer")
-    zero = RootSum(p, [0] * p)
+    zero = _pooled(ct, 0)
     values = []
-    for k in range(ct.n_classes):
-        e = ct.rep_element(k)
+    for e in map(ct.group.elements.__getitem__, ct.reps):
         if e[2:] != IDENTITY_MATRIX:
             values.append(zero)
             continue
         v0, v1 = e[0], e[1]
-        counts = [0] * p
-        for a, b in orbit:
-            counts[(a * v0 + b * v1) % p] += 1
-        values.append(RootSum(p, counts))
+        values.append(_pooled(ct, tuple(sorted([(a * v0 + b * v1) % p for a, b in orbit]))))
     return tuple(values)
 
 
 def inflated_values(q8_values, ct):
     """Pull a Q8 character back to G along the quotient map G -> Q."""
     class_of = ct.group.quaternion.class_of
-    p = ct.p
-    lifted = [RootSum(p, [x] + [0] * (p - 1)) for x in q8_values]
+    lifted = [_pooled(ct, x) for x in q8_values]
     return tuple(lifted[class_of[ct.rep_element(k)[2:]]] for k in range(ct.n_classes))
 
 
@@ -161,8 +176,8 @@ def inner_product(ct, f, g):
     f and g must be Galois-closed; table rows share the table's image.
     """
     image = image_of(ct, (f, g))
-    return Fraction(image.exact_sum(image.residues[image.position(f)],
-                                    image.residues[image.position(g)]), ct.order)
+    [total] = image.exact_sums(image.residues[image.position(f)], [g])
+    return Fraction(total, ct.order)
 
 
 def restriction_to_core_inner(ct, values):
@@ -171,7 +186,8 @@ def restriction_to_core_inner(ct, values):
     if sum(map(mul, ct.sizes, mask)) != ct.p ** 2:
         raise InvariantError("classes inside V do not cover V")
     image = image_of(ct, (values,))
-    return Fraction(image.exact_sum(image.residues[image.position(values)], mask), ct.p ** 2)
+    [total] = image.exact_sums(mask, [values])
+    return Fraction(total, ct.p ** 2)
 
 
 def _rational_integer(value, what):
@@ -180,12 +196,28 @@ def _rational_integer(value, what):
     return int(value)
 
 
+def fs_indicators(ct, values_list):
+    """Frobenius-Schur indicators via the class formula and the square map, one per row.
+
+    The class formula sum_K |K| chi(sq K), regrouped by L = sq K, is
+    sum_L |L| u(L) chi(L) with u(L) = (sum of |K| over sq K = L) / |L|,
+    an identity in F_l, where every |L| is a unit (the image checks
+    0 < |L| < l).  u does not depend on chi, so one packed sum against u
+    gives every row's indicator.
+    """
+    image = image_of(ct, values_list)
+    pulled = [0] * ct.n_classes
+    for size, target in zip(ct.sizes, ct.square_map):
+        pulled[target] += size
+    u = [x * pow(size, -1, image.ell) for x, size in zip(pulled, ct.sizes)]
+    return [_rational_integer(Fraction(total, ct.order), "Frobenius-Schur indicator")
+            for total in image.exact_sums(u, values_list)]
+
+
 def fs_indicator(ct, values):
-    """Frobenius-Schur indicator via the class formula and the square map."""
-    image = image_of(ct, (values,))
-    residues = image.residues[image.position(values)]
-    total = image.exact_sum([residues[k2] for k2 in ct.square_map], [1] * ct.n_classes)
-    return _rational_integer(Fraction(total, ct.order), "Frobenius-Schur indicator")
+    """The Frobenius-Schur indicator of one row by the class formula (`fs_indicators`)."""
+    [indicator] = fs_indicators(ct, (values,))
+    return indicator
 
 
 def fs_indicator_direct(ct, values):
@@ -214,15 +246,19 @@ def fs_indicator_direct(ct, values):
 # -- table assembly ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class CharRow:
-    name: str
-    values: tuple
-    degree: int
-    indicator: int
+    """One named row of a character table; immutable, equal only to itself."""
+
+    __slots__ = ("name", "values", "degree", "indicator")
+
+    def __init__(self, name, values, degree, indicator):
+        for field, value in zip(self.__slots__, (name, values, degree, indicator)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CharRow is immutable")
 
 
-@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Rows certified by `assemble_character_table`, the only code that makes one.
 
@@ -230,12 +266,15 @@ class CharacterTable:
     proved as `certificate`: the class sizes and the row values it found
     orthonormal.  Both orthogonality verdicts of `TABLE_CHECKS` hold only
     while the table still has those sizes and values, so a table built
-    directly, or edited through `dataclasses.replace`, reads False.
+    directly, or rebuilt from an assembled table's fields with one of them
+    changed, reads False.  Immutable, and equal only to itself.
     """
 
-    class_table: object
-    rows: tuple
-    certificate: tuple = ()
+    def __init__(self, class_table, rows, certificate=()):
+        vars(self).update(class_table=class_table, rows=rows, certificate=certificate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CharacterTable is immutable")
 
     @property
     def prime(self):
@@ -283,10 +322,9 @@ def check_first_orthogonality(ct, values_list):
         image = image_of(ct, values_list)
     except InvariantError as e:
         raise InvariantError(f"first orthogonality fails: {e}") from e
-    rows = [image.position(f) for f in values_list]
-    for i, a in enumerate(rows):
-        for j in range(i, len(rows)):
-            got = image.exact_sum(image.residues[a], image.residues[rows[j]])
+    for i, f in enumerate(values_list):
+        sums = image.exact_sums(image.residues[image.position(f)], values_list[i:])
+        for j, got in enumerate(sums, i):
             if got != (ct.order if i == j else 0):
                 raise InvariantError(f"first orthogonality fails at rows ({i}, {j}): "
                                      f"got {Fraction(got, ct.order)}")
@@ -325,16 +363,15 @@ def assemble_character_table(ct):
     for name, values, degree in named:
         if values[0] != degree:
             raise InvariantError(f"row {name}: value at the identity != degree")
-    check_first_orthogonality(ct, [v for _, v, _ in named])
+    values_list = tuple(v for _, v, _ in named)
+    check_first_orthogonality(ct, values_list)
 
     rows = []
-    for name, values, degree in named:
-        ind = fs_indicator(ct, values)
+    for (name, values, degree), ind in zip(named, fs_indicators(ct, values_list)):
         if ind not in (-1, 0, 1):
             raise InvariantError(f"indicator of irreducible row {name} is {ind}")
         rows.append(CharRow(name=name, values=values, degree=degree, indicator=ind))
-    return CharacterTable(class_table=ct, rows=tuple(rows),
-                          certificate=(ct.sizes, tuple(v for _, v, _ in named)))
+    return CharacterTable(class_table=ct, rows=tuple(rows), certificate=(ct.sizes, values_list))
 
 
 def character_table(p, quaternion=None):
@@ -352,11 +389,10 @@ def tensor_square_decompose(table, row):
     ct = table.class_table
     image = image_of(ct, [r.values for r in table.rows] + [row.values])
     squared = [x * x % image.ell for x in image.residues[image.position(row.values)]]
+    sums = image.exact_sums(squared, [r.values for r in table.rows])
     out = {}
-    for r in table.rows:
-        m = Fraction(image.exact_sum(squared, image.residues[image.position(r.values)]),
-                     ct.order)
-        mi = _rational_integer(m, f"multiplicity of {r.name}")
+    for r, total in zip(table.rows, sums):
+        mi = _rational_integer(Fraction(total, ct.order), f"multiplicity of {r.name}")
         if mi < 0:
             raise InvariantError(f"negative multiplicity {mi} of {r.name}")
         out[r.name] = mi

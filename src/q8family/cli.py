@@ -6,7 +6,6 @@ rename, so failed runs never leave partial files.
 """
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -179,6 +178,7 @@ def render_table_text(doc):
 
 def render_table_csv(doc):
     """The table document doc as csv."""
+    import csv  # here, not at the top: no other command needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     classes = doc["classes"]

@@ -13,29 +13,40 @@ element (|G| = 8 p^2 for any odd prime p: 75,272 at the commands'
 default bound 97, which only they check).
 """
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantError, UsageError
 from .modp import Mat2, require_odd_prime
 
 # conjugation convention used throughout: h ** g = g h g^-1
 
 
-@dataclass(frozen=True)
 class QuaternionSubgroup:
-    """A quaternion subgroup of order 8 in SL2(p).
+    """A quaternion subgroup of order 8 in SL2(p); immutable.
 
     elements are ordered (I, z, X, -X, Y, -Y, XY, -XY); class_of maps a
     matrix's entry 4-tuple to its class index in the order
-    {1}, {z}, {X,-X}, {Y,-Y}, {XY,-XY}.
+    {1}, {z}, {X,-X}, {Y,-Y}, {XY,-XY}.  Equality and hash read every
+    field but class_of, which the others determine.
     """
 
-    p: int
-    x: Mat2
-    y: Mat2
-    z: Mat2
-    elements: tuple
-    class_of: dict = field(compare=False)
+    __slots__ = ("p", "x", "y", "z", "elements", "class_of")
+
+    def __init__(self, p, x, y, z, elements, class_of):
+        for name, value in zip(self.__slots__, (p, x, y, z, elements, class_of)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuaternionSubgroup is immutable")
+
+    def _key(self):
+        return (self.p, self.x, self.y, self.z, self.elements)
+
+    def __eq__(self, other):
+        if type(other) is not QuaternionSubgroup:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _build_subgroup(p, x, y):
@@ -178,20 +189,31 @@ def build_group(p, quaternion=None):
     return SemidirectGroup(quaternion)
 
 
-@dataclass(eq=False)
 class ClassTable:
-    """Conjugacy data for one group: reps, sizes, lookups and the squaring pass."""
+    """Conjugacy data for one group: reps, sizes, lookups and the squaring pass.
 
-    group: SemidirectGroup
-    reps: tuple            # class index -> element index of the minimal rep
-    sizes: tuple           # class index -> class size
-    centralizer_orders: tuple
-    class_of: tuple        # element index -> class index
-    square_map: tuple      # class index -> class index of rep^2
-    root_counts: tuple     # class index K -> #{g : g^2 in K}
-    square_locus: frozenset  # {g : g^2 in V}, as element tuples
-    # the last `modular.image_of` result; `dataclasses.replace` starts afresh
-    modular_image: object = field(default=None, init=False, repr=False)
+    Two caches ride along, and a table made anew, even from another
+    table's fields, starts with both empty: `modular_image`, the last
+    `modular.image_of` result, and `value_pool`, the character values of
+    this table's build (`characters.induced_values` and `inflated_values`
+    share one `RootSum` per distinct value through it).  Equality is identity.
+    """
+
+    __slots__ = ("group", "reps", "sizes", "centralizer_orders", "class_of",
+                 "square_map", "root_counts", "square_locus", "modular_image", "value_pool")
+
+    def __init__(self, group, reps, sizes, centralizer_orders, class_of,
+                 square_map, root_counts, square_locus):
+        self.group = group
+        self.reps = reps                    # class index -> element index of the minimal rep
+        self.sizes = sizes                  # class index -> class size
+        self.centralizer_orders = centralizer_orders
+        self.class_of = class_of            # element index -> class index
+        self.square_map = square_map        # class index -> class index of rep^2
+        self.root_counts = root_counts      # class index K -> #{g : g^2 in K}
+        self.square_locus = square_locus    # {g : g^2 in V}, as element tuples
+        self.modular_image = None
+        self.value_pool = {}
 
     @property
     def p(self):

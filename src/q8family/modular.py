@@ -54,15 +54,34 @@ image is built:
    vectors of l1-norm at most m), so each coefficient t_i - t_(p-1), less
    delta |C(K)| at i = 0, is at most 2 n m^2 + max |C(K)| <= B < l/2 in
    absolute value, and D = 0.
+5. Packing (Kronecker substitution; Harvey, "Faster polynomial
+   multiplication via multipoint Kronecker substitution", 2009).  The
+   certified sums come in batches S_h = sum_K |K| f(K) h(K), one f
+   against many h, each decided mod l.  `exact_sums` packs column K of
+   the residues of the image's n functions into one integer,
+   C_K = sum_j r_jK 2^(b j), and makes one accumulation
+   A = sum_K (|K| f(K)) C_K, which holds sum_K |K| f(K) r_jK in slot j
+   for every j at once.  Why it is exact: every f(K) and r_jK is reduced into
+   [0, l) and every |K| is positive (checked when the image is built), so
+   each term lies in [0, |K| l^2) and slot j holds an integer in
+   [0, n_classes max|K| l^2).  `slot_bits` picks b with 2^b above that
+   bound, so no slot carries into the next, and `int.to_bytes` splits A
+   into its slots.  Slot j reduced mod l is S_(h_j) mod l, and by steps 2
+   and 3 its residue of absolute value below l/2 is the integer S_(h_j).
 
 `image_of` keeps the last image on its class table and serves it again
 while the requested functions are all, by identity, functions it was
-built from, so a table assembled once shares one embedding across first
-orthogonality, the indicators, every label and `selftest`'s column sums.
-Functions are held by reference and must be tuples to be shared; a table
-rebuilt with other rows gets a fresh image.
+built from, so a table assembled once shares one embedding, and one set of
+packed columns, across first orthogonality, the indicators, every label
+and `selftest`'s column sums.  Functions are held by reference and must be
+tuples to be shared; a table rebuilt with other rows gets a fresh image.
+A table's equal values are one shared object (`characters.induced_values`),
+so the image checks closure once per pair of objects (f(K), f(pi K)) and
+computes one residue per object, keyed on identity: equal inputs get the
+same maps, so the sharing never touches exactness.
 """
 
+from itertools import chain
 from operator import itemgetter, mul, sub
 
 from .cyclotomic import RootSum
@@ -133,6 +152,21 @@ def count_vector(value, p):
     return value.counts
 
 
+def slot_bits(n_classes, max_size, ell, bits=None):
+    """The slot width b of `exact_sums`, whole bytes, with 2^b > n_classes max|K| l^2.
+
+    Given bits, that width is checked instead: InvariantError unless 2^bits
+    exceeds the bound, the largest value a slot can hold plus one (step 5).
+    """
+    top = n_classes * max_size * ell * ell
+    if bits is None:
+        bits = -(-top.bit_length() // 8) * 8
+    if 1 << bits <= top:
+        raise InvariantError(f"a slot of {bits} bits cannot hold sums up to "
+                             f"{n_classes} * {max_size} * {ell}^2")
+    return bits
+
+
 class ModularImage:
     """Galois-closed class functions of one class table, sent into F_l.
 
@@ -141,30 +175,41 @@ class ModularImage:
     """
 
     def __init__(self, ct, functions):
-        p = ct.p
+        p, n = ct.p, ct.n_classes
         g, perm = galois_class_permutation(ct)
-        counts = [[count_vector(v, p) for v in f] for f in functions]
+        # one count vector per distinct value object, in order of first use
+        objects = {id(v): v for f in functions for v in f}
+        counts = {key: count_vector(v, p) for key, v in objects.items()}
         # sigma_g: the count of zeta^j in sigma_g(x) is x's count of zeta^(j / g)
         galois = itemgetter(*(j * pow(g, -1, p) % p for j in range(p)))
-        for i, row in enumerate(counts):
-            if len(row) != ct.n_classes:
-                raise InvariantError(f"class function {i} has {len(row)} values, "
-                                     f"not one per class ({ct.n_classes})")
-            for k, c in enumerate(row):
-                moved, target = galois(c), row[perm[k]]
+        closed = set()  # pairs (id(f(K)), id(f(pi K))) already checked
+        for i, f in enumerate(functions):
+            if len(f) != n:
+                raise InvariantError(f"class function {i} has {len(f)} values, "
+                                     f"not one per class ({n})")
+            for k, pair in enumerate(zip(map(id, f), map(id, map(f.__getitem__, perm)))):
+                if pair in closed:
+                    continue
+                moved, target = galois(counts[pair[0]]), counts[pair[1]]
                 if moved != target and len(set(map(sub, moved, target))) != 1:
                     raise InvariantError(
                         f"class function {i} is not Galois-closed at class {k}, "
                         "so its inner products are not rational")
-        m = max((sum(map(abs, c)) for row in counts for c in row), default=0)
+                closed.add(pair)
+        m = max((sum(map(abs, c)) for c in counts.values()), default=0)
         self.bound = max(ct.order * m ** 3,
                          2 * len(functions) * m * m + max(ct.centralizer_orders), 1)
         self.ell, self.w = split_prime(p, self.bound)
+        if not all(0 < s < self.ell for s in ct.sizes):
+            raise InvariantError("class sizes must be positive and below l")
         powers = [pow(self.w, i, self.ell) for i in range(p)]
+        residue = {key: sum(map(mul, c, powers)) % self.ell for key, c in counts.items()}
         self.sizes = ct.sizes
-        self.residues = [[sum(map(mul, c, powers)) % self.ell for c in row] for row in counts]
-        self._functions = tuple(functions)  # keeps every id below alive
+        self.residues = [list(map(residue.__getitem__, map(id, f))) for f in functions]
+        self._functions = tuple(functions)  # keeps every id above alive
         self._position = {id(f): i for i, f in enumerate(self._functions)}
+        self._slot_bytes = slot_bits(n, max(ct.sizes), self.ell) // 8
+        self._columns = None
 
     def position(self, f):
         """Index of f among the functions this image was built from, else None."""
@@ -174,10 +219,27 @@ class ModularImage:
         """True when every function is one of this image's, all immutable tuples."""
         return all(type(f) is tuple and id(f) in self._position for f in functions)
 
-    def exact_sum(self, f, h):
-        """The integer sum_K |K| f(K) conj(h(K)) from the residue rows of f and of h, h real."""
-        s = sum(map(mul, map(mul, self.sizes, f), h)) % self.ell
-        return s - self.ell if s > self.ell // 2 else s
+    def exact_sums(self, f, rows):
+        """[sum_K |K| f(K) conj(h(K)) for h in rows], exact integers, by one packed accumulation.
+
+        f is a class function in F_l, one residue per class; every h is one
+        of this image's functions, so h is real.  Step 5 of the module's
+        argument is why each result is exact.
+        """
+        ell, width = self.ell, self._slot_bytes
+        if self._columns is None:  # C_K, built once per image
+            text = {r: r.to_bytes(width, "little") for r in set(chain(*self.residues))}
+            self._columns = [int.from_bytes(b"".join(map(text.__getitem__, column)), "little")
+                             for column in zip(*self.residues)]
+        weights = [s * (x % ell) for s, x in zip(self.sizes, f)]
+        packed = sum(map(mul, weights, self._columns)).to_bytes(
+            width * len(self.residues), "little")
+        out = []
+        for h in rows:
+            start = self._position[id(h)] * width
+            s = int.from_bytes(packed[start:start + width], "little") % ell
+            out.append(s - ell if s > ell // 2 else s)
+        return out
 
 
 def image_of(ct, functions):

@@ -39,10 +39,10 @@ the class of g^2.
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
                          assemble_character_table, check_second_orthogonality,
@@ -58,8 +58,7 @@ ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

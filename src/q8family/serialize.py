@@ -37,7 +37,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -110,16 +109,16 @@ def _report_value(value):
 def report_document(report):
     """The serializable form of a verification Report.
 
-    Its fields in order, `overall_pass` just before `timings`, and
-    `alt_subgroup` only when set.
+    Its fields in the order of `Report.__slots__`, `overall_pass` just
+    before `timings`, and `alt_subgroup` only when set.
     """
     doc = {"format": REPORT_FORMAT, "kind": "verification_report"}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name == "timings":
+    for name in report.__slots__:
+        value = getattr(report, name)
+        if name == "timings":
             doc["overall_pass"] = report.overall_pass
         if value is not None:
-            doc[f.name] = _report_value(value)
+            doc[name] = _report_value(value)
     return doc
 
 

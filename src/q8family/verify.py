@@ -17,7 +17,6 @@ is `selftest`'s.  The prime bound, a cost policy, is checked once, where
 """
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
@@ -33,32 +32,36 @@ from .groups import (build_group, conjugacy_classes, conjugated_subgroup,
 from .modp import DEFAULT_PRIME_BOUND, Mat2, is_odd_prime, require_odd_prime
 
 
-@dataclass
 class Report:
-    """Machine-readable verdict for one (prime, label) run."""
+    """Machine-readable verdict for one (prime, label) run.
 
-    prime: int
-    label: tuple
-    orbit_rep: tuple
-    group_order: int
-    class_count: int
-    degree_multiset: tuple
-    indicator_list: tuple
-    row_names: tuple
-    stabilizer_size: int
-    induced_norm: Fraction
-    indicator_induced: int
-    indicator_induced_direct: int
-    indicator_psi: int
-    indicator_psi_direct: int
-    psi_multiplicity: int
-    decomposition: dict
-    indicator_breakdown: dict
-    claims: dict
-    checks: dict
-    square_locus_size: int
-    timings: dict = field(default_factory=dict)
-    alt_subgroup: dict | None = None
+    Its fields are `__slots__`, in the order its document lists them
+    (`serialize.report_document`).  It is built from keywords, every field
+    but `timings` (default {}) and `alt_subgroup` (default None) required,
+    and two reports are equal when all their fields are.
+    """
+
+    __slots__ = ("prime", "label", "orbit_rep", "group_order", "class_count",
+                 "degree_multiset", "indicator_list", "row_names", "stabilizer_size",
+                 "induced_norm", "indicator_induced", "indicator_induced_direct",
+                 "indicator_psi", "indicator_psi_direct", "psi_multiplicity",
+                 "decomposition", "indicator_breakdown", "claims", "checks",
+                 "square_locus_size", "timings", "alt_subgroup")
+
+    def __init__(self, **fields):
+        fields = {"timings": {}, "alt_subgroup": None, **fields}
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"Report fields {sorted(fields.keys() ^ set(self.__slots__))} "
+                            "missing or unknown")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None
 
     @property
     def overall_pass(self):

@@ -1,8 +1,23 @@
+import inspect
+
 import pytest
 
 from q8family.characters import assemble_character_table
 from q8family.cyclotomic import Cyclotomic
 from q8family.groups import build_group, conjugacy_classes
+
+
+def rebuilt(obj, **changes):
+    """A new object of obj's class from obj's constructor fields, with changes applied.
+
+    Every parameter of the constructor is read off obj unless changed; what
+    the constructor does not take, such as a cache, starts afresh.
+    """
+    fields = inspect.signature(type(obj)).parameters
+    if not changes.keys() <= fields.keys():
+        raise TypeError(f"not constructor fields: {sorted(changes.keys() - fields.keys())}")
+    return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name)
+                        for name in fields})
 
 
 @pytest.fixture(scope="session")

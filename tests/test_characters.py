@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
 from q8family.characters import (Q8_ROWS, character_table, default_label,
                                  fs_indicator, fs_indicator_direct,
                                  induced_values, inflated_values, inner_product,
@@ -400,7 +400,7 @@ class TestSquaringPass:
         genuine = [fs_indicator_direct(ct, r.values) for r in table.rows]
         corrupted = tuple(reversed(getattr(ct, field)))
         assert corrupted != getattr(ct, field)
-        bad = replace(ct, **{field: corrupted})
+        bad = rebuilt(ct, **{field: corrupted})
         assert [fs_indicator_direct(bad, r.values) for r in table.rows] == genuine
 
     @given(data=st.data())

@@ -538,6 +538,32 @@ class TestHarness:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_out_unused_standard_modules(self):
+        # counted, not timed: each of these costs start-up in every CLI call
+        # (`dataclasses` pulls in `inspect`), and no command needs them there
+        code = ("import sys, q8family.cli; print(' '.join(m for m in ('concurrent.futures', "
+                "'dataclasses', 'inspect', 'csv') if m in sys.modules))")
+        src = str(Path(q8family.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    @pytest.mark.slow
+    def test_verify_at_the_default_bound(self):
+        """p = 97, the largest prime the commands take by default, end to end."""
+        src = str(Path(q8family.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "q8family", "verify", "--prime", "97", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["prime"] == 97 and doc["overall_pass"] is True
+        assert doc["claims"] and all(doc["claims"].values())
+        assert doc["checks"] and all(doc["checks"].values())
+        assert doc["psi_multiplicity"] == 2
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "q8family", "verify", "--prime", "3"],

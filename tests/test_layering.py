@@ -9,7 +9,8 @@ else, so Z[zeta_p] has one representation.  Second orthogonality is derived
 from assembly's certificate, so only `selftest` runs the column sums.
 `modp` holds the one check that p is an odd prime; the prime bound is a
 parameter only of that check and of the three entry points that apply it,
-and `groups` conjugates with `SemidirectGroup.conj` alone.
+and `groups` conjugates with `SemidirectGroup.conj` alone.  No module
+imports `dataclasses`, which would load `inspect` at every start-up.
 """
 
 import ast
@@ -112,6 +113,12 @@ def test_the_prime_bound_is_a_parameter_of_the_check_and_the_entry_points_only()
               for f in functions(path)
               if "bound" in [a.arg for a in f.args.args + f.args.kwonlyargs]}
     assert capped == {"require_odd_prime", "verify_prime", "scan_primes", "run_selftest"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_no_module_imports_dataclasses(path):
+    # `dataclasses` imports `inspect`, together 7-10 ms of every CLI start-up
+    assert [mod for mod, _ in imports(path) if mod.split(".")[0] == "dataclasses"] == []
 
 
 def test_groups_has_one_conjugation_formula():

@@ -2,12 +2,13 @@
 
 `selftest.exact_inner_product` sums in exact `Cyclotomic` arithmetic and is
 the independent oracle; column sums, class-formula indicators and
-restrictions to V are recomputed the same way here.  The registry derives
+restrictions to V are recomputed the same way here.  The packed kernel
+`ModularImage.exact_sums` is checked against `_reference_sum`, the sum
+of one pair at a time on the same residues.  The registry derives
 second orthogonality from assembly's certificate; wherever that verdict
 reads True the column sums must pass too.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
 from q8family import modular
 from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, character_table,
                                  check_first_orthogonality,
@@ -26,7 +28,7 @@ from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
 from q8family.modp import is_odd_prime
 from q8family.modular import (ModularImage, galois_class_permutation, image_of,
-                              split_prime)
+                              slot_bits, split_prime)
 from q8family.selftest import exact_inner_product
 from q8family.verify import run_table_checks, verify_label
 
@@ -49,6 +51,95 @@ def _residue(value, image):
     """The image under zeta -> w, from the power-basis coefficients."""
     return sum(c * pow(image.w, i, image.ell)
                for i, c in enumerate(value.canonical()[1])) % image.ell
+
+
+def _reference_sum(image, f, h):
+    """sum_K |K| f(K) h(K) on residues, one pair at a time, as an integer of absolute value below l/2."""
+    s = sum(size * x * y for size, x, y in zip(image.sizes, f, h)) % image.ell
+    return s - image.ell if s > image.ell // 2 else s
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_packed_sums_equal_the_per_pair_reference_for_every_row_pair(p):
+    values = _values(_table(p))
+    image = image_of(_table(p).class_table, values)
+    for f in image.residues:
+        assert image.exact_sums(f, values) == [_reference_sum(image, f, h)
+                                               for h in image.residues]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_packed_sums_equal_the_per_pair_reference_for_every_tensor_square(p):
+    table = _table(p)
+    values = _values(table)
+    image = image_of(table.class_table, values)
+    for rep in label_orbits(table.class_table.group.quaternion):
+        chi = table.induced_row_for_label(rep)
+        squared = [x * x % image.ell for x in image.residues[image.position(chi.values)]]
+        want = [_reference_sum(image, squared, h) for h in image.residues]
+        assert image.exact_sums(squared, values) == want
+        assert list(tensor_square_decompose(table, chi).values()) == [
+            Fraction(s, table.order) for s in want]
+
+
+def test_packed_sums_of_a_batch_are_its_slots(table5):
+    values = _values(table5)
+    image = image_of(table5.class_table, values)
+    f = image.residues[-1]
+    every = image.exact_sums(f, values)
+    assert image.exact_sums(f, [values[3], values[1]]) == [every[3], every[1]]
+    assert image.exact_sums(f, []) == []
+
+
+def test_slot_width_one_bit_below_the_bound_is_refused(table5):
+    ct = table5.class_table
+    image = image_of(ct, _values(table5))
+    top = ct.n_classes * max(ct.sizes) * image.ell ** 2
+    width = slot_bits(ct.n_classes, max(ct.sizes), image.ell)
+    assert width % 8 == 0 and 1 << width > top >= 1 << (width - 8)
+    assert slot_bits(ct.n_classes, max(ct.sizes), image.ell, top.bit_length()) == top.bit_length()
+    with pytest.raises(InvariantError, match="cannot hold"):
+        slot_bits(ct.n_classes, max(ct.sizes), image.ell, top.bit_length() - 1)
+
+
+def test_the_per_pair_formula_is_not_a_second_kernel():
+    assert not hasattr(ModularImage, "exact_sum")
+
+
+def test_class_sizes_must_be_positive(table5):
+    ct = table5.class_table
+    sizes = (0,) + ct.sizes[1:]
+    with pytest.raises(InvariantError, match="class sizes must be positive"):
+        ModularImage(rebuilt(ct, sizes=sizes), _values(table5))
+
+
+def test_one_residue_and_one_closure_check_per_shared_value(monkeypatch):
+    table = character_table(11)
+    values = _values(table)
+    objects = {id(v) for row in values for v in row}
+    read = []
+    count_vector = modular.count_vector
+    monkeypatch.setattr(modular, "count_vector", lambda v, p: read.append(id(v)) or count_vector(v, p))
+    ModularImage(table.class_table, values)
+    assert sorted(read) == sorted(objects)
+    assert len(objects) < sum(map(len, values)) / 10
+
+
+def test_a_table_holds_one_value_object_per_distinct_count_vector():
+    table = character_table(17)
+    cells = [v for r in table.rows for v in r.values]
+    ids_by_counts = {}
+    for v in cells:
+        ids_by_counts.setdefault(v.counts, set()).add(id(v))
+    assert all(len(ids) == 1 for ids in ids_by_counts.values())
+    assert len(ids_by_counts) == len({id(v) for v in cells}) < len(cells)
+
+
+def test_two_builds_of_one_prime_share_no_value_object():
+    first, second = character_table(7), character_table(7)
+    assert {id(v) for r in first.rows for v in r.values}.isdisjoint(
+        id(v) for r in second.rows for v in r.values)
+    assert first.class_table.value_pool is not second.class_table.value_pool
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -154,8 +245,8 @@ def test_adding_all_ones_changes_no_result(p, data):
     row = table.rows[i]
     value = RootSum(p, [c + shift for c in row.values[k].counts])
     assert value == row.values[k] and str(value) == str(row.values[k])
-    shifted = replace(table, rows=table.rows[:i] + (
-        replace(row, values=row.values[:k] + (value,) + row.values[k + 1:]),) + table.rows[i + 1:])
+    shifted = rebuilt(table, rows=table.rows[:i] + (
+        rebuilt(row, values=row.values[:k] + (value,) + row.values[k + 1:]),) + table.rows[i + 1:])
     ct = table.class_table
     check_first_orthogonality(ct, _values(shifted))
     assert fs_indicator(ct, shifted.rows[i].values) == row.indicator
@@ -194,7 +285,7 @@ def test_centralizer_orders_must_be_galois_invariant(table7):
     k = next(k for k in range(ct.n_classes) if perm[k] != k)
     cents = list(ct.centralizer_orders)
     cents[k] += 1
-    bad = replace(table7, class_table=replace(ct, centralizer_orders=tuple(cents)))
+    bad = rebuilt(table7, class_table=rebuilt(ct, centralizer_orders=tuple(cents)))
     with pytest.raises(InvariantError, match="does not preserve centralizer orders"):
         galois_class_permutation(bad.class_table)
     ok, detail = dict(TABLE_CHECKS)["second_orthogonality"](bad)
@@ -209,7 +300,7 @@ def test_square_map_must_commute_with_galois_action(table7):
     k = next(k for k in range(ct.n_classes) if perm[k] != k)
     squares = list(ct.square_map)
     squares[k] = 0  # a nonzero vector of V squared to the identity class
-    bad = replace(ct, square_map=tuple(squares))
+    bad = rebuilt(ct, square_map=tuple(squares))
     with pytest.raises(InvariantError, match="does not commute with the square map"):
         galois_class_permutation(bad)
     with pytest.raises(InvariantError, match="does not commute with the square map"):
@@ -283,11 +374,11 @@ def test_one_embedding_per_table(monkeypatch):
 def test_a_table_with_other_rows_gets_its_own_image(table5):
     ct = table5.class_table
     genuine = image_of(ct, _values(table5))
-    rows = table5.rows[:-1] + (replace(table5.rows[-1], values=tuple(table5.rows[-1].values)),)
+    rows = table5.rows[:-1] + (rebuilt(table5.rows[-1], values=tuple(table5.rows[-1].values)),)
     assert image_of(ct, [r.values for r in rows]) is genuine  # same value tuple
     last = table5.rows[-1].values[-1].counts
     edited = table5.rows[-1].values[:-1] + (RootSum(5, (last[0] + 1, *last[1:])),)
-    other = replace(table5, rows=table5.rows[:-1] + (replace(table5.rows[-1], values=edited),))
+    other = rebuilt(table5, rows=table5.rows[:-1] + (rebuilt(table5.rows[-1], values=edited),))
     assert image_of(ct, _values(other)) is not genuine
     ok, _ = dict(TABLE_CHECKS)["second_orthogonality"](other)
     assert ok is False

@@ -3,7 +3,6 @@ its printed bytes, and that each oracle fails on a table corrupted for it."""
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
 from q8family import cli, selftest
 from q8family import characters
 from q8family.characters import (CharacterTable, assemble_character_table,
@@ -250,7 +250,7 @@ def _permute_induced_rows(ct):
     induced = [i for i, r in enumerate(table.rows) if r.name.startswith("ind_")]
     rows = list(table.rows)
     for i, j in zip(induced, induced[1:] + induced[:1]):
-        rows[i] = replace(table.rows[i], values=table.rows[j].values)
+        rows[i] = rebuilt(table.rows[i], values=table.rows[j].values)
     return CharacterTable(class_table=ct, rows=tuple(rows))
 
 
@@ -261,7 +261,7 @@ def _bump_identity_root_count(group):
     integer and the fault surfaces as a verdict rather than an exception.
     """
     ct = conjugacy_classes(group)
-    return replace(ct, root_counts=(ct.root_counts[0] + ct.order,) + ct.root_counts[1:])
+    return rebuilt(ct, root_counts=(ct.root_counts[0] + ct.order,) + ct.root_counts[1:])
 
 
 def _swap_core_square_map(group):
@@ -275,7 +275,7 @@ def _swap_core_square_map(group):
     square_map = list(ct.square_map)
     square_map[k1], square_map[k2] = square_map[k2], square_map[k1]
     assert square_map != list(ct.square_map)
-    return replace(ct, square_map=tuple(square_map))
+    return rebuilt(ct, square_map=tuple(square_map))
 
 
 def _shift_trivial_row_by_induced_difference(ct):
@@ -292,7 +292,7 @@ def _shift_trivial_row_by_induced_difference(ct):
     triv, plus, minus = (table.row(name).values for name in ("triv", "ind_1_1", "ind_1_3"))
     shifted = tuple(RootSum(ct.p, [a + b - c for a, b, c in zip(t.counts, x.counts, y.counts)])
                     for t, x, y in zip(triv, plus, minus))
-    rows = (replace(table.rows[0], values=shifted),) + table.rows[1:]
+    rows = (rebuilt(table.rows[0], values=shifted),) + table.rows[1:]
     return CharacterTable(class_table=ct, rows=rows)
 
 
@@ -360,7 +360,7 @@ def _zeta_as_last_linx_value(ct):
     i = table.row_index_by_name["linX"]
     zeta = RootSum(ct.p, [0, 1] + [0] * (ct.p - 2))
     rows = list(table.rows)
-    rows[i] = replace(rows[i], values=rows[i].values[:-1] + (zeta,))
+    rows[i] = rebuilt(rows[i], values=rows[i].values[:-1] + (zeta,))
     return CharacterTable(class_table=ct, rows=tuple(rows))
 
 

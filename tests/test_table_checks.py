@@ -11,9 +11,10 @@ invariants guard cached table documents.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
+
+from conftest import rebuilt
 
 from q8family import characters
 from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
@@ -27,12 +28,12 @@ from q8family.verify import run_table_checks
 
 
 def _with_row(table, name, **changes):
-    rows = tuple(replace(r, **changes) if r.name == name else r for r in table.rows)
-    return replace(table, rows=rows)
+    rows = tuple(rebuilt(r, **changes) if r.name == name else r for r in table.rows)
+    return rebuilt(table, rows=rows)
 
 
 def _with_classes(table, **changes):
-    return replace(table, class_table=replace(table.class_table, **changes))
+    return rebuilt(table, class_table=rebuilt(table.class_table, **changes))
 
 
 def _bump_first(seq):
@@ -59,7 +60,7 @@ def _wrong_central_involution(table):
     """The group's z replaced by X, so V<z> names the wrong coset."""
     group = table.class_table.group
     q = group.quaternion
-    return _with_classes(table, group=SemidirectGroup(replace(q, z=q.x)))
+    return _with_classes(table, group=SemidirectGroup(rebuilt(q, z=q.x)))
 
 
 def _edited_induced_value(table):
