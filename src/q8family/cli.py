@@ -10,14 +10,11 @@ import io
 import os
 import sys
 
-from .characters import character_table
+# The layers are lazy modules (see the package docstring): each is compiled
+# and run when a command first calls into it, so they are called by attribute.
+from . import characters, selftest, serialize, verify
 from .errors import InvariantError, UsageError
 from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
-from .selftest import run_selftest
-from .serialize import (cache_path, canonical_json, load_cached_table,
-                        report_document, scan_document, store_cached_table,
-                        table_document, write_atomic)
-from .verify import scan_primes, verify_prime
 
 CACHE_ENV = "Q8FAMILY_CACHE_DIR"
 
@@ -89,7 +86,7 @@ def build_parser():
 def _emit(args, text):
     if args.out:
         try:
-            write_atomic(args.out, text)
+            serialize.write_atomic(args.out, text)
         except OSError as e:
             raise UsageError(f"cannot write {args.out}: {e}") from None
     else:
@@ -220,9 +217,9 @@ def render_scan_text(summaries):
 
 def cmd_verify(args):
     label = None if args.label is None else _parse_label(args.label)
-    report = verify_prime(args.prime, label, args.bound, args.alt_subgroup)
+    report = verify.verify_prime(args.prime, label, args.bound, args.alt_subgroup)
     if args.fmt == "json":
-        _emit(args, canonical_json(report_document(report)))
+        _emit(args, serialize.canonical_json(serialize.report_document(report)))
     else:
         _emit(args, render_report_text(report))
     return 0 if report.overall_pass else 1
@@ -232,20 +229,21 @@ def cmd_table(args):
     p = args.prime
     require_odd_prime(p, args.bound)  # before the cache, which serves only such p
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    doc = cache_dir and load_cached_table(cache_dir, p)
+    doc = cache_dir and serialize.load_cached_table(cache_dir, p)
     text = None
     if doc:
-        print(f"cache hit: {cache_path(cache_dir, p)}", file=sys.stderr)
+        print(f"cache hit: {serialize.cache_path(cache_dir, p)}", file=sys.stderr)
     else:
-        doc = table_document(character_table(p))
+        doc = serialize.table_document(characters.character_table(p))
         if cache_dir:
-            text = canonical_json(doc)
+            text = serialize.canonical_json(doc)
             try:
-                store_cached_table(cache_dir, p, text)
+                serialize.store_cached_table(cache_dir, p, text)
             except OSError as e:
-                raise UsageError(f"cannot write cache {cache_path(cache_dir, p)}: {e}") from None
+                path = serialize.cache_path(cache_dir, p)
+                raise UsageError(f"cannot write cache {path}: {e}") from None
     render = {"csv": render_table_csv, "text": render_table_text}.get(args.fmt)
-    _emit(args, render(doc) if render else text or canonical_json(doc))
+    _emit(args, render(doc) if render else text or serialize.canonical_json(doc))
     return 0
 
 
@@ -253,9 +251,9 @@ def cmd_scan(args):
     lo, hi = _parse_prime_range(args.primes)
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    summaries = scan_primes(lo, hi, args.bound, args.alt_subgroup, args.jobs)
+    summaries = verify.scan_primes(lo, hi, args.bound, args.alt_subgroup, args.jobs)
     if args.fmt == "json":
-        _emit(args, canonical_json(scan_document(lo, hi, summaries)))
+        _emit(args, serialize.canonical_json(serialize.scan_document(lo, hi, summaries)))
     else:
         _emit(args, render_scan_text(summaries))
     if all(r["pass"] for r in summaries):
@@ -268,7 +266,7 @@ def cmd_scan(args):
 
 
 def cmd_selftest(args):
-    results = run_selftest(args.prime, args.bound)
+    results = selftest.run_selftest(args.prime, args.bound)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "ok  " if r.ok else "FAIL"

@@ -81,18 +81,42 @@ def table_document(table):
     }
 
 
+def _value_key(obj):
+    """A hashable key of a value as `json.load` gives it, or None for some that do not parse.
+
+    Two values get equal keys only when they are the same JSON up to key
+    order.  So "n" must be an int, because JSON true, 1 and 1.0 are equal
+    in Python, and every coefficient a list, because tuple() reads a
+    string or an object as it reads a list.
+    """
+    if (type(obj) is dict and len(obj) == 2 and type(n := obj.get("n")) is int
+            and type(pairs := obj.get("coeffs")) is list and {*map(type, pairs)} == {list}):
+        key = (n, *map(tuple, pairs))
+        try:
+            hash(key)
+        except TypeError:  # a coefficient holds a list or an object
+            return None
+        return key
+    return None
+
+
 def document_values(doc):
     """The values of a parsed JSON document as `RootSum`s, one list per row.
 
-    Each value is parsed once, and equal values share one `RootSum`, so a
-    cache hit holds one per distinct value.  ValueError if one does not parse.
+    The first cell of each distinct JSON value is parsed, and the later
+    ones share its `RootSum`; `RootSum.from_json_obj` accepts one spelling
+    per value, so a cache hit holds one `RootSum` per distinct value.
+    ValueError, for the first cell in document order that does not parse.
     """
     p = doc["prime"]
-    interned = {}
+    parsed = {}
 
     def value(obj):
-        v = RootSum.from_json_obj(obj, p)
-        return interned.setdefault(v.canonical(), v)
+        key = _value_key(obj)
+        v = parsed.get(key)
+        if v is None:  # the None key is never stored: its values raise here
+            v = parsed[key] = RootSum.from_json_obj(obj, p)
+        return v
 
     return [[value(obj) for obj in ch["values"]] for ch in doc["characters"]]
 

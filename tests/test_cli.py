@@ -53,7 +53,7 @@ class TestVerifyCommand:
         report = verify_prime(3)
         report.claims["indicator_one"] = False
 
-        monkeypatch.setattr(cli, "verify_prime", lambda *a, **k: report)
+        monkeypatch.setattr(cli.verify, "verify_prime", lambda *a, **k: report)
         assert cli.main(["verify", "--prime", "3"]) == 1
         assert "VERDICT: FAIL" in capsys.readouterr().out
 
@@ -67,7 +67,7 @@ class TestVerifyCommand:
         def boom(*a, **k):
             raise InvariantError("fabricated failure")
 
-        monkeypatch.setattr(cli, "verify_prime", boom)
+        monkeypatch.setattr(cli.verify, "verify_prime", boom)
         assert cli.main(["verify", "--prime", "3"]) == 3
         assert "internal invariant violation" in capsys.readouterr().err
 
@@ -335,7 +335,7 @@ class TestTableCache:
         path = tmp_path / "table_p9.json"
         path.write_text("{}")
         read = []
-        monkeypatch.setattr(cli, "load_cached_table", lambda *args: read.append(args))
+        monkeypatch.setattr(cli.serialize, "load_cached_table", lambda *args: read.append(args))
         assert cli.main(["table", "--prime", "9", "--format", "text",
                          "--cache", str(tmp_path)]) == 2
         assert capsys.readouterr() == ("", "error: p=9: not an odd prime\n")
@@ -403,7 +403,6 @@ class TestTableCache:
             encoded.append(doc)
             return canonical_json(doc)
 
-        monkeypatch.setattr(cli, "canonical_json", counting)
         monkeypatch.setattr(serialize, "canonical_json", counting)
         for fmt in ("json", "text", "csv"):
             cache = tmp_path / fmt
@@ -513,13 +512,46 @@ class TestSelftestCommand:
         from q8family.selftest import CheckResult
 
         monkeypatch.setattr(
-            cli, "run_selftest",
+            cli.selftest, "run_selftest",
             lambda p, bound: [CheckResult("fabricated", False, "broken")])
         assert cli.main(["selftest", "--prime", "3"]) == 3
         assert "FAIL fabricated" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- harness
+
+LAYERS = ("cyclotomic", "groups", "modular", "characters", "verify", "serialize", "selftest")
+
+# Runs `python -m q8family *argv`, then writes its exit code and every loaded
+# module to the file argv[1].  A module counts as loaded when its type is
+# exactly types.ModuleType: a layer not yet run is a lazy module of a subclass,
+# and reading any attribute of it, even `__spec__` or `__dict__`, would run it,
+# while type() reads none.  `-X importtime` cannot tell either, as it does not
+# list a lazy module's load.
+RUN_AND_LIST_MODULES = """
+import runpy, sys, types
+out, sys.argv = sys.argv[1], ["q8family", *sys.argv[2:]]
+try:
+    runpy.run_module("q8family", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as e:
+    code = e.code
+loaded = [name for name, m in list(sys.modules.items()) if type(m) is types.ModuleType]
+with open(out, "w") as fh:
+    fh.write(" ".join([str(code), *loaded]))
+"""
+
+
+def _run_loaded(tmp_path, argv):
+    """The exit code of the CLI call argv in a fresh process, and the modules it loaded."""
+    out = tmp_path / "loaded.txt"
+    src = str(Path(q8family.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_MODULES, str(out), *argv],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = out.read_text().split()
+    return int(code), set(loaded)
 
 
 class TestHarness:
@@ -538,7 +570,7 @@ class TestHarness:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_import_leaves_out_unused_standard_modules(self):
+    def test_import_leaves_out_unused_standard_modules(self, tmp_path):
         # counted, not timed: each of these costs start-up in every CLI call
         # (`dataclasses` pulls in `inspect`), and no command needs them there
         code = ("import sys, q8family.cli; print(' '.join(m for m in ('concurrent.futures', "
@@ -549,6 +581,28 @@ class TestHarness:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+        # the layers that need them are not run by --help
+        code, loaded = _run_loaded(tmp_path, ["--help"])
+        assert code == 0 and not {"fractions", "json"} & loaded
+
+    # argv -> exit code and the layers it runs
+    @pytest.mark.parametrize("argv, code, layers", [
+        (["--help"], 0, []),
+        (["scan", "--primes", "3..5", "--jobs", "0"], 2, []),
+        (["verify", "--prime", "5", "--format", "json"], 0,
+         ["cyclotomic", "groups", "modular", "characters", "verify", "serialize"]),
+        (["scan", "--primes", "3..5"], 0,
+         ["cyclotomic", "groups", "modular", "characters", "verify"]),
+        (["table", "--prime", "5"], 0,
+         ["cyclotomic", "groups", "modular", "characters", "serialize"]),
+        (["selftest", "--prime", "3"], 0,
+         ["cyclotomic", "groups", "modular", "characters", "selftest"]),
+    ], ids=["help", "usage-error", "verify-json", "scan", "table", "selftest"])
+    def test_a_command_runs_only_the_layers_it_uses(self, tmp_path, argv, code, layers):
+        # counted, not timed: compiling a layer is start-up in every call that runs it
+        got, loaded = _run_loaded(tmp_path, argv)
+        assert got == code
+        assert [layer for layer in LAYERS if f"q8family.{layer}" in loaded] == layers
 
     @pytest.mark.slow
     def test_verify_at_the_default_bound(self):

@@ -14,6 +14,7 @@ imports `dataclasses`, which would load `inspect` at every start-up.
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -78,7 +79,9 @@ def test_cyclotomic_imports_nothing_from_fractions():
 
 @pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
 def test_only_selftest_and_the_exports_import_cyclotomic(path):
-    names = {name for _, name in imports(path)}
+    # the package imports no layer: it serves its exports lazily from a table
+    names = (set(q8family._EXPORTS) if path.name == "__init__.py"
+             else {name for _, name in imports(path)})
     assert ("Cyclotomic" in names) == (path.name in ("selftest.py", "__init__.py"))
 
 
@@ -124,3 +127,10 @@ def test_no_module_imports_dataclasses(path):
 def test_groups_has_one_conjugation_formula():
     [path] = [m for m in MODULES if m.name == "groups.py"]
     assert "_conjugate" not in {f.name for f in functions(path)}
+
+
+def test_each_export_is_what_its_module_defines():
+    # the package serves its exports from one table, read on first use
+    for name, module in q8family._EXPORTS.items():
+        assert getattr(q8family, name) is getattr(import_module(f"q8family.{module}"), name)
+    assert set(q8family.__all__) == set(q8family._EXPORTS) <= set(dir(q8family))

@@ -239,6 +239,43 @@ class TestDocumentValues:
         with pytest.raises(ValueError, match="order other than 1 or p"):
             document_values(doc)
 
+    def test_each_distinct_value_is_parsed_once(self, table5, monkeypatch):
+        doc = json.loads(canonical_json(table_document(table5)))
+        parsed = []
+        original = RootSum.from_json_obj
+
+        def counting(obj, p):
+            parsed.append(obj)
+            return original(obj, p)
+
+        monkeypatch.setattr(RootSum, "from_json_obj", counting)
+        values = [v for row in document_values(doc) for v in row]
+        assert len(parsed) == len({v.canonical() for v in values}) < len(values)
+
+    # each is equal in Python, as JSON, to the valid first cell {"n": 1, "coeffs": [["1", "1"]]},
+    # or reads the same through tuple(), and must not be served as that cell's value
+    @pytest.mark.parametrize("later, problem", [
+        ({"n": True, "coeffs": [["1", "1"]]}, 'non-int "n"'),
+        ({"n": 1.0, "coeffs": [["1", "1"]]}, 'non-int "n"'),
+        ({"n": 1, "coeffs": ["11"]}, "a coefficient that is not"),
+        ({"n": 1, "coeffs": [["1", ["1"]]]}, "a coefficient that is not"),
+    ], ids=["true", "float", "string", "nested-list"])
+    def test_a_later_cell_equal_to_a_valid_one_in_python_is_still_refused(
+            self, table5, later, problem):
+        doc = json.loads(canonical_json(table_document(table5)))
+        assert doc["characters"][0]["values"][0] == {"n": 1, "coeffs": [["1", "1"]]}
+        doc["characters"][-1]["values"][-1] = later
+        with pytest.raises(ValueError, match=problem):
+            document_values(doc)
+
+    def test_the_first_bad_cell_in_document_order_is_reported(self, table5):
+        doc = json.loads(canonical_json(table_document(table5)))
+        doc["characters"][1]["values"][2] = {"n": 7, "coeffs": [["1", "1"]]}
+        doc["characters"][3]["values"][0] = {"n": True, "coeffs": [["1", "1"]]}
+        doc["characters"][3]["values"][1] = doc["characters"][1]["values"][2]
+        with pytest.raises(ValueError, match="order other than 1 or p"):
+            document_values(doc)
+
     def test_parsed_hit_is_the_document_and_its_values(self, tmp_path, table5):
         doc = table_document(table5)
         store_cached_table(tmp_path, 5, canonical_json(doc))
