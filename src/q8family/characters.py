@@ -19,10 +19,8 @@ indicator is a root-count sum; its literal per-element form lives in
 `selftest`.
 
 TABLE_CHECKS, at the end, is the one ordered registry of named table
-checks: `verify` records its verdicts in every report, `selftest` prints
-them, and `serialize` validates cached documents with its integer
-predicates and reads their values back as `RootSum`s, so a table's values
-have one type whether built here or loaded.
+checks: `verify` records its verdicts in every report, and `selftest`
+prints them.
 
 Characters of V are labelled by pairs (a, b) of residues: the label (a, b)
 sends v to zeta_p^(a v0 + b v1).  A matrix M moves labels by the
@@ -403,8 +401,8 @@ def tensor_square_decompose(table, row):
 
 # -- table invariants ------------------------------------------------------------
 #
-# The integer predicates take plain numbers so that a cached table document
-# can be validated without rebuilding the table.
+# The integer predicates take plain numbers, so that assembly can check the
+# degrees before the table exists and `verify` and `selftest` share them.
 
 
 def family_class_count(p):

@@ -151,7 +151,7 @@ def _value_texts(doc):
             t = texts[key] = str(v)
         return t
 
-    return [[text(v) for v in ch["values"]] for ch in doc["characters"]]
+    return [[text(v) for v in row] for row in serialize.document_values(doc)]
 
 
 def render_table_text(doc):
@@ -227,23 +227,21 @@ def cmd_verify(args):
 
 def cmd_table(args):
     p = args.prime
-    require_odd_prime(p, args.bound)  # before the cache, which serves only such p
+    require_odd_prime(p, args.bound)  # before any work, the cache included
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    doc = cache_dir and serialize.load_cached_table(cache_dir, p)
-    text = None
-    if doc:
-        print(f"cache hit: {serialize.cache_path(cache_dir, p)}", file=sys.stderr)
-    else:
-        doc = serialize.table_document(characters.character_table(p))
-        if cache_dir:
-            text = serialize.canonical_json(doc)
+    doc = serialize.table_document(characters.character_table(p))
+    text = serialize.canonical_json(doc) if cache_dir or args.fmt == "json" else None
+    if cache_dir:
+        path = serialize.cache_path(cache_dir, p)
+        if serialize.load_cached_table(cache_dir, p, text) is not None:
+            print(f"cache hit: {path}", file=sys.stderr)
+        else:
             try:
                 serialize.store_cached_table(cache_dir, p, text)
             except OSError as e:
-                path = serialize.cache_path(cache_dir, p)
                 raise UsageError(f"cannot write cache {path}: {e}") from None
     render = {"csv": render_table_csv, "text": render_table_text}.get(args.fmt)
-    _emit(args, render(doc) if render else text or serialize.canonical_json(doc))
+    _emit(args, render(doc) if render else text)
     return 0
 
 

@@ -13,13 +13,13 @@ is a plain int: a bool, float or Fraction raises TypeError.  p passes
 `modp.require_odd_prime`, whose UsageError is a ValueError.
 
 `RootSum` has no arithmetic; table values are only compared, printed and
-serialized, and the F_l kernel (`modular`) computes with their counts.
+serialized, never read back, and the F_l kernel (`modular`) computes with
+their counts.
 `Cyclotomic`, at the end, is a `RootSum` with the ring operations that
 `selftest`'s exact oracles use; values of two different primes do not
 combine (ValueError).
 """
 
-from functools import lru_cache
 from numbers import Rational
 from operator import add, countOf, sub
 
@@ -71,19 +71,11 @@ def _format(n, coeffs):
     return text
 
 
-@lru_cache(maxsize=1024)  # a table's values repeat a few small coefficients
-def _decimal_int(text):
-    """The int whose `str` is text; ValueError for any other text."""
-    if str(value := int(text)) != text:
-        raise ValueError(f"{text!r} is not an integer as str writes it")
-    return value
-
-
 class RootSum:
     """The formal sum sum_e counts[e] zeta_p^e of p-th roots of unity, p an odd prime.
 
     Equality is modulo the all-ones vector; `str` and `to_json_obj` write
-    the power-basis form `canonical()`, and `from_json_obj` reads it back.
+    the power-basis form `canonical()`.
     """
 
     __slots__ = ("p", "counts")
@@ -144,32 +136,6 @@ class RootSum:
         """The serialized form of `canonical()`: {"n": n, "coeffs": [[str(c), "1"], ...]}."""
         n, coeffs = self.canonical()
         return {"n": n, "coeffs": [[str(c), "1"] for c in coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj, p):
-        """The inverse of `to_json_obj` at the prime p: counts (*c, 0) from an
-        order-p value's p - 1 coefficients c, (c, 0, ..., 0) from an order-1
-        value's one.  Anything else raises ValueError saying what is wrong:
-        another shape, order or length, a key other than "n" and "coeffs", a
-        coefficient other than [str(c), "1"] for an int c, or an order-p value
-        that `to_json_obj` writes as order 1.  So `to_json_obj` gives back
-        every object this accepts.
-        """
-        if type(obj) is not dict or type(pairs := obj.get("coeffs")) is not list:
-            raise ValueError('a value that is not an object with a "coeffs" list')
-        if len(obj) != 2 or type(n := obj.get("n")) is not int:
-            raise ValueError('a value with keys other than "n" and "coeffs", or a non-int "n"')
-        if (n, len(pairs)) not in ((p, p - 1), (1, 1)):
-            raise ValueError("a value of order other than 1 or p, or of the wrong length")
-        counts = []
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2 or pair[1] != "1" or type(pair[0]) is not str:
-                raise ValueError('a coefficient that is not [decimal integer, "1"]')
-            counts.append(_decimal_int(pair[0]))
-        if n != 1 and not any(counts[1:]):
-            raise ValueError("an order-p value whose coefficients past the first are all 0, "
-                             "which is written as order 1")
-        return cls(p, counts + [0] * (p - len(counts)))
 
 
 class Cyclotomic(RootSum):

@@ -7,11 +7,11 @@ The table document schema (versioned by its "format" field):
      "characters": [{"name": ..., "degree": ..., "indicator": ...,
                      "values": [value, ...]}]}
 
-In memory, as `table_document` builds it and `load_cached_table` returns
-it, each value is a `RootSum`; in JSON it is that value's `to_json_obj()`,
-{"n": ..., "coeffs": [[num, den], ...]}.  Values appear in class order;
-coefficient numerators and denominators are exact decimal strings; every
-denominator is "1", as values lie in Z[zeta_p].
+In memory, as `table_document` builds it, each value is a `RootSum`; in
+JSON it is that value's `to_json_obj()`, {"n": ..., "coeffs": [[num, den],
+...]}.  Values appear in class order; coefficient numerators and
+denominators are exact decimal strings; every denominator is "1", as
+values lie in Z[zeta_p].
 
 Every document (table, report, scan) is written by `canonical_json`, whose
 output is byte-identical to `json.dumps(obj, indent=2, ensure_ascii=True,
@@ -27,10 +27,10 @@ builds each list's or dict's text with one `str.join` over its encoded
 children, and leaves strings to the C-backed `encode_basestring_ascii`.
 
 Writes go through a temp file plus rename so a crashed run never leaves
-partial JSON behind.  A cached document is served only when it has
-exactly the keys and types `table_document` writes, its integer fields
-satisfy the table invariants and every value parses as a `RootSum` at its
-prime; the values are not checked against the group.
+partial JSON behind.  The table cache is never read back as a table:
+`load_cached_table` only compares a cache file with the text of the table
+just built, so nothing read from disk is served, and a file that matches
+is not rewritten.
 """
 
 import json
@@ -41,17 +41,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
-from .characters import (class_partition_holds, degree_sum_holds,
-                         family_class_count, fs_sum_rule, quaternionic_row_unique)
 from .cyclotomic import RootSum
 
 TABLE_FORMAT = 1
 REPORT_FORMAT = 1
 
-# the keys `table_document` writes, at each level; a cached document has exactly these
-TABLE_KEYS = {"format", "prime", "group_order", "classes", "characters"}
-CLASS_KEYS = {"rep", "size", "centralizer"}
-CHARACTER_KEYS = {"name", "degree", "indicator", "values"}
+CHUNK = 1 << 16  # characters of a cache file compared at a time
 
 
 def table_document(table):
@@ -81,44 +76,9 @@ def table_document(table):
     }
 
 
-def _value_key(obj):
-    """A hashable key of a value as `json.load` gives it, or None for some that do not parse.
-
-    Two values get equal keys only when they are the same JSON up to key
-    order.  So "n" must be an int, because JSON true, 1 and 1.0 are equal
-    in Python, and every coefficient a list, because tuple() reads a
-    string or an object as it reads a list.
-    """
-    if (type(obj) is dict and len(obj) == 2 and type(n := obj.get("n")) is int
-            and type(pairs := obj.get("coeffs")) is list and {*map(type, pairs)} == {list}):
-        key = (n, *map(tuple, pairs))
-        try:
-            hash(key)
-        except TypeError:  # a coefficient holds a list or an object
-            return None
-        return key
-    return None
-
-
 def document_values(doc):
-    """The values of a parsed JSON document as `RootSum`s, one list per row.
-
-    The first cell of each distinct JSON value is parsed, and the later
-    ones share its `RootSum`; `RootSum.from_json_obj` accepts one spelling
-    per value, so a cache hit holds one `RootSum` per distinct value.
-    ValueError, for the first cell in document order that does not parse.
-    """
-    p = doc["prime"]
-    parsed = {}
-
-    def value(obj):
-        key = _value_key(obj)
-        v = parsed.get(key)
-        if v is None:  # the None key is never stored: its values raise here
-            v = parsed[key] = RootSum.from_json_obj(obj, p)
-        return v
-
-    return [[value(obj) for obj in ch["values"]] for ch in doc["characters"]]
+    """The values of the table document doc, one list per row."""
+    return [ch["values"] for ch in doc["characters"]]
 
 
 def _report_value(value):
@@ -241,83 +201,41 @@ def cache_path(cache_dir, p):
     return Path(cache_dir) / f"table_p{p}.json"
 
 
-def table_document_problem(doc, p):
-    """The first shape or integer invariant the table document for p breaks, or None.
+def _first_difference(fh, text):
+    """The offset of the first character where the open file fh and text differ, or None.
 
-    Its keys must be exactly those `table_document` writes, at each level.
+    The file is read in chunks of CHUNK characters, so no second copy of a
+    large document is held.
     """
-    try:
-        classes, chars = doc["classes"], doc["characters"]
-        if (doc.keys() != TABLE_KEYS or not all(c.keys() == CLASS_KEYS for c in classes)
-                or not all(ch.keys() == CHARACTER_KEYS for ch in chars)):
-            return "fields other than those of a table document"
-        order = doc["group_order"]
-        reps = [c["rep"] for c in classes]
-        sizes = [c["size"] for c in classes]
-        cents = [c["centralizer"] for c in classes]
-        degrees = [ch["degree"] for ch in chars]
-        indicators = [ch["indicator"] for ch in chars]
-        value_counts = [len(ch["values"]) for ch in chars]
-    except (AttributeError, KeyError, TypeError):
-        return "missing or malformed fields"
-    if not all(type(x) is int for x in [order, *sizes, *cents, *degrees, *indicators]):
-        return "non-integer order, size, centralizer, degree or indicator"
-    if not all(type(ch["name"]) is str for ch in chars):
-        return "a character name that is not a string"
-    if not all(type(r) is list and len(r) == 6 and all(type(x) is int for x in r) for r in reps):
-        return "a class rep that is not a list of six ints"
-    if order != 8 * p * p:
-        return f"group order {order} != 8 p^2"
-    if not len(classes) == len(chars) == family_class_count(p):
-        return f"{len(classes)} classes and {len(chars)} rows, not 5 + (p^2-1)/8"
-    if not class_partition_holds(order, sizes, cents):
-        return "class sizes and centralizers do not partition G"
-    if not degree_sum_holds(order, degrees):
-        return "degrees squared do not sum to |G|"
-    if any(n != len(classes) for n in value_counts):
-        return "a row does not have one value per class"
-    if not fs_sum_rule(p, degrees, indicators)[0]:
-        return "indicator-weighted degrees do not sum to 1 + p^2"
-    if not quaternionic_row_unique(degrees, indicators):
-        return "indicator -1 is not on the unique degree-2 row alone"
-    return None
+    at = 0
+    while chunk := fh.read(CHUNK):
+        if not text.startswith(chunk, at):
+            return at + len(os.path.commonprefix((chunk, text[at:at + len(chunk)])))
+        at += len(chunk)
+    return None if at == len(text) else at
 
 
-def load_cached_table(cache_dir, p):
-    """The cached table document for p, or None if absent, stale, unreadable or invalid.
+def load_cached_table(cache_dir, p, text):
+    """text if the cache file for p holds exactly those characters, else None.
 
-    p must be an odd prime; a "format" or "prime" other than the int
-    TABLE_FORMAT or p is a miss.  A document is invalid when its keys are
-    not exactly those `table_document` writes, a name is not a str or a
-    rep not six ints, it breaks an integer invariant, or a value does not
-    parse; it is reported on stderr and then treated as a miss, so the
-    caller recomputes and overwrites it.
-    A valid one is returned as `table_document` builds it: its values are
-    the parsed `RootSum`s.
+    A file that cannot be opened is a silent miss.  One that differs from
+    text, or does not decode, is reported on stderr and is a miss too, so
+    the caller overwrites it.
     """
     path = cache_path(cache_dir, p)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+        with open(path, newline="") as fh:
+            at = _first_difference(fh, text)
+    except OSError:
         return None
-    if type(doc) is not dict:
-        return None
-    fmt, prime = doc.get("format"), doc.get("prime")
-    if type(fmt) is not int or fmt != TABLE_FORMAT or type(prime) is not int or prime != p:
-        return None  # another format or prime: a miss, not a fault
-    problem = table_document_problem(doc, p)
-    if problem is None:
-        try:
-            values = document_values(doc)
-        except ValueError as exc:
-            problem = f"a character value does not parse: {exc}"
-    if problem is not None:
-        print(f"cache rejected: {path}: {problem}", file=sys.stderr)
-        return None
-    for ch, row in zip(doc["characters"], values):
-        ch["values"] = row
-    return doc
+    except UnicodeDecodeError as exc:
+        problem = f"does not decode: {exc.reason}"
+    else:
+        if at is None:
+            return text
+        problem = f"differs from the table at character {at}"
+    print(f"cache rejected: {path}: {problem}", file=sys.stderr)
+    return None
 
 
 def store_cached_table(cache_dir, p, text):

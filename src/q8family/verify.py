@@ -87,14 +87,15 @@ def run_table_checks(table):
                       fs_indicator_direct(table.class_table, psi.values))
 
 
-def verify_label(table, label, facts=None):
-    """Check the three claims for one label against an already-built table."""
+def verify_label(table, label, facts):
+    """Check the three claims for one label against an already-built table.
+
+    facts is `run_table_checks(table)`, computed once per table by the caller.
+    """
     ct = table.class_table
     p = ct.p
     label = nontrivial_label(label, p)
     t0 = time.perf_counter()
-    if facts is None:
-        facts = run_table_checks(table)
 
     q = ct.group.quaternion
     stab = stabilizer_in_q(q, label)
@@ -185,7 +186,7 @@ def _alt_subgroup_summary(p, label, reference):
     t = Mat2.make(*ALT_CONJUGATOR, p)
     alt_q = conjugated_subgroup(quaternion_subgroup(p), t)
     table, _ = build_table_timed(p, alt_q)
-    rep = verify_label(table, label)
+    rep = verify_label(table, label, run_table_checks(table))
     summary = {
         "conjugator": list(ALT_CONJUGATOR),
         "pass": rep.overall_pass,
@@ -210,7 +211,7 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     label = nontrivial_label(label, p)
     total0 = time.perf_counter()
     table, timings = build_table_timed(p)
-    report = verify_label(table, label)
+    report = verify_label(table, label, run_table_checks(table))
     report.timings.update(timings)
     if alt_subgroup:
         report.alt_subgroup = _alt_subgroup_summary(p, label, report)

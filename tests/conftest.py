@@ -1,7 +1,9 @@
 import inspect
+import json
 
 import pytest
 
+from q8family import cli
 from q8family.characters import assemble_character_table
 from q8family.cyclotomic import Cyclotomic
 from q8family.groups import build_group, conjugacy_classes
@@ -57,3 +59,28 @@ def built_cyclotomics(monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "__init__", counted)
     return built
+
+
+def assert_edit_rebuilt(cache_dir, capsys, p, fmt, edit):
+    """A cache document for p given edit(doc) is rejected, rebuilt and rewritten.
+
+    The run prints the genuine table in fmt and one `cache rejected` line
+    on stderr, which is returned.
+    """
+    cache = str(cache_dir)
+    assert cli.main(["table", "--prime", str(p), "--format", "json", "--cache", cache]) == 0
+    stored = capsys.readouterr().out
+    assert cli.main(["table", "--prime", str(p), "--format", fmt]) == 0
+    genuine = capsys.readouterr().out
+    path = cache_dir / f"table_p{p}.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+    assert cli.main(["table", "--prime", str(p), "--format", fmt, "--cache", cache]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == genuine
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"cache rejected: {path}: ")
+    assert path.read_text() == stored
+    return captured.err

@@ -6,6 +6,10 @@ dict, so deleting or renaming one of them breaks traced runs without
 failing any other test.  It also reads two results: the table document
 passed to `canonical_json` (its `serialize.table_bytes`) and the None that
 `load_cached_table` returns on a miss (its cache hit and miss counts).
+`table` builds its table on every call, and `load_cached_table` only
+compares the cache file with the text of that table, returning the text
+on a hit; it and `document_values`, the accessor the renderers call, stay
+because the tracer names them.
 Only `selftest` builds `Cyclotomic` values, so a traced `selftest` run is
 what shows the counters still count.
 """
@@ -58,7 +62,7 @@ def test_tracer_measures_the_table_document_given_to_canonical_json(capsys):
 
 def test_tracer_counts_a_cache_miss_then_a_hit(tmp_path, capsys):
     # _count_lookup reads None from load_cached_table as a miss, anything else as a hit
-    assert load_cached_table(tmp_path, 5) is None
+    assert load_cached_table(tmp_path, 5, "") is None
     argv = ["table", "--prime", "5", "--format", "text", "--cache", str(tmp_path)]
     with tracing.Tracer() as tracer:
         assert cli.main(argv) == 0

@@ -7,11 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import assert_edit_rebuilt
 
 import q8family
 from q8family import cli, serialize
+from q8family.characters import character_table
 from q8family.cyclotomic import Cyclotomic, RootSum
-from q8family.serialize import canonical_json, load_cached_table
+from q8family.serialize import canonical_json, load_cached_table, table_document
 from q8family.verify import verify_prime
 
 # ---------------------------------------------------------------- verify
@@ -173,9 +178,9 @@ class TestTableCache:
                          "--cache", cache]) == 0
         fresh = capsys.readouterr()
         assert "cache hit" not in fresh.err
-        hit = load_cached_table(cache, 3)
+        hit = load_cached_table(cache, 3, fresh.out)
         assert hit is not None
-        assert canonical_json(hit) == fresh.out
+        assert hit == fresh.out
 
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
@@ -211,8 +216,9 @@ class TestTableCache:
         (tmp_path / "table_p3.json").write_text(json.dumps({"format": 0, "prime": 3}))
         assert cli.main(["table", "--prime", "3", "--format", "json",
                          "--cache", cache]) == 0
-        assert "cache hit" not in capsys.readouterr().err
-        assert load_cached_table(cache, 3)["format"] == 1
+        captured = capsys.readouterr()
+        assert "cache hit" not in captured.err
+        assert json.loads(load_cached_table(cache, 3, captured.out))["format"] == 1
 
     def test_tampered_cache_rejected_and_rewritten(self, tmp_path, capsys):
         cache = str(tmp_path)
@@ -236,37 +242,10 @@ class TestTableCache:
         assert path.read_text() == genuine
 
     @staticmethod
-    def assert_edit_rebuilt(tmp_path, capsys, fmt, edit, rejected=True):
-        """A p=3 cache document given edit(doc) is rebuilt and rewritten.
-
-        A rejected one is reported in one stderr line; any other is a silent miss.
-        """
-        cache = str(tmp_path)
-        assert cli.main(["table", "--prime", "3", "--format", "json", "--cache", cache]) == 0
-        stored = capsys.readouterr().out
-        assert cli.main(["table", "--prime", "3", "--format", fmt]) == 0
-        genuine = capsys.readouterr().out
-        path = tmp_path / "table_p3.json"
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-
-        assert cli.main(["table", "--prime", "3", "--format", fmt, "--cache", cache]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == genuine
-        if rejected:
-            assert len(captured.err.splitlines()) == 1
-            assert captured.err.startswith(f"cache rejected: {path}: ")
-        else:
-            assert captured.err == ""
-        assert path.read_text() == stored
-        return captured.err
-
-    @staticmethod
     def assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edit):
         """A p=3 cache whose last row gets edit(values) is rejected, rebuilt and rewritten."""
-        return TestTableCache.assert_edit_rebuilt(
-            tmp_path, capsys, fmt, lambda doc: edit(doc["characters"][-1]["values"]))
+        return assert_edit_rebuilt(
+            tmp_path, capsys, 3, fmt, lambda doc: edit(doc["characters"][-1]["values"]))
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_unparsable_coefficient_rejected_and_rewritten(self, tmp_path, capsys, fmt):
@@ -288,37 +267,99 @@ class TestTableCache:
         edits = {"eight halves": eight_halves, "too few coefficients": too_few_coefficients}
         self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, fmt, edits[edit])
 
-    @pytest.mark.parametrize("coeff, reason", [
+    @pytest.mark.parametrize("coeff, why", [
         (["8", "2"], 'a coefficient that is not [decimal integer, "1"]'),
         (["+1", "1"], "'+1' is not an integer as str writes it"),
     ])
-    def test_rejection_names_the_parse_failure(self, tmp_path, capsys, coeff, reason):
-        # both are exact integers, refused only for how they are written
+    def test_rejection_names_the_parse_failure(self, tmp_path, capsys, coeff, why):
+        # both are exact integers, refused only for how they are written; the
+        # rejection names the first character that differs from the table
         def respell(values):
             values[0]["coeffs"][0] = coeff
 
         err = self.assert_value_edit_rejected_and_rewritten(tmp_path, capsys, "json", respell)
+        stored = (tmp_path / "table_p3.json").read_text()
+        doc = json.loads(stored)
+        respell(doc["characters"][-1]["values"])
+        at = len(os.path.commonprefix((json.dumps(doc, indent=2), stored)))
         path = tmp_path / "table_p3.json"
-        assert err == f"cache rejected: {path}: a character value does not parse: {reason}\n"
+        assert err == f"cache rejected: {path}: differs from the table at character {at}\n", why
 
-    # edits of a p=3 document's JSON type or shape -> True if the document is
-    # rejected on stderr, False if it is a silent miss like another format
+    # edits of a p=3 document's JSON type or shape; another format or prime is
+    # rejected like any other file that is not the table's text
     SHAPE_EDITS = {
-        "prime float": (lambda doc: doc.update(prime=3.0), False),
-        "format true": (lambda doc: doc.update(format=True), False),
-        "format float": (lambda doc: doc.update(format=1.0), False),
-        "character without name": (lambda doc: doc["characters"][0].pop("name"), True),
-        "class without rep": (lambda doc: doc["classes"][0].pop("rep"), True),
-        "extra top-level key": (lambda doc: doc.update(note="kept"), True),
-        "name not a string": (lambda doc: doc["characters"][0].update(name=1), True),
-        "rep of five ints": (lambda doc: doc["classes"][0]["rep"].pop(), True),
+        "prime float": lambda doc: doc.update(prime=3.0),
+        "format true": lambda doc: doc.update(format=True),
+        "format float": lambda doc: doc.update(format=1.0),
+        "character without name": lambda doc: doc["characters"][0].pop("name"),
+        "class without rep": lambda doc: doc["classes"][0].pop("rep"),
+        "extra top-level key": lambda doc: doc.update(note="kept"),
+        "name not a string": lambda doc: doc["characters"][0].update(name=1),
+        "rep of five ints": lambda doc: doc["classes"][0]["rep"].pop(),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     @pytest.mark.parametrize("edit", sorted(SHAPE_EDITS))
     def test_wrong_type_or_shape_is_rebuilt(self, tmp_path, capsys, fmt, edit):
-        change, rejected = self.SHAPE_EDITS[edit]
-        self.assert_edit_rebuilt(tmp_path, capsys, fmt, change, rejected)
+        assert_edit_rebuilt(tmp_path, capsys, 3, fmt, self.SHAPE_EDITS[edit])
+
+    @staticmethod
+    def faulted(data, fault):
+        """data with one byte changed, cut short, or one byte appended."""
+        kind, at, byte = fault
+        if kind == "change":
+            at %= len(data)
+            return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+        if kind == "truncate":
+            return data[:at % len(data)]
+        return data + bytes([byte])
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fault=st.tuples(st.sampled_from(["change", "truncate", "append"]),
+                           st.integers(0, 1 << 20), st.integers(1, 255)))
+    def test_any_byte_fault_is_rejected(self, tmp_path, capsys, fmt, fault):
+        # tmp_path and capsys are shared by the examples: each one rewrites the
+        # file and reads all the output it made
+        argv = ["table", "--prime", "3", "--format", fmt]
+        assert cli.main(argv) == 0
+        genuine = capsys.readouterr().out
+        stored = canonical_json(table_document(character_table(3))).encode()
+        path = tmp_path / "table_p3.json"
+        path.write_bytes(self.faulted(stored, fault))
+        assert cli.main(argv + ["--cache", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == genuine
+        assert captured.err.startswith(f"cache rejected: {path}: ")
+        assert captured.err.count("\n") == 1
+        assert path.read_bytes() == stored
+
+    def test_last_byte_of_a_large_file_is_compared(self, tmp_path, capsys):
+        argv = ["table", "--prime", "17", "--format", "text", "--cache", str(tmp_path)]
+        assert cli.main(argv) == 0
+        genuine = capsys.readouterr().out
+        path = tmp_path / "table_p17.json"
+        stored = path.read_bytes()
+        assert len(stored) > 2 * serialize.CHUNK
+        path.write_bytes(stored[:-1] + b" ")
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == genuine
+        assert captured.err == (f"cache rejected: {path}: differs from the table "
+                                f"at character {len(stored) - 1}\n")
+        assert path.read_bytes() == stored
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_matching_file_is_not_rewritten(self, tmp_path, capsys, fmt):
+        argv = ["table", "--prime", "5", "--format", fmt, "--cache", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = tmp_path / "table_p5.json"
+        before = path.stat()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.endswith(f"cache hit: {path}\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_prime_bound_checked_before_the_cache(self, tmp_path, capsys, fmt):
@@ -330,8 +371,7 @@ class TestTableCache:
         assert hit == miss == (2, ("", "error: p=5 exceeds the prime bound 3\n"))
 
     def test_cache_not_read_for_a_non_prime(self, tmp_path, capsys, monkeypatch):
-        # RootSum equality and is_zero are right only at a prime, so a table_p9.json
-        # must never be parsed
+        # the prime is checked before any work, so a table_p9.json is never read
         path = tmp_path / "table_p9.json"
         path.write_text("{}")
         read = []

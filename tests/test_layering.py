@@ -10,7 +10,8 @@ from assembly's certificate, so only `selftest` runs the column sums.
 `modp` holds the one check that p is an odd prime; the prime bound is a
 parameter only of that check and of the three entry points that apply it,
 and `groups` conjugates with `SemidirectGroup.conj` alone.  No module
-imports `dataclasses`, which would load `inspect` at every start-up.
+imports `dataclasses`, which would load `inspect` at every start-up, and
+`serialize` takes only `RootSum` from the package.
 """
 
 import ast
@@ -69,6 +70,13 @@ def test_cyclotomic_has_one_representation():
     for name in ("ZERO", "ONE", "coeffs_at"):
         assert not hasattr(cyclotomic, name)
         assert not hasattr(Cyclotomic, name) and not hasattr(RootSum, name)
+
+
+def test_serialize_imports_only_cyclotomic_from_the_package():
+    # the cache is compared as text, so serialize needs no table invariants
+    [path] = [m for m in MODULES if m.name == "serialize.py"]
+    package = {m.stem for m in MODULES}
+    assert {mod for mod, _ in imports(path) if mod in package} == {"cyclotomic"}
 
 
 def test_cyclotomic_imports_nothing_from_fractions():

@@ -1,7 +1,9 @@
-"""canonical_json against its oracle, json.dumps(indent=2), and the value codec."""
+"""canonical_json against its oracle, json.dumps(indent=2), the value codec and the cache check."""
 
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -128,22 +130,36 @@ def cyclotomic_from_json(obj, p):
     return Cyclotomic(p, [int(num) for num, _ in obj["coeffs"]])
 
 
+def refused_at_5(directory, cell, text5):
+    """Whether a p=5 cache file whose last cell is written as cell is refused.
+
+    Every other byte of the file is the genuine document's, text5.
+    """
+    doc = json.loads(text5)
+    doc["characters"][-1]["values"][-1] = cell
+    store_cached_table(directory, 5, canonical_json(doc))
+    return load_cached_table(directory, 5, text5) is None
+
+
+@pytest.fixture(scope="module")
+def text5(table5):
+    return canonical_json(table_document(table5))
+
+
 class TestRootSumJson:
+    """How a value is written, and that a cache file spelling it any other way is refused."""
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
     def test_every_table_value_round_trips(self, p):
         for row in character_table(p).rows:
             for v in row.values:
-                obj = json.loads(canonical_json(v.to_json_obj()))
-                back = RootSum.from_json_obj(obj, p)
-                assert back.p == p and back.counts[-1] == 0
+                back = cyclotomic_from_json(json.loads(canonical_json(v.to_json_obj())), p)
                 assert back == v and str(back) == str(v)
-                assert back == cyclotomic_from_json(obj, p)
 
     def test_orders_one_and_p(self):
-        seven = RootSum.from_json_obj({"n": 1, "coeffs": [["-7", "1"]]}, 5)
-        assert seven.counts == (-7, 0, 0, 0, 0)
-        coeffs = [["2", "1"], ["0", "1"], ["-1", "1"], ["3", "1"]]
-        assert RootSum.from_json_obj({"n": 5, "coeffs": coeffs}, 5).counts == (2, 0, -1, 3, 0)
+        assert RootSum(5, [-7, 0, 0, 0, 0]).to_json_obj() == {"n": 1, "coeffs": [["-7", "1"]]}
+        assert RootSum(5, [3, 1, 0, 4, 1]).to_json_obj() == {
+            "n": 5, "coeffs": [["2", "1"], ["0", "1"], ["-1", "1"], ["3", "1"]]}
 
     REFUSED_AT_5 = {
         "order 7": {"n": 7, "coeffs": [["1", "1"]] * 6},
@@ -177,13 +193,9 @@ class TestRootSumJson:
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSED_AT_5))
-    def test_anything_else_is_refused(self, case):
-        with pytest.raises(ValueError):
-            RootSum.from_json_obj(self.REFUSED_AT_5[case], 5)
-
-    def test_order_p_constant_has_its_own_reason(self):
-        with pytest.raises(ValueError, match="past the first are all 0"):
-            RootSum.from_json_obj(self.REFUSED_AT_5["order 5, only a constant"], 5)
+    def test_anything_else_is_refused(self, tmp_path, capsys, text5, case):
+        assert refused_at_5(tmp_path, self.REFUSED_AT_5[case], text5)
+        assert capsys.readouterr().err.startswith("cache rejected: ")
 
     @staticmethod
     def near_miss(obj, edits, order, wrong_pair):
@@ -202,89 +214,64 @@ class TestRootSumJson:
                 obj["den"] = "1"
         return obj
 
-    near_values = st.builds(
-        near_miss,
-        st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(
-            lambda counts: RootSum(5, counts).to_json_obj()),
-        st.lists(st.sampled_from(["order", "zeros past the first", "pad to 4 coefficients",
-                                  "wrong pair", "extra key"]), max_size=2),
-        st.sampled_from([1, 5, 7, True, 1.0, 5.0, "5", None]),
-        st.sampled_from([["+1", "1"], ["1", "2"], [1, "1"], ["1"], "11", ["1", "1", "1"]]))
-
-    @given(near_values)
-    def test_everything_accepted_writes_back_as_it_was(self, obj):
-        try:
-            v = RootSum.from_json_obj(obj, 5)
-        except ValueError:
-            return
-        assert (json.dumps(v.to_json_obj(), sort_keys=True)
-                == json.dumps(obj, sort_keys=True))
+    @given(st.lists(st.sampled_from(["order", "zeros past the first", "pad to 4 coefficients",
+                                     "wrong pair", "extra key"]), max_size=2),
+           st.sampled_from([1, 5, 7, True, 1.0, 5.0, "5", None]),
+           st.sampled_from([["+1", "1"], ["1", "2"], [1, "1"], ["1"], "11", ["1", "1", "1"]]))
+    def test_everything_accepted_writes_back_as_it_was(self, text5, edits, order, wrong_pair):
+        # the last cell of the p=5 table, {"n": 1, "coeffs": [["3", "1"]]}; some edits keep it
+        genuine = json.loads(text5)["characters"][-1]["values"][-1]
+        cell = self.near_miss(genuine, edits, order, wrong_pair)
+        with tempfile.TemporaryDirectory() as directory:
+            refused = refused_at_5(directory, cell, text5)
+        assert refused == (json.dumps(cell) != json.dumps(genuine))
 
     @given(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
     def test_every_root_sum_round_trips(self, counts):
         v = RootSum(5, counts)
-        obj = v.to_json_obj()
-        back = RootSum.from_json_obj(obj, 5)
-        assert back == v and back.to_json_obj() == obj
+        assert cyclotomic_from_json(json.loads(canonical_json(v)), 5) == v
 
 
 class TestDocumentValues:
     def test_round_trip_of_a_table(self, table5):
-        doc = json.loads(canonical_json(table_document(table5)))
+        doc = table_document(table5)
         assert document_values(doc) == [list(r.values) for r in table5.rows]
+        assert document_values(json.loads(canonical_json(doc))) == [
+            [v.to_json_obj() for v in r.values] for r in table5.rows]
 
-    def test_value_of_a_foreign_order_is_refused(self, table5):
-        doc = json.loads(canonical_json(table_document(table5)))
-        doc["characters"][-1]["values"][0] = {"n": 7, "coeffs": [["1", "1"]]}
-        with pytest.raises(ValueError, match="order other than 1 or p"):
-            document_values(doc)
-
-    def test_each_distinct_value_is_parsed_once(self, table5, monkeypatch):
-        doc = json.loads(canonical_json(table_document(table5)))
-        parsed = []
-        original = RootSum.from_json_obj
-
-        def counting(obj, p):
-            parsed.append(obj)
-            return original(obj, p)
-
-        monkeypatch.setattr(RootSum, "from_json_obj", counting)
-        values = [v for row in document_values(doc) for v in row]
-        assert len(parsed) == len({v.canonical() for v in values}) < len(values)
+    def test_value_of_a_foreign_order_is_refused(self, tmp_path, capsys, text5):
+        assert refused_at_5(tmp_path, {"n": 7, "coeffs": [["1", "1"]]}, text5)
+        assert capsys.readouterr().err.startswith("cache rejected: ")
 
     # each is equal in Python, as JSON, to the valid first cell {"n": 1, "coeffs": [["1", "1"]]},
     # or reads the same through tuple(), and must not be served as that cell's value
-    @pytest.mark.parametrize("later, problem", [
-        ({"n": True, "coeffs": [["1", "1"]]}, 'non-int "n"'),
-        ({"n": 1.0, "coeffs": [["1", "1"]]}, 'non-int "n"'),
-        ({"n": 1, "coeffs": ["11"]}, "a coefficient that is not"),
-        ({"n": 1, "coeffs": [["1", ["1"]]]}, "a coefficient that is not"),
+    @pytest.mark.parametrize("later", [
+        {"n": True, "coeffs": [["1", "1"]]},
+        {"n": 1.0, "coeffs": [["1", "1"]]},
+        {"n": 1, "coeffs": ["11"]},
+        {"n": 1, "coeffs": [["1", ["1"]]]},
     ], ids=["true", "float", "string", "nested-list"])
     def test_a_later_cell_equal_to_a_valid_one_in_python_is_still_refused(
-            self, table5, later, problem):
-        doc = json.loads(canonical_json(table_document(table5)))
-        assert doc["characters"][0]["values"][0] == {"n": 1, "coeffs": [["1", "1"]]}
-        doc["characters"][-1]["values"][-1] = later
-        with pytest.raises(ValueError, match=problem):
-            document_values(doc)
+            self, tmp_path, capsys, text5, later):
+        assert json.loads(text5)["characters"][0]["values"][0] == {"n": 1, "coeffs": [["1", "1"]]}
+        assert refused_at_5(tmp_path, later, text5)
+        assert capsys.readouterr().err.startswith("cache rejected: ")
 
-    def test_the_first_bad_cell_in_document_order_is_reported(self, table5):
-        doc = json.loads(canonical_json(table_document(table5)))
-        doc["characters"][1]["values"][2] = {"n": 7, "coeffs": [["1", "1"]]}
-        doc["characters"][3]["values"][0] = {"n": True, "coeffs": [["1", "1"]]}
-        doc["characters"][3]["values"][1] = doc["characters"][1]["values"][2]
-        with pytest.raises(ValueError, match="order other than 1 or p"):
-            document_values(doc)
+    def test_the_first_bad_cell_in_document_order_is_reported(self, tmp_path, capsys, text5):
+        doc = json.loads(text5)
+        rows = doc["characters"]
+        rows[1]["values"][2] = {"n": 7, "coeffs": [["1", "1"]]}
+        rows[3]["values"][0] = {"n": True, "coeffs": [["1", "1"]]}
+        edited = canonical_json(doc)
+        store_cached_table(tmp_path, 5, edited)
+        assert load_cached_table(tmp_path, 5, text5) is None
+        at = len(os.path.commonprefix((edited, text5)))
+        # inside row 1, before row 2 starts
+        assert text5.index(f'"name": "{rows[1]["name"]}"') < at < text5.index(
+            f'"name": "{rows[2]["name"]}"')
+        path = tmp_path / "table_p5.json"
+        assert capsys.readouterr().err == (
+            f"cache rejected: {path}: differs from the table at character {at}\n")
 
-    def test_parsed_hit_is_the_document_and_its_values(self, tmp_path, table5):
-        doc = table_document(table5)
-        store_cached_table(tmp_path, 5, canonical_json(doc))
-        hit = load_cached_table(tmp_path, 5)
-        assert hit == doc
-        values = [v for ch in hit["characters"] for v in ch["values"]]
-        assert all(type(v) is RootSum for v in values)
-        # one RootSum per distinct value
-        assert len({id(v) for v in values}) == len({v.canonical() for v in values}) < len(values)
-
-    def test_miss_is_none(self, tmp_path):
-        assert load_cached_table(tmp_path, 5) is None
+    def test_miss_is_none(self, tmp_path, text5):
+        assert load_cached_table(tmp_path, 5, text5) is None

@@ -6,15 +6,15 @@ targeted registry entry reports False, both directly and as recorded by
 which refuses a corrupted row; the registry then reads the certificate
 assembly recorded, so a row edited afterwards reads False.  Second
 orthogonality is derived from that certificate, and the column sums
-`selftest` runs as its oracle must never be stricter.  The same integer
-invariants guard cached table documents.
+`selftest` runs as its oracle must never be stricter.  A cached table
+document that breaks one of the integer invariants is never served: the
+cache is only compared with the text of the table just built, and the
+`table` command rejects, rebuilds and rewrites such a file.
 """
-
-import json
 
 import pytest
 
-from conftest import rebuilt
+from conftest import assert_edit_rebuilt, rebuilt
 
 from q8family import characters
 from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
@@ -23,7 +23,8 @@ from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
 from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
 from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
-from q8family.serialize import canonical_json, table_document, table_document_problem
+from q8family.serialize import (canonical_json, load_cached_table, store_cached_table,
+                                table_document)
 from q8family.verify import run_table_checks
 
 
@@ -166,7 +167,7 @@ def _drop_last_row_and_class(doc):
 
 
 def _move_identity_class_size(doc):
-    # sizes still sum to |G|, and the zero size must not reach a modulus
+    # sizes still sum to |G|
     doc["classes"][1]["size"] += doc["classes"][0]["size"]
     doc["classes"][0]["size"] = 0
 
@@ -191,12 +192,14 @@ DOCUMENT_CORRUPTIONS = {
 }
 
 
-def test_genuine_document_has_no_problem(table5):
-    assert table_document_problem(table_document(table5), 5) is None
+def test_genuine_document_has_no_problem(tmp_path, capsys, table5):
+    text = canonical_json(table_document(table5))
+    store_cached_table(tmp_path, 5, text)
+    assert load_cached_table(tmp_path, 5, text) is text
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("expected", sorted(DOCUMENT_CORRUPTIONS))
-def test_document_problem_found(table5, expected):
-    doc = json.loads(canonical_json(table_document(table5)))
-    DOCUMENT_CORRUPTIONS[expected](doc)
-    assert expected in table_document_problem(doc, 5)
+def test_document_problem_found(tmp_path, capsys, expected):
+    for fmt in ("json", "text", "csv"):
+        assert_edit_rebuilt(tmp_path, capsys, 5, fmt, DOCUMENT_CORRUPTIONS[expected])
