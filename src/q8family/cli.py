@@ -247,7 +247,7 @@ def cmd_table(args):
 
 def cmd_scan(args):
     lo, hi = _parse_prime_range(args.primes)
-    if args.jobs < 1:
+    if args.jobs < 1:  # as scan_primes does, but before any layer is compiled
         raise UsageError("--jobs must be >= 1")
     summaries = verify.scan_primes(lo, hi, args.bound, args.alt_subgroup, args.jobs)
     if args.fmt == "json":

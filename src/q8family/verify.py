@@ -12,7 +12,9 @@ orthogonality verdicts come from the certificate assembly recorded: the
 first is that certificate, and the second is derived from it and the
 class partition, so no column sums run here; `selftest` runs them as an
 oracle.  The element-wise indicators are root-count sums; the literal one
-is `selftest`'s.  The prime bound, a cost policy, is checked once, where
+is `selftest`'s.  Rows are real (`modular.py`, step 1), so [chi, chi] =
+(1/|G|) sum_K |K| chi(K)^2 = [chi^2, 1], the tensor square's trivial slot,
+checked integral.  The prime bound, a cost policy, is checked once, where
 `verify_prime` and `scan_primes` start; the builders take any odd prime.
 """
 
@@ -21,9 +23,9 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from .characters import (TABLE_CHECKS, assemble_character_table, default_label,
-                         fs_indicator_direct, inner_product, label_orbit,
-                         label_orbits, nontrivial_label, quaternionic_row_unique,
+from .characters import (TABLE_CHECKS, assemble_character_table, character_table,
+                         default_label, fs_indicator_direct, label_orbit, label_orbits,
+                         nontrivial_label, quaternionic_row_unique,
                          restriction_to_core_inner, stabilizer_in_q,
                          tensor_square_decompose)
 from .errors import InvariantError, UsageError
@@ -75,7 +77,6 @@ class TableFacts(NamedTuple):
     """The label-independent part of a report, computed once per table."""
 
     checks: dict
-    square_locus_size: int
     indicator_psi_direct: int
 
 
@@ -83,8 +84,7 @@ def run_table_checks(table):
     """Every registry check on the table, plus psi's element-wise indicator."""
     checks = {name: fn(table)[0] for name, fn in TABLE_CHECKS}
     psi = table.rows[table.psi_index]
-    return TableFacts(checks, len(table.square_locus),
-                      fs_indicator_direct(table.class_table, psi.values))
+    return TableFacts(checks, fs_indicator_direct(table.class_table, psi.values))
 
 
 def verify_label(table, label, facts):
@@ -103,10 +103,10 @@ def verify_label(table, label, facts):
     chi = table.induced_row_for_label(label)
     psi = table.rows[table.psi_index]
 
-    norm = inner_product(ct, chi.values, chi.values)
     ind_chi = chi.indicator
     ind_chi_direct = fs_indicator_direct(ct, chi.values)
     decomposition = tensor_square_decompose(table, chi)
+    norm = Fraction(decomposition["triv"])
     psi_mult = decomposition[psi.name]
 
     core_order = p * p
@@ -152,25 +152,9 @@ def verify_label(table, label, facts):
         indicator_breakdown=breakdown,
         claims=claims,
         checks=checks,
-        square_locus_size=facts.square_locus_size,
+        square_locus_size=len(table.square_locus),
         timings={"verification_seconds": elapsed},
     )
-
-
-def build_table_timed(p, quaternion=None):
-    """Group, classes and table for one prime, with per-phase wall times."""
-    timings = {}
-    t0 = time.perf_counter()
-    group = build_group(p, quaternion)
-    t1 = time.perf_counter()
-    ct = conjugacy_classes(group)
-    t2 = time.perf_counter()
-    table = assemble_character_table(ct)
-    t3 = time.perf_counter()
-    timings["group_seconds"] = t1 - t0
-    timings["classes_seconds"] = t2 - t1
-    timings["table_seconds"] = t3 - t2
-    return table, timings
 
 
 ALT_CONJUGATOR = (1, 1, 0, 1)  # unipotent, det 1; moves Q off itself for p > 3
@@ -185,7 +169,7 @@ def _alt_subgroup_summary(p, label, reference):
     """
     t = Mat2.make(*ALT_CONJUGATOR, p)
     alt_q = conjugated_subgroup(quaternion_subgroup(p), t)
-    table, _ = build_table_timed(p, alt_q)
+    table = character_table(p, alt_q)
     rep = verify_label(table, label, run_table_checks(table))
     summary = {
         "conjugator": list(ALT_CONJUGATOR),
@@ -206,13 +190,17 @@ def _alt_subgroup_summary(p, label, reference):
 def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     """Full pipeline for one odd prime p <= bound: build, check, and certify the claims."""
     require_odd_prime(p, bound)
-    if label is None:
-        label = default_label(p)
-    label = nontrivial_label(label, p)
+    label = nontrivial_label(default_label(p) if label is None else label, p)
     total0 = time.perf_counter()
-    table, timings = build_table_timed(p)
+    group = build_group(p)
+    t1 = time.perf_counter()
+    ct = conjugacy_classes(group)
+    t2 = time.perf_counter()
+    table = assemble_character_table(ct)
+    t3 = time.perf_counter()
     report = verify_label(table, label, run_table_checks(table))
-    report.timings.update(timings)
+    report.timings.update(group_seconds=t1 - total0, classes_seconds=t2 - t1,
+                          table_seconds=t3 - t2)
     if alt_subgroup:
         report.alt_subgroup = _alt_subgroup_summary(p, label, report)
     report.timings["total_seconds"] = time.perf_counter() - total0
@@ -228,6 +216,8 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
     or in min(jobs, number of primes) workers.  Returns a list of per-prime
     summary dicts in prime order, each deterministic apart from "seconds".
     """
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     if lo > hi or lo < 1:
         raise UsageError(f"bad prime range {lo}..{hi}")
     primes = [require_odd_prime(p, bound) for p in range(lo, hi + 1) if is_odd_prime(p)]
@@ -245,7 +235,7 @@ def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
 def scan_one_prime(p, alt_subgroup=False):
     """Verify all orbit representatives for one prime; summary dict."""
     t0 = time.perf_counter()
-    table, _ = build_table_timed(p)
+    table = character_table(p)
     facts = run_table_checks(table)
     reps = label_orbits(table.class_table.group.quaternion)
     failures = []

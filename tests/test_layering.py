@@ -53,6 +53,22 @@ def identifiers(path):
     return found
 
 
+def unread_imports(path):
+    """Names bound by the module's top-level imports that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_every_imported_name_is_read(path):
+    assert unread_imports(path) == set()
+
+
 def test_every_module_is_read():
     assert ({"characters.py", "cyclotomic.py", "selftest.py", "__init__.py", "verify.py"}
             <= {m.name for m in MODULES})

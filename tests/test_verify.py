@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from q8family import characters, selftest, verify
-from q8family.characters import label_orbits
+from q8family.characters import character_table, inner_product, label_orbits
 from q8family.cyclotomic import Cyclotomic
 from q8family.errors import UsageError
-from q8family.verify import (build_table_timed, run_table_checks, scan_one_prime,
-                             scan_primes, verify_label, verify_prime)
+from q8family.modular import ModularImage
+from q8family.verify import (run_table_checks, scan_one_prime, scan_primes, verify_label,
+                             verify_prime)
 
 
 class TestVerifyPrime:
@@ -43,7 +44,7 @@ class TestVerifyPrime:
         assert r.overall_pass
 
     def test_p5_every_orbit_rep_passes(self):
-        table, _ = build_table_timed(5)
+        table = character_table(5)
         facts = run_table_checks(table)
         reps = label_orbits(table.class_table.group.quaternion)
         assert len(reps) == 3
@@ -94,6 +95,34 @@ class TestVerifyPrime:
         for key in ("group_seconds", "classes_seconds", "table_seconds",
                     "verification_seconds", "total_seconds"):
             assert r.timings[key] >= 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_norm_is_the_trivial_slot_of_the_tensor_square(p):
+    # rows are real, so [chi, chi] = [chi^2, 1]; inner_product cross-checks the identity
+    table = character_table(p)
+    facts = run_table_checks(table)
+    for label in label_orbits(table.class_table.group.quaternion):
+        report = verify_label(table, label, facts)
+        chi = table.induced_row_for_label(label)
+        assert (report.induced_norm == inner_product(table.class_table, chi.values, chi.values)
+                == report.decomposition["triv"] == 1)
+
+
+def test_a_label_costs_two_packed_accumulations(monkeypatch):
+    # the tensor square and the restriction to V; the norm is read from the square
+    table = character_table(7)
+    facts = run_table_checks(table)
+    calls = []
+    exact_sums = ModularImage.exact_sums
+
+    def counted(self, f, rows):
+        calls.append(len(rows))
+        return exact_sums(self, f, rows)
+
+    monkeypatch.setattr(ModularImage, "exact_sums", counted)
+    assert verify_label(table, (0, 1), facts).overall_pass
+    assert calls == [len(table.rows), 1]
 
 
 def test_verify_builds_no_cyclotomic(built_cyclotomics):
@@ -176,6 +205,16 @@ class TestScan:
         with pytest.raises(UsageError, match="p=101 exceeds the prime bound 97"):
             scan_primes(3, 10 ** 9)
         assert tested == list(range(3, 102))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected_before_the_range(self, monkeypatch, jobs):
+        def no_work(*args):
+            raise AssertionError("a prime was verified with jobs < 1")
+
+        monkeypatch.setattr(verify, "scan_one_prime", no_work)
+        for lo, hi in ((3, 7), (7, 3), (8, 9)):
+            with pytest.raises(UsageError, match=r"^--jobs must be >= 1$"):
+                scan_primes(lo, hi, jobs=jobs)
 
     def test_inverted_range_rejected(self):
         with pytest.raises(UsageError, match="bad prime range"):
