@@ -188,10 +188,12 @@ def restriction_to_core_inner(ct, values):
     return Fraction(total, ct.p ** 2)
 
 
-def _rational_integer(value, what):
-    if value.denominator != 1:
-        raise InvariantError(f"{what} is not a rational integer: {value}")
-    return int(value)
+def _exact_quotient(total, divisor, what):
+    """total / divisor, which must be an integer; a Fraction is made only for the error."""
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise InvariantError(f"{what} is not a rational integer: {Fraction(total, divisor)}")
+    return quotient
 
 
 def fs_indicators(ct, values_list):
@@ -208,7 +210,7 @@ def fs_indicators(ct, values_list):
     for size, target in zip(ct.sizes, ct.square_map):
         pulled[target] += size
     u = [x * pow(size, -1, image.ell) for x, size in zip(pulled, ct.sizes)]
-    return [_rational_integer(Fraction(total, ct.order), "Frobenius-Schur indicator")
+    return [_exact_quotient(total, ct.order, "Frobenius-Schur indicator")
             for total in image.exact_sums(u, values_list)]
 
 
@@ -237,8 +239,7 @@ def fs_indicator_direct(ct, values):
             acc = [x + r * y for x, y in zip(acc, count_vector(v, p))]
     if len(set(acc[1:])) != 1:
         raise InvariantError("element-wise indicator sum is not rational")
-    return _rational_integer(Fraction(acc[0] - acc[1], ct.order),
-                             "element-wise Frobenius-Schur indicator")
+    return _exact_quotient(acc[0] - acc[1], ct.order, "element-wise Frobenius-Schur indicator")
 
 
 # -- table assembly ------------------------------------------------------------
@@ -288,8 +289,9 @@ class CharacterTable:
 
     @property
     def square_locus(self):
-        """{g : g^2 in V}, from the class table's squaring pass."""
-        return self.class_table.square_locus
+        """{g : g^2 in V} as the classes K with sq(K) inside V, read from the square map."""
+        ct = self.class_table
+        return tuple(k for k, t in enumerate(ct.square_map) if ct.group.in_core(ct.rep_element(t)))
 
     @property
     def square_roots_count(self):
@@ -390,7 +392,7 @@ def tensor_square_decompose(table, row):
     sums = image.exact_sums(squared, [r.values for r in table.rows])
     out = {}
     for r, total in zip(table.rows, sums):
-        mi = _rational_integer(Fraction(total, ct.order), f"multiplicity of {r.name}")
+        mi = _exact_quotient(total, ct.order, f"multiplicity of {r.name}")
         if mi < 0:
             raise InvariantError(f"negative multiplicity {mi} of {r.name}")
         out[r.name] = mi
@@ -477,21 +479,24 @@ def _sum_rule(table):
     return holds and table.square_roots_count == total, f"sum rule: {total} = 1 + {p}^2"
 
 
+def _z_class(ct):  # the class of (0, z), which is V z; None when z is not in G
+    i = ct.group.index.get((0, 0) + ct.group.quaternion.z.entries())
+    return None if i is None else ct.class_of[i]
+
+
 def _square_locus(table):
-    """{g : g^2 in V} is exactly V together with the z-coset of V."""
-    group = table.class_table.group
-    z = group.quaternion.z.entries()
-    expected = {e for e in group.elements if e[2:] in (IDENTITY_MATRIX, z)}
-    locus = table.square_locus
-    return (locus == expected and len(locus) == 2 * table.prime ** 2,
-            f"|{{g : g^2 in V}}| = {len(locus)} = 2 p^2")
+    """{g : g^2 in V}, a union of classes, is exactly V together with the z-coset of V."""
+    ct, locus = table.class_table, table.square_locus
+    core = {k for k in range(ct.n_classes) if ct.group.in_core(ct.rep_element(k))}
+    size = sum(ct.sizes[k] for k in locus)
+    return (set(locus) == core | {_z_class(ct)} and size == 2 * table.prime ** 2,
+            f"|{{g : g^2 in V}}| = {size} = 2 p^2")
 
 
 def _core_involution_squares(table):
-    group = table.class_table.group
-    z = group.quaternion.z.entries()
-    return (all(group.mul(e, e) == group.identity
-                for e in group.elements if e[2:] == z),
+    # the squaring pass sent every element of the class V z to class 0, {1}
+    ct, kz = table.class_table, _z_class(table.class_table)
+    return (kz is not None and ct.sizes[kz] == table.prime ** 2 and ct.square_map[kz] == 0,
             "every (v z)^2 = 1")
 
 

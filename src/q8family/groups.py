@@ -10,7 +10,7 @@ G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
 fixes a nonzero vector.  Conjugacy classes are read off that structure
 (Q-orbits on V, whole cosets of V off it), then one pass squares every
 element (|G| = 8 p^2 for any odd prime p: 75,272 at the commands'
-default bound 97, which only they check).
+default bound 97, which only they check): the one source of square facts.
 """
 
 from .errors import InvariantError, UsageError
@@ -120,7 +120,6 @@ class SemidirectGroup:
         self.quaternion = quaternion
         mats = sorted(m.entries() for m in quaternion.elements)
         elems = [(v0, v1) + m for v0 in range(p) for v1 in range(p) for m in mats]
-        elems.sort()
         ident = (0, 0, 1, 0, 0, 1)
         elems.remove(ident)
         elems.insert(0, ident)
@@ -200,10 +199,10 @@ class ClassTable:
     """
 
     __slots__ = ("group", "reps", "sizes", "centralizer_orders", "class_of",
-                 "square_map", "root_counts", "square_locus", "modular_image", "value_pool")
+                 "square_map", "root_counts", "modular_image", "value_pool")
 
     def __init__(self, group, reps, sizes, centralizer_orders, class_of,
-                 square_map, root_counts, square_locus):
+                 square_map, root_counts):
         self.group = group
         self.reps = reps                    # class index -> element index of the minimal rep
         self.sizes = sizes                  # class index -> class size
@@ -211,7 +210,6 @@ class ClassTable:
         self.class_of = class_of            # element index -> class index
         self.square_map = square_map        # class index -> class index of rep^2
         self.root_counts = root_counts      # class index K -> #{g : g^2 in K}
-        self.square_locus = square_locus    # {g : g^2 in V}, as element tuples
         self.modular_image = None
         self.value_pool = {}
 
@@ -248,8 +246,8 @@ def conjugacy_classes(group):
     |G| and divide it.  Classes are numbered in order of their minimal
     element index, which is their representative; centralizer orders come
     from the orbit-stabilizer relation.  One squaring pass over the
-    elements then fills in the square map, the root counts and the square
-    locus.
+    elements fills in the square map and the root counts, raising unless a
+    class squares into one class, so square facts are read off it by class.
     """
     p, elements, index = group.p, group.elements, group.index
     order = len(elements)
@@ -300,16 +298,13 @@ def conjugacy_classes(group):
             raise InvariantError(f"class size {s} does not divide |G| = {order}")
         cents.append(order // s)
     # the squaring pass: the class of g^2 must be the same for all g in a class
-    square_map, root_counts, locus = [-1] * len(reps), [0] * len(reps), []
+    square_map, root_counts = [-1] * len(reps), [0] * len(reps)
     for i, e in enumerate(elements):
-        e2 = group.mul(e, e)
-        target, k = class_of[index[e2]], class_of[i]
+        target, k = class_of[index[group.mul(e, e)]], class_of[i]
         if square_map[k] not in (-1, target):
             raise InvariantError(f"square map depends on the representative in class {k}")
         square_map[k] = target
         root_counts[target] += 1
-        if group.in_core(e2):
-            locus.append(e)
     return ClassTable(
         group=group,
         reps=tuple(reps),
@@ -318,7 +313,6 @@ def conjugacy_classes(group):
         class_of=tuple(class_of),
         square_map=tuple(square_map),
         root_counts=tuple(root_counts),
-        square_locus=frozenset(locus),
     )
 
 
@@ -330,5 +324,5 @@ def count_square_roots_of_identity(ct):
 
 
 def square_locus(group):
-    """The set {g : g^2 in V}, as element tuples; the literal oracle for `ct.square_locus`."""
+    """{g : g^2 in V} by brute force; the literal oracle for `CharacterTable.square_locus`."""
     return {e for e in group.elements if group.in_core(group.mul(e, e))}

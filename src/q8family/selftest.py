@@ -27,8 +27,10 @@ own conjugate; every label reads the counts of conjugates in V.  Each
 element is squared once, and `square_map_total`, `square_roots_count`
 and every row of the element-wise indicator read those squares.  The
 memos are bounded, hold elements, counts or indices only, and are keyed
-on the group object (and the representative), never on a class table or
-a label, so what they hold is a fact about G alone.  The oracles stay
+on the group object (and the representative), never on a label, so what
+they hold is a fact about G alone; the one exception is the indicator's
+grouping of those squares by class, which is keyed on the class table
+whose `class_of` it reads, and no row changes it.  The oracles stay
 independent of the routes they check: the averaging sum still runs over
 every x in G and never uses orbits, and the indicator is still one term
 per element, each square found by multiplication, not read from the
@@ -148,10 +150,16 @@ def _square_indices(group):
     return tuple(index[mul(e, e)] for e in group.elements)
 
 
+@lru_cache(maxsize=4)
+def _landing_counts(ct):
+    """(K, n_K) pairs, n_K the number of elements whose square lies in class K."""
+    return tuple(Counter(map(ct.class_of.__getitem__, _square_indices(ct.group))).items())
+
+
 def element_wise_indicator(ct, values):
     """Independent indicator oracle: (1/|G|) sum of chi(g^2), one term per element,
     as n_K chi(K) on counts, n_K the number of elements whose square lies in K."""
-    landed = Counter(map(ct.class_of.__getitem__, _square_indices(ct.group))).items()
+    landed = _landing_counts(ct)
     total = [sum(n * values[k].counts[e] for k, n in landed) for e in range(ct.p)]
     r = Cyclotomic(ct.p, total).as_rational()
     if r is None:

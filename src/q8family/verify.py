@@ -152,7 +152,7 @@ def verify_label(table, label, facts):
         indicator_breakdown=breakdown,
         claims=claims,
         checks=checks,
-        square_locus_size=len(table.square_locus),
+        square_locus_size=sum(ct.sizes[k] for k in table.square_locus),
         timings={"verification_seconds": elapsed},
     )
 

@@ -1,15 +1,18 @@
 """The statistics of `tools/bench_pairs.py`, on fixed numbers, without running the benchmark.
 
 The numbers are BENCH_20.json's certify runs, whose summary was written
-by hand; the tool must give the same.
+by hand; the tool must give the same.  Whether a gain is shown is read
+from the runs of the BENCH files in the repository.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -26,12 +29,36 @@ def test_summary_is_median_and_inclusive_quartiles():
 
 
 def test_comparison_counts_pairs_in_order_and_the_move_of_the_medians():
-    entry = bench_pairs.compare(PARENT, CHANGE, "s")
+    entry = bench_pairs.compare(PARENT, CHANGE, "s", "lower")
     assert entry["unit"] == "s"
     assert entry["change"]["median"] == 0.1104 and entry["change"]["quartiles"] == [0.1053, 0.1256]
     assert entry["change_lower_in_pairs"] == 2
     assert entry["change_vs_parent"] == "+3.5%"
-    assert bench_pairs.compare([2, 2, 2], [1, 1, 3], "s")["change_vs_parent"] == "-50.0%"
+    assert bench_pairs.compare([2, 2, 2], [1, 1, 3], "s", "lower")["change_vs_parent"] == "-50.0%"
+
+
+@pytest.mark.parametrize("bench, workload, shown", [
+    ("BENCH_21.json", "certify", True),       # 10/10 pairs lower, -18.3 %
+    ("BENCH_26.json", "table-cache", True),   # 9/10 pairs lower, -21.9 %
+    ("BENCH_20.json", "certify", False),      # 2/5 pairs lower, +2.3 %
+])
+def test_gain_shown_on_recorded_main_call_runs(bench, workload, shown):
+    entry = json.loads((ROOT / bench).read_text())["all_workloads"][workload]
+    runs = entry["metrics"]["main_call_s"]
+    got = bench_pairs.compare(runs["parent"]["runs"], runs["change"]["runs"], "s", "lower")
+    assert got["change_lower_in_pairs"] == runs["change_lower_in_pairs"]
+    assert got["gain_shown"] is shown
+
+
+def test_gain_shown_follows_the_direction_ties_and_the_parent_spread():
+    assert bench_pairs.compare([1, 1, 1], [2, 2, 2], "MB", "higher")["gain_shown"] is True
+    assert bench_pairs.compare([1, 1, 1], [2, 2, 2], "MB", "lower")["gain_shown"] is False
+    # a tie counts for neither side: 9 of 10 pairs lower is enough, 8 is not
+    assert bench_pairs.compare([2] * 10, [1] * 9 + [2], "s", "lower")["gain_shown"] is True
+    assert bench_pairs.compare([2] * 10, [1] * 8 + [2, 2], "s", "lower")["gain_shown"] is False
+    # every pair lower, but by less than the parent's interquartile range
+    assert bench_pairs.compare([1, 2, 3, 4], [0.9, 1.9, 2.9, 3.9], "s", "lower")[
+        "gain_shown"] is False
 
 
 def test_workload_entry_sums_calls_and_reads_every_metric():
@@ -39,7 +66,7 @@ def test_workload_entry_sums_calls_and_reads_every_metric():
         return {"attempted": attempted, "failed": failed, "correct": correct,
                 "metrics": {"main_call_s": {"value": value, "unit": "s"}}}
 
-    metrics = [{"name": "main_call_s", "unit": "s"}]
+    metrics = [{"name": "main_call_s", "unit": "s", "better": "lower"}]
     results = {"parent": [result(0.3, 10), result(0.2, 11), result(0.4, 9, 1)],
                "change": [result(0.1, 12), result(0.3, 12), result(0.2, 12, 0, False)]}
     entry = bench_pairs.workload_entry([5, 6, 7], results, metrics)

@@ -391,7 +391,8 @@ class TestSquaringPass:
         assert sum(ct.root_counts) == ct.order
         assert ct.root_counts[ct.class_of_element(ct.group.identity)] == 1 + p * p
         assert table.square_roots_count == 1 + p * p == count_square_roots_of_identity(ct)
-        assert table.square_locus == square_locus(ct.group)
+        locus = {e for e in ct.group.elements if ct.class_of_element(e) in table.square_locus}
+        assert locus == square_locus(ct.group)
 
     @pytest.mark.parametrize("field", ["square_map", "sizes"])
     def test_independent_of_the_class_formula_inputs(self, field):

@@ -132,8 +132,9 @@ class TestEnumeration:
     def test_order_200(self):
         assert len(build_group(5)) == 200
 
-    def test_identity_first_and_lookup(self, group3):
-        g = group3
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_identity_first_and_lookup(self, p):
+        g = build_group(p)
         assert g.elements[0] == g.identity
         assert sorted(g.elements[1:]) == list(g.elements[1:])
         for i, e in enumerate(g.elements):
@@ -163,8 +164,8 @@ def closure_classes(group):
     Each orbit is closed under conjugation by the two core basis vectors and
     X, Y of Q until nothing new appears; classes are numbered by minimal
     element index.  A squaring pass of its own gives the square map and
-    root counts, and `square_locus` the locus.  This is the generic
-    algorithm that `conjugacy_classes` replaced.
+    root counts.  This is the generic algorithm that `conjugacy_classes`
+    replaced.
     """
     q = group.quaternion
     gens = ((1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 0, 1),
@@ -200,11 +201,11 @@ def closure_classes(group):
         group=group, reps=tuple(reps), sizes=tuple(sizes),
         centralizer_orders=tuple(order // s for s in sizes),
         class_of=tuple(class_of), square_map=tuple(square_map),
-        root_counts=tuple(root_counts), square_locus=frozenset(square_locus(group)))
+        root_counts=tuple(root_counts))
 
 
 CLASS_TABLE_FIELDS = ("group", "reps", "sizes", "centralizer_orders", "class_of",
-                      "square_map", "root_counts", "square_locus")
+                      "square_map", "root_counts")
 
 
 def test_class_table_fields_are_every_constructor_field():

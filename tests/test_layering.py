@@ -11,7 +11,9 @@ from assembly's certificate, so only `selftest` runs the column sums.
 parameter only of that check and of the three entry points that apply it,
 and `groups` conjugates with `SemidirectGroup.conj` alone.  No module
 imports `dataclasses`, which would load `inspect` at every start-up, and
-`serialize` takes only `RootSum` from the package.
+`serialize` takes only `RootSum` from the package.  The table checks decide
+on classes: the squaring pass of `conjugacy_classes` is the only code that
+squares every element, so no check walks the elements or multiplies.
 """
 
 import ast
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import q8family
-from q8family import cyclotomic
+from q8family import characters, cyclotomic
 from q8family.cyclotomic import Cyclotomic, RootSum
 
 MODULES = sorted(Path(q8family.__file__).parent.glob("*.py"))
@@ -151,6 +153,17 @@ def test_no_module_imports_dataclasses(path):
 def test_groups_has_one_conjugation_formula():
     [path] = [m for m in MODULES if m.name == "groups.py"]
     assert "_conjugate" not in {f.name for f in functions(path)}
+
+
+def test_table_checks_never_walk_the_elements_or_multiply():
+    [path] = [m for m in MODULES if m.name == "characters.py"]
+    # the checks, the class lookup they share and the square locus they read
+    names = {fn.__name__ for _, fn in characters.TABLE_CHECKS} | {"_z_class", "square_locus"}
+    checks = [f for f in functions(path) if f.name in names]
+    assert {f.name for f in checks} == names
+    for f in checks:
+        attrs = {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)}
+        assert not attrs & {"elements", "mul"}, f.name
 
 
 def test_each_export_is_what_its_module_defines():

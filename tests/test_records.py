@@ -64,7 +64,7 @@ def test_a_rebuilt_class_table_starts_with_no_image_and_an_empty_pool(table):
     assert ct.modular_image is not None and ct.value_pool
     copy = rebuilt(ct)
     assert copy.modular_image is None and copy.value_pool == {}
-    assert copy.sizes is ct.sizes and copy.square_locus is ct.square_locus
+    assert copy.sizes is ct.sizes and copy.square_map is ct.square_map
     assert isinstance(copy, ClassTable)
 
 

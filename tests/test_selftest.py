@@ -97,13 +97,17 @@ class TestOracleCost:
     def test_element_wise_indicator_squares_each_element_once_per_group(
             self, p, monkeypatch):
         group = build_group(p)
-        table = _table(group)
+        tables = (_table(group), _table(group))
         calls = _count_calls(monkeypatch, "mul")
-        for _ in range(2):
-            for r in table.rows:
-                exact = tuple(v.to_cyclotomic() for v in r.values)
-                assert element_wise_indicator(table.class_table, exact) == r.indicator
+        groupings = selftest._landing_counts.cache_info().misses
+        for table in tables:
+            for _ in range(2):
+                for r in table.rows:
+                    exact = tuple(v.to_cyclotomic() for v in r.values)
+                    assert element_wise_indicator(table.class_table, exact) == r.indicator
+        # squares once per group, groups them by class once per class table
         assert len(calls) == len(group)
+        assert selftest._landing_counts.cache_info().misses - groupings == len(tables)
 
 
 # ---------------------------------------------------------------- literal oracles

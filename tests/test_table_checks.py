@@ -2,14 +2,16 @@
 
 Every case corrupts one thing in a genuine p=5 table and asserts that the
 targeted registry entry reports False, both directly and as recorded by
-`verify.run_table_checks`.  First orthogonality is decided by assembly,
-which refuses a corrupted row; the registry then reads the certificate
-assembly recorded, so a row edited afterwards reads False.  Second
-orthogonality is derived from that certificate, and the column sums
-`selftest` runs as its oracle must never be stricter.  A cached table
-document that breaks one of the integer invariants is never served: the
-cache is only compared with the text of the table just built, and the
-`table` command rejects, rebuilds and rewrites such a file.
+`verify.run_table_checks`.  The two square checks read the square map and
+the sizes of the classes, so a square map or class size edited after the
+squaring pass is also a fault they must see.  First orthogonality is
+decided by assembly, which refuses a corrupted row; the registry then
+reads the certificate assembly recorded, so a row edited afterwards reads
+False.  Second orthogonality is derived from that certificate, and the
+column sums `selftest` runs as its oracle must never be stricter.  A
+cached table document that breaks one of the integer invariants is never
+served: the cache is only compared with the text of the table just built,
+and the `table` command rejects, rebuilds and rewrites such a file.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
 from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
 from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
+from q8family.modp import Mat2
 from q8family.serialize import (canonical_json, load_cached_table, store_cached_table,
                                 table_document)
 from q8family.verify import run_table_checks
@@ -64,6 +67,35 @@ def _wrong_central_involution(table):
     return _with_classes(table, group=SemidirectGroup(rebuilt(q, z=q.x)))
 
 
+def _replaced(seq, k, value):
+    return seq[:k] + (value,) + seq[k + 1:]
+
+
+def _z_class(ct):
+    return ct.class_of_element((0, 0) + ct.group.quaternion.z.entries())
+
+
+def _z_class_squares_to_itself(table):
+    """The class V z sent to itself by the square map instead of to {1}."""
+    ct = table.class_table
+    kz = _z_class(ct)
+    return _with_classes(table, square_map=_replaced(ct.square_map, kz, kz))
+
+
+def _z_class_size_edited(table):
+    """The class V z given one element more than its p^2."""
+    ct = table.class_table
+    kz = _z_class(ct)
+    return _with_classes(table, sizes=_replaced(ct.sizes, kz, ct.sizes[kz] + 1))
+
+
+def _core_class_squares_to_z(table):
+    """A nonidentity class of V sent by the square map to V z, off V."""
+    ct = table.class_table
+    k = next(k for k in range(1, ct.n_classes) if ct.rep_element(k)[2:] == IDENTITY_MATRIX)
+    return _with_classes(table, square_map=_replaced(ct.square_map, k, _z_class(ct)))
+
+
 def _edited_induced_value(table):
     """One more zeta^0 in an induced row's value at a nonidentity class inside V."""
     ct = table.class_table
@@ -93,6 +125,13 @@ CORRUPTIONS = {
     "induced_vanish_off_core": _induced_value_off_core,
 }
 
+# fault -> the square check that must see it
+SQUARE_FACT_CORRUPTIONS = {
+    _z_class_squares_to_itself: "core_involution_squares",
+    _z_class_size_edited: "core_involution_squares",
+    _core_class_squares_to_z: "square_locus",
+}
+
 
 def test_registry_order_is_the_report_order():
     assert [name for name, _ in TABLE_CHECKS] == [
@@ -112,12 +151,28 @@ def test_genuine_table_passes_every_entry(table5):
         assert ok, f"{name}: {detail}"
 
 
-@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_entry_reports_its_fault(table5, name):
-    bad = CORRUPTIONS[name](table5)
+def assert_reported(bad, name):
     ok, _ = dict(TABLE_CHECKS)[name](bad)
     assert ok is False
     assert run_table_checks(bad).checks[name] is False
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_entry_reports_its_fault(table5, name):
+    assert_reported(CORRUPTIONS[name](table5), name)
+
+
+@pytest.mark.parametrize("corrupt", SQUARE_FACT_CORRUPTIONS,
+                         ids=[fault.__name__.strip("_") for fault in SQUARE_FACT_CORRUPTIONS])
+def test_square_check_reports_an_edited_class_table(table5, corrupt):
+    assert_reported(corrupt(table5), SQUARE_FACT_CORRUPTIONS[corrupt])
+
+
+def test_square_checks_read_false_when_z_is_not_in_the_group(table5):
+    q = table5.class_table.group.quaternion
+    bad = _with_classes(table5, group=SemidirectGroup(rebuilt(q, z=Mat2.make(1, 1, 0, 1, 5))))
+    for name in ("square_locus", "core_involution_squares"):
+        assert_reported(bad, name)
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))

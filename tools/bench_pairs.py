@@ -18,7 +18,11 @@ seeds, the calls attempted and failed on each side, whether every output
 was correct, and for each end-to-end metric of BENCHMARK.json each side's
 per-run values ("runs", in pair order), their median and quartiles
 (inclusive method), the number of pairs whose change run reads lower,
-and the change of the medians in per cent.  Standard library only.
+the change of the medians in per cent, and whether a gain is shown: the
+change reads better, in the direction of the metric's `better`, in at
+least 9 of 10 pairs (ties count for neither side), and its median is
+better than the parent's by more than the parent's interquartile range.
+Standard library only.
 """
 
 import argparse
@@ -44,15 +48,22 @@ def summarize(runs):
             "runs": [round(x, 4) for x in runs]}
 
 
-def compare(parent, change, unit):
-    """One metric's entry: both sides' summaries, pairs where the change is lower, and the move."""
+def compare(parent, change, unit, better):
+    """One metric's entry: both sides' summaries, pairs where the change is lower, the move,
+    and whether it shows a gain in the direction `better` ("lower" or "higher")."""
     a, b = summarize(parent), summarize(change)
+    sign = {"lower": 1, "higher": -1}[better]
+    pairs = list(zip(a["runs"], b["runs"]))
+    better_pairs = sum(sign * (x - y) > 0 for x, y in pairs)
+    q1, q3 = a["quartiles"]
     return {
         "unit": unit,
         "parent": a,
         "change": b,
-        "change_lower_in_pairs": sum(y < x for x, y in zip(a["runs"], b["runs"])),
+        "change_lower_in_pairs": sum(y < x for x, y in pairs),
         "change_vs_parent": f"{(b['median'] / a['median'] - 1) * 100:+.1f}%",
+        "gain_shown": (10 * better_pairs >= 9 * len(pairs)
+                       and sign * (a["median"] - b["median"]) > q3 - q1),
     }
 
 
@@ -67,7 +78,7 @@ def workload_entry(seeds, results, metrics):
         "metrics": {
             m["name"]: compare([r["metrics"][m["name"]]["value"] for r in results["parent"]],
                                [r["metrics"][m["name"]]["value"] for r in results["change"]],
-                               m["unit"])
+                               m["unit"], m["better"])
             for m in metrics
         },
     }
@@ -137,7 +148,9 @@ def main(argv=None):
             argv if argv is not None else sys.argv[1:])},
         "statistics": ("median and quartiles (inclusive method) of each side's per-run "
                        "medians; change_lower_in_pairs counts the pairs whose change run "
-                       "reads lower"),
+                       "reads lower; gain_shown is true when the change reads better in "
+                       "at least 9/10 of the pairs and the medians differ in its favour "
+                       "by more than the parent's interquartile range"),
         "all_workloads": {},
     }
     seed = args.first_seed
