@@ -196,6 +196,14 @@ def _exact_quotient(total, divisor, what):
     return quotient
 
 
+def _pulled_sizes(ct):
+    """For each class L, the sum of |K| over the classes K with sq K = L: #{g : g^2 in L}."""
+    pulled = [0] * ct.n_classes
+    for size, target in zip(ct.sizes, ct.square_map):
+        pulled[target] += size
+    return pulled
+
+
 def fs_indicators(ct, values_list):
     """Frobenius-Schur indicators via the class formula and the square map, one per row.
 
@@ -206,10 +214,7 @@ def fs_indicators(ct, values_list):
     gives every row's indicator.
     """
     image = image_of(ct, values_list)
-    pulled = [0] * ct.n_classes
-    for size, target in zip(ct.sizes, ct.square_map):
-        pulled[target] += size
-    u = [x * pow(size, -1, image.ell) for x, size in zip(pulled, ct.sizes)]
+    u = [x * pow(size, -1, image.ell) for x, size in zip(_pulled_sizes(ct), ct.sizes)]
     return [_exact_quotient(total, ct.order, "Frobenius-Schur indicator")
             for total in image.exact_sums(u, values_list)]
 
@@ -476,7 +481,10 @@ def _sum_rule(table):
     p = table.prime
     holds, total = fs_sum_rule(p, [r.degree for r in table.rows],
                                [r.indicator for r in table.rows])
-    return holds and table.square_roots_count == total, f"sum rule: {total} = 1 + {p}^2"
+    # the root counts r(K) must be what the square map pulls back: r(L) = #{g : g^2 in L}
+    ok = (holds and table.square_roots_count == total
+          and _pulled_sizes(table.class_table) == list(table.class_table.root_counts))
+    return ok, f"sum rule: {total} = 1 + {p}^2"
 
 
 def _z_class(ct):  # the class of (0, z), which is V z; None when z is not in G

@@ -152,19 +152,14 @@ def count_vector(value, p):
     return value.counts
 
 
-def slot_bits(n_classes, max_size, ell, bits=None):
-    """The slot width b of `exact_sums`, whole bytes, with 2^b > n_classes max|K| l^2.
+def slot_bits(n_classes, max_size, ell):
+    """The slot width b of `exact_sums`: whole bytes, the fewest with 2^b > n_classes max|K| l^2.
 
-    Given bits, that width is checked instead: InvariantError unless 2^bits
-    exceeds the bound, the largest value a slot can hold plus one (step 5).
+    2^b then exceeds the largest value a slot can hold (step 5), as
+    2^b >= 2^bit_length(top) > top.
     """
     top = n_classes * max_size * ell * ell
-    if bits is None:
-        bits = -(-top.bit_length() // 8) * 8
-    if 1 << bits <= top:
-        raise InvariantError(f"a slot of {bits} bits cannot hold sums up to "
-                             f"{n_classes} * {max_size} * {ell}^2")
-    return bits
+    return -(-top.bit_length() // 8) * 8
 
 
 class ModularImage:

@@ -280,7 +280,7 @@ def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
     else:
         oracle_labels = [min(label_orbit(q, default_label(p)))]
     oracle("induction_oracle", lambda: (
-        all(induced_by_averaging(l, ct) == table.row(f"ind_{l[0]}_{l[1]}").values
+        all(induced_by_averaging(l, ct) == table.induced_row_for_label(l).values
             for l in oracle_labels),
         f"averaging formula matches orbit sums on {len(oracle_labels)} row(s)"))
 

@@ -6,8 +6,9 @@ irreducible, has Frobenius-Schur indicator +1, and its square contains the
 quaternionic degree-2 character.  A Report records the exact quantities
 behind each of the three claims plus the structural health checks of the
 table they were read from.  Those checks are the entries of
-`characters.TABLE_CHECKS`; they and psi's element-wise indicator are
-computed once per table and shared by every label of the prime.  Both
+`characters.TABLE_CHECKS`; they and every report field no label changes
+are computed once per table (`run_table_checks`); `verify_label` adds
+only the label's own sums.  Both
 orthogonality verdicts come from the certificate assembly recorded: the
 first is that certificate, and the second is derived from it and the
 class partition, so no column sums run here; `selftest` runs them as an
@@ -74,17 +75,25 @@ class Report:
 
 
 class TableFacts(NamedTuple):
-    """The label-independent part of a report, computed once per table."""
+    """The label-independent half of a report, computed once per table."""
 
-    checks: dict
-    indicator_psi_direct: int
+    checks: dict  # registry verdicts, in registry order
+    fields: dict  # every Report field that no label changes
+    unique_quaternionic_row: bool
 
 
 def run_table_checks(table):
-    """Every registry check on the table, plus psi's element-wise indicator."""
+    """Every registry check on the table, and the report fields no label changes."""
     checks = {name: fn(table)[0] for name, fn in TABLE_CHECKS}
+    ct, rows = table.class_table, table.rows
+    degrees, indicators = [r.degree for r in rows], tuple(r.indicator for r in rows)
     psi = table.rows[table.psi_index]
-    return TableFacts(checks, fs_indicator_direct(table.class_table, psi.values))
+    fields = dict(prime=ct.p, group_order=ct.order, class_count=ct.n_classes,
+                  degree_multiset=tuple(sorted(degrees)), indicator_list=indicators,
+                  row_names=tuple(r.name for r in rows), indicator_psi=psi.indicator,
+                  indicator_psi_direct=fs_indicator_direct(ct, psi.values),
+                  square_locus_size=sum(ct.sizes[k] for k in table.square_locus))
+    return TableFacts(checks, fields, quaternionic_row_unique(degrees, indicators))
 
 
 def verify_label(table, label, facts):
@@ -126,33 +135,23 @@ def verify_label(table, label, facts):
         "indicator_one": ind_chi == 1 and ind_chi_direct == 1,
         "square_contains_psi": psi_mult >= 1,
     }
-    checks = dict(facts.checks)
-    checks["indicator_breakdown"] = breakdown["consistent"]
-    checks["unique_quaternionic_row"] = quaternionic_row_unique(
-        [r.degree for r in table.rows], [r.indicator for r in table.rows])
+    checks = {**facts.checks, "indicator_breakdown": breakdown["consistent"],
+              "unique_quaternionic_row": facts.unique_quaternionic_row}
 
     elapsed = time.perf_counter() - t0
     return Report(
-        prime=p,
+        **facts.fields,
         label=label,
         orbit_rep=orbit_rep,
-        group_order=ct.order,
-        class_count=ct.n_classes,
-        degree_multiset=tuple(sorted(r.degree for r in table.rows)),
-        indicator_list=tuple(r.indicator for r in table.rows),
-        row_names=tuple(r.name for r in table.rows),
         stabilizer_size=len(stab),
         induced_norm=norm,
         indicator_induced=ind_chi,
         indicator_induced_direct=ind_chi_direct,
-        indicator_psi=psi.indicator,
-        indicator_psi_direct=facts.indicator_psi_direct,
         psi_multiplicity=psi_mult,
         decomposition=decomposition,
         indicator_breakdown=breakdown,
         claims=claims,
         checks=checks,
-        square_locus_size=sum(ct.sizes[k] for k in table.square_locus),
         timings={"verification_seconds": elapsed},
     )
 

@@ -91,15 +91,14 @@ def test_packed_sums_of_a_batch_are_its_slots(table5):
     assert image.exact_sums(f, []) == []
 
 
-def test_slot_width_one_bit_below_the_bound_is_refused(table5):
-    ct = table5.class_table
-    image = image_of(ct, _values(table5))
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_slot_width_is_the_fewest_whole_bytes_above_the_bound(p):
+    table = _table(p)
+    ct = table.class_table
+    image = image_of(ct, _values(table))
     top = ct.n_classes * max(ct.sizes) * image.ell ** 2
     width = slot_bits(ct.n_classes, max(ct.sizes), image.ell)
     assert width % 8 == 0 and 1 << width > top >= 1 << (width - 8)
-    assert slot_bits(ct.n_classes, max(ct.sizes), image.ell, top.bit_length()) == top.bit_length()
-    with pytest.raises(InvariantError, match="cannot hold"):
-        slot_bits(ct.n_classes, max(ct.sizes), image.ell, top.bit_length() - 1)
 
 
 def test_the_per_pair_formula_is_not_a_second_kernel():

@@ -4,14 +4,16 @@ Every case corrupts one thing in a genuine p=5 table and asserts that the
 targeted registry entry reports False, both directly and as recorded by
 `verify.run_table_checks`.  The two square checks read the square map and
 the sizes of the classes, so a square map or class size edited after the
-squaring pass is also a fault they must see.  First orthogonality is
-decided by assembly, which refuses a corrupted row; the registry then
-reads the certificate assembly recorded, so a row edited afterwards reads
-False.  Second orthogonality is derived from that certificate, and the
-column sums `selftest` runs as its oracle must never be stricter.  A
-cached table document that breaks one of the integer invariants is never
-served: the cache is only compared with the text of the table just built,
-and the `table` command rejects, rebuilds and rewrites such a file.
+squaring pass is also a fault they must see; the sum rule also compares
+the root counts with the square map, so an edited root count is one too.
+First orthogonality is decided by assembly, which refuses a corrupted
+row; the registry then reads the certificate assembly recorded, so a row
+edited afterwards reads False.  Second orthogonality is derived from that
+certificate, and the column sums `selftest` runs as its oracle must never
+be stricter.  A cached table document that breaks one of the integer
+invariants is never served: the cache is only compared with the text of
+the table just built, and the `table` command rejects, rebuilds and
+rewrites such a file.
 """
 
 import pytest
@@ -173,6 +175,23 @@ def test_square_checks_read_false_when_z_is_not_in_the_group(table5):
     bad = _with_classes(table5, group=SemidirectGroup(rebuilt(q, z=Mat2.make(1, 1, 0, 1, 5))))
     for name in ("square_locus", "core_involution_squares"):
         assert_reported(bad, name)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_every_single_root_count_edit_is_reported(request, p):
+    # r(K) = #{g : g^2 in K}; an edit on a class where chi and psi vanish
+    # moves no indicator, so the sum rule must compare r with the square map
+    table = request.getfixturevalue(f"table{p}")
+    counts = table.class_table.root_counts
+    for k, r in enumerate(counts):
+        for delta in (1, 2, -1)[:3 if r else 2]:
+            edited = tuple(counts[:k]) + (r + delta,) + tuple(counts[k + 1:])
+            bad = _with_classes(table, root_counts=edited)
+            try:
+                reported = run_table_checks(bad).checks["sum_rule"] is False
+            except InvariantError:
+                reported = True
+            assert reported, f"r({k}) edited by {delta:+d} went unreported"
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from q8family import characters, selftest, verify
-from q8family.characters import character_table, inner_product, label_orbits
+from q8family.characters import (TABLE_CHECKS, character_table, fs_indicator_direct,
+                                 inner_product, label_orbit, label_orbits,
+                                 quaternionic_row_unique, restriction_to_core_inner,
+                                 stabilizer_in_q, tensor_square_decompose)
 from q8family.cyclotomic import Cyclotomic
 from q8family.errors import UsageError
 from q8family.modular import ModularImage
-from q8family.verify import (run_table_checks, scan_one_prime, scan_primes, verify_label,
-                             verify_prime)
+from q8family.verify import (Report, run_table_checks, scan_one_prime, scan_primes,
+                             verify_label, verify_prime)
 
 
 class TestVerifyPrime:
@@ -123,6 +126,75 @@ def test_a_label_costs_two_packed_accumulations(monkeypatch):
     monkeypatch.setattr(ModularImage, "exact_sums", counted)
     assert verify_label(table, (0, 1), facts).overall_pass
     assert calls == [len(table.rows), 1]
+
+
+def _counting(monkeypatch, name):
+    """Replace verify.<name> by a wrapper; returns the list of its calls' first arguments."""
+    calls = []
+    fn = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, labels", [(5, 3), (13, 21)])
+def test_table_facts_are_computed_once_per_table(monkeypatch, p, labels):
+    unique_row = _counting(monkeypatch, "quaternionic_row_unique")
+    direct = _counting(monkeypatch, "fs_indicator_direct")
+    rec = scan_one_prime(p)
+    assert rec["pass"] and rec["labels_checked"] == labels
+    assert len(unique_row) == 1
+    assert len(direct) == labels + 1  # chi's for every label, psi's once
+
+
+def _report_field_by_field(table, label):
+    """The report of one label with every field computed for that label alone."""
+    ct, rows = table.class_table, table.rows
+    q = ct.group.quaternion
+    chi, psi = table.induced_row_for_label(label), rows[table.psi_index]
+    decomposition = tensor_square_decompose(table, chi)
+    restriction = restriction_to_core_inner(ct, chi.values)
+    numerator = ct.p ** 2 * (chi.degree + restriction)
+    breakdown = {"core_order": ct.p ** 2, "degree": chi.degree,
+                 "restriction_inner": restriction, "numerator": numerator,
+                 "group_order": ct.order, "consistent": numerator == ct.order * chi.indicator}
+    ind_chi_direct = fs_indicator_direct(ct, chi.values)
+    checks = {name: fn(table)[0] for name, fn in TABLE_CHECKS}
+    checks["indicator_breakdown"] = breakdown["consistent"]
+    checks["unique_quaternionic_row"] = quaternionic_row_unique(
+        [r.degree for r in rows], [r.indicator for r in rows])
+    return Report(
+        prime=ct.p, label=label, orbit_rep=min(label_orbit(q, label)),
+        group_order=ct.order, class_count=ct.n_classes,
+        degree_multiset=tuple(sorted(r.degree for r in rows)),
+        indicator_list=tuple(r.indicator for r in rows),
+        row_names=tuple(r.name for r in rows),
+        stabilizer_size=len(stabilizer_in_q(q, label)),
+        induced_norm=Fraction(decomposition["triv"]),
+        indicator_induced=chi.indicator, indicator_induced_direct=ind_chi_direct,
+        indicator_psi=psi.indicator, indicator_psi_direct=fs_indicator_direct(ct, psi.values),
+        psi_multiplicity=decomposition[psi.name], decomposition=decomposition,
+        indicator_breakdown=breakdown,
+        claims={"induced_irreducible": len(stabilizer_in_q(q, label)) == 1
+                and decomposition["triv"] == 1,
+                "indicator_one": chi.indicator == ind_chi_direct == 1,
+                "square_contains_psi": decomposition[psi.name] >= 1},
+        checks=checks,
+        square_locus_size=sum(ct.sizes[k] for k in table.square_locus))
+
+
+def test_shared_table_facts_give_the_reports_built_label_by_label(table7):
+    facts = run_table_checks(table7)
+    for label in label_orbits(table7.class_table.group.quaternion):
+        report = verify_label(table7, label, facts)
+        expected = _report_field_by_field(table7, label)
+        expected.timings = report.timings
+        assert report == expected
+        assert list(report.checks) == list(expected.checks)
 
 
 def test_verify_builds_no_cyclotomic(built_cyclotomics):
