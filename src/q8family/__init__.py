@@ -35,8 +35,7 @@ _EXPORTS = {
                      "character_table", "default_label", "fs_indicator",
                      "fs_indicator_direct", "induced_values", "inflated_values",
                      "inner_product", "label_action", "label_orbit", "label_orbits",
-                     "q8_character_table", "stabilizer_in_q",
-                     "tensor_square_decompose"), "characters"),
+                     "stabilizer_in_q", "tensor_square_decompose"), "characters"),
     **dict.fromkeys(("Cyclotomic", "RootSum", "root_of_unity"), "cyclotomic"),
     **dict.fromkeys(("InvariantError", "UsageError"), "errors"),
     **dict.fromkeys(("ClassTable", "QuaternionSubgroup", "SemidirectGroup",

@@ -33,8 +33,9 @@ from functools import cached_property
 from operator import mul
 
 from .cyclotomic import RootSum
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 from .groups import build_group, conjugacy_classes
+from .modp import nontrivial_label
 from .modular import count_vector, image_of
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -49,21 +50,7 @@ Q8_ROWS = (
 )
 
 
-def q8_character_table():
-    """The five irreducible characters of Q8 as (name, values) pairs."""
-    return Q8_ROWS
-
-
 # -- labels and the Q8 action on them ---------------------------------------
-
-
-def nontrivial_label(label, p):
-    """The label reduced mod p; UsageError if it is the trivial label (0, 0)."""
-    a, b = label
-    label = (a % p, b % p)
-    if label == (0, 0):
-        raise UsageError("label must be nontrivial")
-    return label
 
 
 def default_label(p):

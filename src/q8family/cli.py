@@ -1,8 +1,11 @@
 """Command-line front end: verify, table, scan, selftest.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 internal
-invariant violation.  Output to --out goes through an atomic temp-file
-rename, so failed runs never leave partial files.
+invariant violation, 141 stdout closed by its reader.  Output to --out
+goes through an atomic temp-file rename, so failed runs never leave
+partial files.  Every --bound, --prime, --primes and --label value is
+checked here, by `modp`, before any layer is loaded: a usage error
+compiles none.
 """
 
 import argparse
@@ -14,9 +17,10 @@ import sys
 # and run when a command first calls into it, so they are called by attribute.
 from . import characters, selftest, serialize, verify
 from .errors import InvariantError, UsageError
-from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
+from .modp import DEFAULT_PRIME_BOUND, nontrivial_label, odd_primes, require_odd_prime
 
 CACHE_ENV = "Q8FAMILY_CACHE_DIR"
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by it
 
 
 def _parse_label(text):
@@ -40,8 +44,14 @@ def _parse_prime_range(text):
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops write errors, a closed stdout among them
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="q8family",
         description="Exact character tables and Frobenius-Schur certificates "
                     "for the groups (C_p x C_p) : Q8.")
@@ -217,7 +227,10 @@ def render_scan_text(summaries):
 
 def cmd_verify(args):
     label = None if args.label is None else _parse_label(args.label)
-    report = verify.verify_prime(args.prime, label, args.bound, args.alt_subgroup)
+    p = require_odd_prime(args.prime, args.bound)
+    if label is not None:
+        nontrivial_label(label, p)  # before `verify` is loaded
+    report = verify.verify_prime(p, label, args.alt_subgroup)
     if args.fmt == "json":
         _emit(args, serialize.canonical_json(serialize.report_document(report)))
     else:
@@ -226,8 +239,7 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
-    p = args.prime
-    require_odd_prime(p, args.bound)  # before any work, the cache included
+    p = require_odd_prime(args.prime, args.bound)  # before any work, the cache included
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     doc = serialize.table_document(characters.character_table(p))
     text = serialize.canonical_json(doc) if cache_dir or args.fmt == "json" else None
@@ -249,7 +261,8 @@ def cmd_scan(args):
     lo, hi = _parse_prime_range(args.primes)
     if args.jobs < 1:  # as scan_primes does, but before any layer is compiled
         raise UsageError("--jobs must be >= 1")
-    summaries = verify.scan_primes(lo, hi, args.bound, args.alt_subgroup, args.jobs)
+    odd_primes(lo, hi, args.bound)  # the range and the bound, before any layer is compiled
+    summaries = verify.scan_primes(lo, hi, args.alt_subgroup, args.jobs)
     if args.fmt == "json":
         _emit(args, serialize.canonical_json(serialize.scan_document(lo, hi, summaries)))
     else:
@@ -264,13 +277,14 @@ def cmd_scan(args):
 
 
 def cmd_selftest(args):
-    results = selftest.run_selftest(args.prime, args.bound)
+    p = require_odd_prime(args.prime, args.bound)  # before `selftest` is loaded
+    results = selftest.run_selftest(p)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "ok  " if r.ok else "FAIL"
         print(f"{status} {r.name.ljust(width)}  {r.detail}")
     ok = all(r.ok for r in results)
-    print(f"selftest p={args.prime}: "
+    print(f"selftest p={p}: "
           f"{sum(r.ok for r in results)}/{len(results)} checks passed")
     return 0 if ok else 3
 
@@ -292,7 +306,15 @@ def main(argv=None):
 
 
 def main_entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE advises: point stdout at devnull,
+        # so that the flush at shutdown finds no closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
-"""Prime-field scalars and 2x2 matrices over F_p, and the one check that p is an odd prime.
+"""Prime-field scalars and 2x2 matrices over F_p, and the checks of every input p and label.
 
 Scalars are plain int residues in [0, p); the modulus travels on the
 containing structure.  Matrices are NamedTuples so they are hashable and
 cheap to compare.
 
-The prime bound is the commands' cost policy (`--bound`): only their
-entry points pass one to `require_odd_prime`; every builder takes any
-odd prime.
+The checks are `require_odd_prime`, `odd_primes` (a range of primes) and
+`nontrivial_label`; the command line and the layers both call them, so
+each refusal has one text.  The prime bound is the commands' cost policy
+(`--bound`), not the mathematics': only `cli` passes one, before any
+layer is loaded, and every library entry point takes any odd prime.
 """
 
 from typing import NamedTuple
@@ -34,6 +36,29 @@ def require_odd_prime(p, bound=None):
     if bound is not None and p > bound:
         raise UsageError(f"p={p} exceeds the prime bound {bound}")
     return p
+
+
+def odd_primes(lo, hi, bound=None):
+    """The odd primes in [lo, hi], each checked against bound as the range is walked.
+
+    So the walk stops at the first prime past the bound.  UsageError on a
+    bad range, a prime past the bound, or a range without odd primes.
+    """
+    if lo > hi or lo < 1:
+        raise UsageError(f"bad prime range {lo}..{hi}")
+    primes = [require_odd_prime(p, bound) for p in range(lo, hi + 1) if is_odd_prime(p)]
+    if not primes:
+        raise UsageError(f"no odd primes in range {lo}..{hi}")
+    return primes
+
+
+def nontrivial_label(label, p):
+    """The label reduced mod p; UsageError if it is the trivial label (0, 0)."""
+    a, b = label
+    label = (a % p, b % p)
+    if label == (0, 0):
+        raise UsageError("label must be nontrivial")
+    return label
 
 
 class Mat2(NamedTuple):

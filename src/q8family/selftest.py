@@ -54,7 +54,7 @@ from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
 from .cyclotomic import Cyclotomic, RootSum, root_of_unity
 from .errors import InvariantError
 from .groups import build_group, conjugacy_classes
-from .modp import DEFAULT_PRIME_BOUND, require_odd_prime
+from .modp import require_odd_prime
 
 ASSOCIATIVITY_SAMPLES = 300
 FULL_ORACLE_PRIME_LIMIT = 7  # run the averaging and inner-product oracles on all rows up to here
@@ -178,9 +178,9 @@ def q8_table_checks():
     return Q8_ROWS[4][1] == (2, -2, 0, 0, 0)
 
 
-def run_selftest(p, bound=DEFAULT_PRIME_BOUND):
-    """All invariant checks for one odd prime p <= bound; returns the per-check results."""
-    require_odd_prime(p, bound)
+def run_selftest(p):
+    """All invariant checks for one odd prime p; returns the per-check results."""
+    require_odd_prime(p)
     results = []
 
     def check(name, ok, detail=""):

@@ -15,8 +15,9 @@ class partition, so no column sums run here; `selftest` runs them as an
 oracle.  The element-wise indicators are root-count sums; the literal one
 is `selftest`'s.  Rows are real (`modular.py`, step 1), so [chi, chi] =
 (1/|G|) sum_K |K| chi(K)^2 = [chi^2, 1], the tensor square's trivial slot,
-checked integral.  The prime bound, a cost policy, is checked once, where
-`verify_prime` and `scan_primes` start; the builders take any odd prime.
+checked integral.  `verify_prime` and `scan_primes` take any odd prime
+and refuse bad input through `modp`'s checks; the prime bound, a cost
+policy, is the command line's.
 """
 
 import time
@@ -26,13 +27,12 @@ from typing import NamedTuple
 
 from .characters import (TABLE_CHECKS, assemble_character_table, character_table,
                          default_label, fs_indicator_direct, label_orbit, label_orbits,
-                         nontrivial_label, quaternionic_row_unique,
-                         restriction_to_core_inner, stabilizer_in_q,
-                         tensor_square_decompose)
+                         quaternionic_row_unique, restriction_to_core_inner,
+                         stabilizer_in_q, tensor_square_decompose)
 from .errors import InvariantError, UsageError
 from .groups import (build_group, conjugacy_classes, conjugated_subgroup,
                      quaternion_subgroup)
-from .modp import DEFAULT_PRIME_BOUND, Mat2, is_odd_prime, require_odd_prime
+from .modp import Mat2, nontrivial_label, odd_primes, require_odd_prime
 
 
 class Report:
@@ -186,9 +186,9 @@ def _alt_subgroup_summary(p, label, reference):
     return summary
 
 
-def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
-    """Full pipeline for one odd prime p <= bound: build, check, and certify the claims."""
-    require_odd_prime(p, bound)
+def verify_prime(p, label=None, alt_subgroup=False):
+    """Full pipeline for one odd prime p: build, check, and certify the claims."""
+    require_odd_prime(p)
     label = nontrivial_label(default_label(p) if label is None else label, p)
     total0 = time.perf_counter()
     group = build_group(p)
@@ -206,22 +206,16 @@ def verify_prime(p, label=None, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False):
     return report
 
 
-def scan_primes(lo, hi, bound=DEFAULT_PRIME_BOUND, alt_subgroup=False, jobs=1):
+def scan_primes(lo, hi, alt_subgroup=False, jobs=1):
     """Verify every orbit-representative label for every odd prime in [lo, hi].
 
-    Every prime is checked against the bound before any work starts, as
-    the range is walked, so the walk stops at the first prime past it.  A
-    pool forks all its workers at once, so the primes run in this process
+    A pool forks all its workers at once, so the primes run in this process
     or in min(jobs, number of primes) workers.  Returns a list of per-prime
     summary dicts in prime order, each deterministic apart from "seconds".
     """
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    if lo > hi or lo < 1:
-        raise UsageError(f"bad prime range {lo}..{hi}")
-    primes = [require_odd_prime(p, bound) for p in range(lo, hi + 1) if is_odd_prime(p)]
-    if not primes:
-        raise UsageError(f"no odd primes in range {lo}..{hi}")
+    primes = odd_primes(lo, hi)
     workers = min(jobs, len(primes))
     if workers > 1:
         # Imported here: it loads multiprocessing, which no other command needs.

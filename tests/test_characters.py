@@ -10,8 +10,8 @@ from q8family.characters import (Q8_ROWS, character_table, default_label,
                                  fs_indicator, fs_indicator_direct,
                                  induced_values, inflated_values, inner_product,
                                  label_action, label_orbit, label_orbits,
-                                 q8_character_table, restriction_to_core_inner,
-                                 stabilizer_in_q, tensor_square_decompose)
+                                 restriction_to_core_inner, stabilizer_in_q,
+                                 tensor_square_decompose)
 from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError, UsageError
 from q8family.groups import (count_square_roots_of_identity, quaternion_subgroup,
@@ -56,7 +56,7 @@ def assert_rows_are_orbit_sums(table):
 
 class TestQ8Table:
     def test_trivial_row(self):
-        assert q8_character_table()[0] == ("triv", (1, 1, 1, 1, 1))
+        assert Q8_ROWS[0] == ("triv", (1, 1, 1, 1, 1))
 
     def test_psi_values_from_matrix_model(self):
         # trace oracle: the degree-2 representation by 2x2 matrices over the
@@ -91,7 +91,7 @@ class TestQ8Table:
 
     def test_rows_orthonormal_over_q8(self):
         sizes = (1, 1, 2, 2, 2)
-        rows = [vals for _, vals in q8_character_table()]
+        rows = [vals for _, vals in Q8_ROWS]
         for i, f in enumerate(rows):
             for j, g in enumerate(rows):
                 total = sum(s * x * y for s, x, y in zip(sizes, f, g))
@@ -99,7 +99,7 @@ class TestQ8Table:
 
     def test_psi_indicator_within_q8(self):
         # literal FS sum inside Q8: squares are I (twice) and z (six times)
-        psi = dict(q8_character_table())["psi"]
+        psi = dict(Q8_ROWS)["psi"]
         total = 2 * psi[0] + 6 * psi[1]
         assert Fraction(total, 8) == -1
 
@@ -213,7 +213,7 @@ class TestInflation:
         assert all(v == 1 for v in vals)
 
     def test_inflation_preserves_degree(self, classes3):
-        for _, q8vals in q8_character_table():
+        for _, q8vals in Q8_ROWS:
             assert inflated_values(q8vals, classes3)[0] == q8vals[0]
 
 

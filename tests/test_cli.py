@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import assert_edit_rebuilt
 
 import q8family
-from q8family import cli, serialize
+from q8family import cli, modp, serialize
 from q8family.characters import character_table
 from q8family.cyclotomic import Cyclotomic, RootSum
 from q8family.serialize import canonical_json, load_cached_table, table_document
@@ -40,6 +40,14 @@ class TestVerifyCommand:
     def test_malformed_label(self, capsys):
         assert cli.main(["verify", "--prime", "3", "--label", "1;2"]) == 2
         assert cli.main(["verify", "--prime", "3", "--label", "1,2,3"]) == 2
+
+    def test_bound_respected(self, capsys):
+        assert cli.main(["verify", "--prime", "101"]) == 2
+        assert capsys.readouterr().err == "error: p=101 exceeds the prime bound 97\n"
+        assert cli.main(["verify", "--prime", "7", "--bound", "5"]) == 2
+        assert capsys.readouterr().err == "error: p=7 exceeds the prime bound 5\n"
+        assert cli.main(["verify", "--prime", "7", "--bound", "7"]) == 0
+        assert "VERDICT: PASS" in capsys.readouterr().out
 
     def test_json_report(self, capsys):
         assert cli.main(["verify", "--prime", "3", "--format", "json"]) == 0
@@ -522,6 +530,29 @@ class TestScanCommand:
     def test_bad_jobs(self, capsys):
         assert cli.main(["scan", "--primes", "3..3", "--jobs", "0"]) == 2
 
+    def test_bound_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a prime was verified before the bound check")
+
+        monkeypatch.setattr(cli.verify, "scan_one_prime", no_work)
+        assert cli.main(["scan", "--primes", "3..13", "--bound", "7"]) == 2
+        assert capsys.readouterr().err == "error: p=11 exceeds the prime bound 7\n"
+
+    def test_walk_stops_at_the_first_prime_past_the_bound(self, capsys, monkeypatch):
+        tested = []
+        is_odd_prime = modp.is_odd_prime
+
+        def counted(p):
+            tested.append(p)
+            if len(tested) > 1000:
+                raise AssertionError("the range was walked past the first prime beyond the bound")
+            return is_odd_prime(p)
+
+        monkeypatch.setattr(modp, "is_odd_prime", counted)
+        assert cli.main(["scan", "--primes", "3..100000", "--bound", "7"]) == 2
+        assert capsys.readouterr().err == "error: p=11 exceeds the prime bound 7\n"
+        assert max(tested) == 11
+
     def test_alt_subgroup_scan(self, capsys):
         assert cli.main(["scan", "--primes", "3..5", "--alt-subgroup",
                          "--format", "json"]) == 0
@@ -553,7 +584,7 @@ class TestSelftestCommand:
 
         monkeypatch.setattr(
             cli.selftest, "run_selftest",
-            lambda p, bound: [CheckResult("fabricated", False, "broken")])
+            lambda p: [CheckResult("fabricated", False, "broken")])
         assert cli.main(["selftest", "--prime", "3"]) == 3
         assert "FAIL fabricated" in capsys.readouterr().out
 
@@ -629,6 +660,12 @@ class TestHarness:
     @pytest.mark.parametrize("argv, code, layers", [
         (["--help"], 0, []),
         (["scan", "--primes", "3..5", "--jobs", "0"], 2, []),
+        (["verify", "--prime", "9"], 2, []),
+        (["verify", "--prime", "7", "--bound", "5"], 2, []),
+        (["verify", "--prime", "5", "--label", "0,0"], 2, []),
+        (["selftest", "--prime", "101"], 2, []),
+        (["scan", "--primes", "5..3"], 2, []),
+        (["scan", "--primes", "3..101"], 2, []),
         (["verify", "--prime", "5", "--format", "json"], 0,
          ["cyclotomic", "groups", "modular", "characters", "verify", "serialize"]),
         (["scan", "--primes", "3..5"], 0,
@@ -637,7 +674,9 @@ class TestHarness:
          ["cyclotomic", "groups", "modular", "characters", "serialize"]),
         (["selftest", "--prime", "3"], 0,
          ["cyclotomic", "groups", "modular", "characters", "selftest"]),
-    ], ids=["help", "usage-error", "verify-json", "scan", "table", "selftest"])
+    ], ids=["help", "usage-error", "verify-not-prime", "verify-bound", "verify-trivial-label",
+            "selftest-bound", "scan-bad-range", "scan-bound", "verify-json", "scan", "table",
+            "selftest"])
     def test_a_command_runs_only_the_layers_it_uses(self, tmp_path, argv, code, layers):
         # counted, not timed: compiling a layer is start-up in every call that runs it
         got, loaded = _run_loaded(tmp_path, argv)
@@ -657,6 +696,29 @@ class TestHarness:
         assert doc["claims"] and all(doc["claims"].values())
         assert doc["checks"] and all(doc["checks"].values())
         assert doc["psi_multiplicity"] == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--prime", "3"], ["scan", "--primes", "3..5"],
+        ["table", "--prime", "5", "--format", "json"], ["selftest", "--prime", "3"], ["--help"],
+    ], ids=["verify", "scan", "table", "selftest", "help"])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        # the read end is closed before the child starts, so every write to stdout fails
+        src = str(Path(q8family.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", "q8family", *argv], stdout=w,
+                                    stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(w)
+        _, err = proc.communicate()
+        assert proc.returncode == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

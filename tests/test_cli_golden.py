@@ -27,6 +27,11 @@ GOLDEN = [
     (["verify", "--prime", "4"], "error: p=4: not an odd prime\n"),
     (["verify", "--prime", "9"], "error: p=9: not an odd prime\n"),
     (["verify", "--prime", "101"], "error: p=101 exceeds the prime bound 97\n"),
+    (["verify", "--prime", "7", "--bound", "5"], "error: p=7 exceeds the prime bound 5\n"),
+    # the prime is checked before the bound, and the bound before the label's triviality
+    (["verify", "--prime", "9", "--bound", "5"], "error: p=9: not an odd prime\n"),
+    (["verify", "--prime", "101", "--label", "0,0"],
+     "error: p=101 exceeds the prime bound 97\n"),
     (["table", "--prime", "4"], "error: p=4: not an odd prime\n"),
     (["table", "--prime", "5", "--bound", "3"],
      "error: p=5 exceeds the prime bound 3\n"),
@@ -37,6 +42,9 @@ GOLDEN = [
     (["scan", "--primes", "a..b"],
      "error: prime range bounds must be integers, got 'a..b'\n"),
     (["scan", "--primes", "7..3"], "error: bad prime range 7..3\n"),
+    (["scan", "--primes", "0..2"], "error: bad prime range 0..2\n"),
+    # the range is checked before the bound
+    (["scan", "--primes", "7..3", "--bound", "1"], "error: bad prime range 7..3\n"),
     (["scan", "--primes", "8..9"], "error: no odd primes in range 8..9\n"),
     (["scan", "--primes", "3..101"], "error: p=101 exceeds the prime bound 97\n"),
     (["scan", "--primes", "3..5", "--jobs", "0"], "error: --jobs must be >= 1\n"),

@@ -8,8 +8,8 @@ package's exports) use the `Cyclotomic` arithmetic: `verify`, `scan` and
 else, so Z[zeta_p] has one representation.  Second orthogonality is derived
 from assembly's certificate, so only `selftest` runs the column sums.
 `modp` holds the one check that p is an odd prime; the prime bound is a
-parameter only of that check and of the three entry points that apply it,
-and `groups` conjugates with `SemidirectGroup.conj` alone.  No module
+parameter only of `modp`'s checks, which the command line applies, and
+`groups` conjugates with `SemidirectGroup.conj` alone.  No module
 imports `dataclasses`, which would load `inspect` at every start-up, and
 `serialize` takes only `RootSum` from the package.  The table checks decide
 on classes: the squaring pass of `conjugacy_classes` is the only code that
@@ -136,12 +136,20 @@ def test_only_modp_checks_that_p_is_an_odd_prime(path):
     assert any("not an odd prime" in text for text in strings(path)) == in_modp
 
 
-def test_the_prime_bound_is_a_parameter_of_the_check_and_the_entry_points_only():
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_only_modp_refuses_a_prime_range_or_label(path):
+    refusals = ("exceeds the prime bound", "bad prime range", "no odd primes in range",
+                "label must be nontrivial")
+    found = {r for r in refusals for text in strings(path) if r in text}
+    assert found == (set(refusals) if path.name == "modp.py" else set())
+
+
+def test_only_modp_takes_a_prime_bound():
     # `modular.split_prime`'s bound is on the sums an F_l image must hold, not on p
-    capped = {f.name for path in MODULES if path.name != "modular.py"
+    capped = {(path.name, f.name) for path in MODULES if path.name != "modular.py"
               for f in functions(path)
               if "bound" in [a.arg for a in f.args.args + f.args.kwonlyargs]}
-    assert capped == {"require_odd_prime", "verify_prime", "scan_primes", "run_selftest"}
+    assert capped == {("modp.py", "require_odd_prime"), ("modp.py", "odd_primes")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])

@@ -1,4 +1,8 @@
-from q8family.modp import Mat2, is_odd_prime
+import pytest
+
+from q8family import modp
+from q8family.errors import UsageError
+from q8family.modp import Mat2, is_odd_prime, odd_primes
 
 
 class TestMat2:
@@ -22,3 +26,27 @@ def test_is_odd_prime():
     assert not is_odd_prime(2)
     assert not is_odd_prime(1)
     assert not is_odd_prime(9)
+
+
+
+class TestOddPrimes:
+    def test_odd_primes_of_a_range(self):
+        assert odd_primes(1, 20) == [3, 5, 7, 11, 13, 17, 19]
+        assert odd_primes(3, 13, 13) == [3, 5, 7, 11, 13]
+        assert odd_primes(97, 103) == [97, 101, 103]  # no bound unless one is given
+
+    def test_walk_stops_at_the_first_prime_past_the_bound(self, monkeypatch):
+        for hi, bound, past in ((10 ** 9, 97, 101), (100000, 7, 11)):
+            tested = []
+
+            def counted(p):
+                tested.append(p)
+                if len(tested) > 1000:
+                    raise AssertionError("the range was walked past the first prime beyond the bound")
+                return is_odd_prime(p)
+
+            monkeypatch.setattr(modp, "is_odd_prime", counted)
+            with pytest.raises(UsageError, match=f"p={past} exceeds the prime bound {bound}"):
+                odd_primes(3, hi, bound)
+            # require_odd_prime tests each prime once more
+            assert sorted(set(tested)) == list(range(3, past + 1))

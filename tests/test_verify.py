@@ -70,13 +70,6 @@ class TestVerifyPrime:
         with pytest.raises(UsageError, match="nontrivial"):
             verify_prime(3, label=(3, 3))
 
-    def test_bound_respected(self):
-        with pytest.raises(UsageError, match="bound"):
-            verify_prime(101)
-        with pytest.raises(UsageError, match="bound"):
-            verify_prime(7, bound=5)
-        assert verify_prime(7, bound=7).overall_pass
-
     @pytest.mark.parametrize("p", [3, 5])
     def test_alt_subgroup_agrees(self, p):
         r = verify_prime(p, alt_subgroup=True)
@@ -255,28 +248,10 @@ class TestScan:
         with pytest.raises(UsageError, match="no odd primes"):
             scan_primes(8, 9)
 
-    def test_bound_checked_before_any_work(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("a prime was verified before the bound check")
-
-        monkeypatch.setattr(verify, "scan_one_prime", no_work)
-        with pytest.raises(UsageError, match="p=11 exceeds the prime bound 7"):
-            scan_primes(3, 13, bound=7)
-
-    def test_walk_stops_at_the_first_prime_past_the_bound(self, monkeypatch):
-        tested = []
-        is_odd_prime = verify.is_odd_prime
-
-        def counted(p):
-            tested.append(p)
-            if len(tested) > 1000:
-                raise AssertionError("the range was walked past the first prime beyond the bound")
-            return is_odd_prime(p)
-
-        monkeypatch.setattr(verify, "is_odd_prime", counted)
-        with pytest.raises(UsageError, match="p=101 exceeds the prime bound 97"):
-            scan_primes(3, 10 ** 9)
-        assert tested == list(range(3, 102))
+    def test_any_odd_prime_is_scanned(self, monkeypatch):
+        # the prime bound is the command line's cost policy, not the library's
+        monkeypatch.setattr(verify, "scan_one_prime", lambda p, alt: p)
+        assert scan_primes(97, 103) == [97, 101, 103]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected_before_the_range(self, monkeypatch, jobs):

@@ -40,8 +40,16 @@ def _commands():
     out += [("selftest", "--prime", str(p)) for p in (3, 7, 13)]
     out += [("table", "--prime", str(p), "--format", fmt)
             for p in (5, 17) for fmt in ("json", "text", "csv")]
+    # usage errors: exit 2, each checked before any layer is loaded
     out += [("verify", "--prime", "9"), ("verify", "--prime", "5", "--label", "0,0"),
-            ("scan", "--primes", "3..7", "--jobs", "0")]
+            ("verify", "--prime", "101"), ("verify", "--prime", "7", "--bound", "5"),
+            ("verify", "--prime", "9", "--label", "x"),
+            ("verify", "--prime", "5", "--label", "5,10"),
+            ("selftest", "--prime", "9"), ("selftest", "--prime", "101"),
+            ("table", "--prime", "101"), ("scan", "--primes", "3..7", "--jobs", "0"),
+            ("scan", "--primes", "5..3"), ("scan", "--primes", "0..2"),
+            ("scan", "--primes", "8..10"), ("scan", "--primes", "3..13", "--bound", "7"),
+            ("scan", "--primes", "3..101")]
     return tuple(out)
 
 
