@@ -25,7 +25,8 @@ prints them.
 Characters of V are labelled by pairs (a, b) of residues: the label (a, b)
 sends v to zeta_p^(a v0 + b v1).  A matrix M moves labels by the
 inverse-transpose, matching the convention that M sends the character
-lambda to v |-> lambda(M^-1 v).
+lambda to v |-> lambda(M^-1 v).  Q acts freely on the nontrivial labels
+(`_free_orbit`); which classes lie in V is `SemidirectGroup.in_core`'s.
 """
 
 from fractions import Fraction
@@ -34,11 +35,9 @@ from operator import mul
 
 from .cyclotomic import RootSum
 from .errors import InvariantError
-from .groups import build_group, conjugacy_classes
+from .groups import build_group, class_partition_holds, conjugacy_classes
 from .modp import nontrivial_label
 from .modular import count_vector, image_of
-
-IDENTITY_MATRIX = (1, 0, 0, 1)
 
 # values over the Q8 class order {1}, {z}, {+-X}, {+-Y}, {+-XY}
 Q8_ROWS = (
@@ -76,12 +75,16 @@ def label_orbit(q, label):
     return tuple(sorted({label_action(m, label) for m in q.elements}))
 
 
-def label_orbits(q):
-    """Lexicographically minimal representatives of the nontrivial orbits.
+def _free_orbit(q, label):
+    """The label's orbit (`label_orbit`); InvariantError unless it has size 8, Q acting freely."""
+    orbit = label_orbit(q, label)
+    if len(orbit) != 8:
+        raise InvariantError(f"label orbit of {label} has size {len(orbit)}, not 8")
+    return orbit
 
-    Every nontrivial orbit must have size exactly 8 (trivial stabilizer);
-    anything else is an internal error.
-    """
+
+def label_orbits(q):
+    """Lexicographically minimal representatives of the nontrivial orbits, each free."""
     p = q.p
     seen = set()
     reps = []
@@ -90,14 +93,9 @@ def label_orbits(q):
             label = (a, b)
             if label == (0, 0) or label in seen:
                 continue
-            orbit = label_orbit(q, label)
-            if len(orbit) != 8:
-                raise InvariantError(f"label orbit of {label} has size {len(orbit)}, not 8")
             reps.append(label)
-            seen.update(orbit)
-    if len(reps) != (p * p - 1) // 8:
-        raise InvariantError("wrong number of label orbits")
-    return tuple(reps)
+            seen.update(_free_orbit(q, label))
+    return tuple(reps)  # free orbits partition the p^2 - 1 labels: (p^2 - 1)/8 of them
 
 
 # -- the two row constructions ------------------------------------------------
@@ -131,13 +129,11 @@ def induced_values(label, ct):
     """
     label = nontrivial_label(label, ct.p)
     p = ct.p
-    orbit = label_orbit(ct.group.quaternion, label)
-    if len(orbit) != 8:
-        raise InvariantError("induced from a label with nontrivial stabilizer")
-    zero = _pooled(ct, 0)
+    orbit = _free_orbit(ct.group.quaternion, label)
+    in_core, zero = ct.group.in_core, _pooled(ct, 0)
     values = []
     for e in map(ct.group.elements.__getitem__, ct.reps):
-        if e[2:] != IDENTITY_MATRIX:
+        if not in_core(e):
             values.append(zero)
             continue
         v0, v1 = e[0], e[1]
@@ -167,7 +163,7 @@ def inner_product(ct, f, g):
 
 def restriction_to_core_inner(ct, values):
     """Exact [f restricted to V, trivial character of V]."""
-    mask = [int(ct.rep_element(k)[2:] == IDENTITY_MATRIX) for k in range(ct.n_classes)]
+    mask = [int(ct.group.in_core(ct.rep_element(k))) for k in range(ct.n_classes)]
     if sum(map(mul, ct.sizes, mask)) != ct.p ** 2:
         raise InvariantError("classes inside V do not cover V")
     image = image_of(ct, (values,))
@@ -395,21 +391,13 @@ def tensor_square_decompose(table, row):
 
 # -- table invariants ------------------------------------------------------------
 #
-# The integer predicates take plain numbers, so that assembly can check the
-# degrees before the table exists and `verify` and `selftest` share them.
+# The integer predicates take plain numbers, so assembly can check the degrees
+# before the table exists; the class partition's is `groups.class_partition_holds`.
 
 
 def family_class_count(p):
     """Classes (and irreducible characters) of G: 5 + (p^2 - 1)/8."""
     return 5 + (p * p - 1) // 8
-
-
-def class_partition_holds(order, sizes, centralizers):
-    """Class sizes sum to |G|, divide it, and |K| |C(K)| = |G| for every class."""
-    # products before the modulus, so a zero size fails instead of raising
-    return (sum(sizes) == order
-            and all(s * c == order for s, c in zip(sizes, centralizers))
-            and all(order % s == 0 for s in sizes))
 
 
 def degree_sum_holds(order, degrees):
@@ -497,7 +485,7 @@ def _core_involution_squares(table):
 
 def _induced_vanish_off_core(table):
     ct = table.class_table
-    off_core = [k for k in range(ct.n_classes) if ct.rep_element(k)[2:] != IDENTITY_MATRIX]
+    off_core = [k for k in range(ct.n_classes) if not ct.group.in_core(ct.rep_element(k))]
     return (all(r.values[k].is_zero()
                 for r in table.rows if r.name.startswith("ind_") for k in off_core),
             "every induced row is zero outside V")

@@ -3,9 +3,9 @@
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 internal
 invariant violation, 141 stdout closed by its reader.  Output to --out
 goes through an atomic temp-file rename, so failed runs never leave
-partial files.  Every --bound, --prime, --primes and --label value is
-checked here, by `modp`, before any layer is loaded: a usage error
-compiles none.
+partial files.  Every --bound, --prime, --primes, --label and --jobs
+value is checked here, by `modp`, before any layer is loaded: a usage
+error compiles none.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import sys
 # and run when a command first calls into it, so they are called by attribute.
 from . import characters, selftest, serialize, verify
 from .errors import InvariantError, UsageError
-from .modp import DEFAULT_PRIME_BOUND, nontrivial_label, odd_primes, require_odd_prime
+from .modp import DEFAULT_PRIME_BOUND, nontrivial_label, odd_primes, require_jobs, require_odd_prime
 
 CACHE_ENV = "Q8FAMILY_CACHE_DIR"
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by it
@@ -259,9 +259,8 @@ def cmd_table(args):
 
 def cmd_scan(args):
     lo, hi = _parse_prime_range(args.primes)
-    if args.jobs < 1:  # as scan_primes does, but before any layer is compiled
-        raise UsageError("--jobs must be >= 1")
-    odd_primes(lo, hi, args.bound)  # the range and the bound, before any layer is compiled
+    require_jobs(args.jobs)  # then the range and the bound, before any layer is compiled
+    odd_primes(lo, hi, args.bound)
     summaries = verify.scan_primes(lo, hi, args.alt_subgroup, args.jobs)
     if args.fmt == "json":
         _emit(args, serialize.canonical_json(serialize.scan_document(lo, hi, summaries)))

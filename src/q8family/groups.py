@@ -7,14 +7,18 @@ a^2 + b^2 = -1 (mod p).  Group elements are 6-tuples of residues
 part.  That encoding is what appears in JSON reports.
 
 G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
-fixes a nonzero vector.  Conjugacy classes are read off that structure
-(Q-orbits on V, whole cosets of V off it), then one pass squares every
-element (|G| = 8 p^2 for any odd prime p: 75,272 at the commands'
-default bound 97, which only they check): the one source of square facts.
+fixes a nonzero vector.  Only this module decides that structure: the
+det-1 premise, membership in V (`SemidirectGroup.in_core`) and the class
+partition (`class_partition_holds`).  Classes are read off it (Q-orbits
+on V, whole cosets of V off it), then one pass squares every element
+(|G| = 8 p^2 for any odd prime p: 75,272 at the commands' default bound
+97, which only they check): the one source of square facts.
 """
 
 from .errors import InvariantError, UsageError
 from .modp import Mat2, require_odd_prime
+
+IDENTITY_MATRIX = (1, 0, 0, 1)  # the matrix part of every element of V
 
 # conjugation convention used throughout: h ** g = g h g^-1
 
@@ -49,22 +53,25 @@ class QuaternionSubgroup:
         return hash(self._key())
 
 
+def _require_det_one(matrices):
+    """InvariantError unless every matrix of Q has det 1, i.e. Q lies in SL2(p)."""
+    for m in matrices:
+        if m.det() != 1:
+            raise InvariantError(f"quaternion element {m.entries()} has det != 1")
+
+
 def _build_subgroup(p, x, y):
     ident = Mat2.identity(p)
     z = x * x
     if z != y * y or z != ident.neg():
         raise InvariantError("quaternion relations fail: X^2 = Y^2 = -I expected")
-    if (x * x) * (x * x) != ident:
-        raise InvariantError("quaternion relations fail: X^4 != I")
     if y * x * y.inv() != x.inv():
         raise InvariantError("quaternion relations fail: Y X Y^-1 != X^-1")
     xy = x * y
     elements = (ident, z, x, x.neg(), y, y.neg(), xy, xy.neg())
     if len(set(elements)) != 8:
         raise InvariantError("quaternion subgroup has fewer than 8 distinct elements")
-    for m in elements:
-        if m.det() != 1:
-            raise InvariantError(f"quaternion element {m.entries()} has det != 1")
+    _require_det_one(elements)
     involutions = [m for m in elements if m * m == ident and m != ident]
     if involutions != [z]:
         raise InvariantError("quaternion subgroup must have -I as its unique involution")
@@ -120,7 +127,7 @@ class SemidirectGroup:
         self.quaternion = quaternion
         mats = sorted(m.entries() for m in quaternion.elements)
         elems = [(v0, v1) + m for v0 in range(p) for v1 in range(p) for m in mats]
-        ident = (0, 0, 1, 0, 0, 1)
+        ident = (0, 0) + IDENTITY_MATRIX
         elems.remove(ident)
         elems.insert(0, ident)
         self.identity = ident
@@ -176,7 +183,7 @@ class SemidirectGroup:
 
     def in_core(self, g):
         """True when g lies in V, i.e. its matrix part is the identity."""
-        return g[2:] == (1, 0, 0, 1)
+        return g[2:] == IDENTITY_MATRIX
 
 
 def build_group(p, quaternion=None):
@@ -242,8 +249,8 @@ def conjugacy_classes(group):
     the conjugates fill the whole coset V x {M'}: the class of (v, M) is
     V x {N M N^-1 : N in Q}.  Every premise is checked (each M in Q has
     det 1, det(I - M) != 0 for M != I, each N M N^-1 lies in Q), as is the
-    result: every element lies in exactly one class, and the sizes sum to
-    |G| and divide it.  Classes are numbered in order of their minimal
+    result: every element lies in exactly one class, and the sizes pass
+    `class_partition_holds`.  Classes are numbered in order of their minimal
     element index, which is their representative; centralizer orders come
     from the orbit-stabilizer relation.  One squaring pass over the
     elements fills in the square map and the root counts, raising unless a
@@ -254,9 +261,8 @@ def conjugacy_classes(group):
     q = group.quaternion.elements
     in_q = {m.entries() for m in q}
     ident = Mat2.identity(p)
+    _require_det_one(q)
     for m in q:
-        if m.det() != 1:
-            raise InvariantError(f"quaternion element {m.entries()} has det != 1")
         if m != ident and ((1 - m.a) * (1 - m.d) - m.b * m.c) % p == 0:
             raise InvariantError(f"quaternion element {m.entries()} fixes a nonzero vector")
     # M -> the entries of its class in Q, for M != I: the matrix parts of
@@ -290,13 +296,9 @@ def conjugacy_classes(group):
             class_of[j] = k
         reps.append(i)
         sizes.append(size)
-    if sum(sizes) != order:
-        raise InvariantError("class sizes do not sum to |G|")
-    cents = []
-    for s in sizes:
-        if order % s:
-            raise InvariantError(f"class size {s} does not divide |G| = {order}")
-        cents.append(order // s)
+    cents = [order // s for s in sizes]
+    if not class_partition_holds(order, sizes, cents):
+        raise InvariantError(f"class sizes do not partition |G| = {order}")
     # the squaring pass: the class of g^2 must be the same for all g in a class
     square_map, root_counts = [-1] * len(reps), [0] * len(reps)
     for i, e in enumerate(elements):
@@ -314,6 +316,14 @@ def conjugacy_classes(group):
         square_map=tuple(square_map),
         root_counts=tuple(root_counts),
     )
+
+
+def class_partition_holds(order, sizes, centralizers):
+    """Class sizes sum to |G|, divide it, and |K| |C(K)| = |G| for every class."""
+    # products before the modulus, so a zero size fails instead of raising
+    return (sum(sizes) == order
+            and all(s * c == order for s, c in zip(sizes, centralizers))
+            and all(order % s == 0 for s in sizes))
 
 
 def count_square_roots_of_identity(ct):

@@ -4,11 +4,12 @@ Scalars are plain int residues in [0, p); the modulus travels on the
 containing structure.  Matrices are NamedTuples so they are hashable and
 cheap to compare.
 
-The checks are `require_odd_prime`, `odd_primes` (a range of primes) and
-`nontrivial_label`; the command line and the layers both call them, so
-each refusal has one text.  The prime bound is the commands' cost policy
-(`--bound`), not the mathematics': only `cli` passes one, before any
-layer is loaded, and every library entry point takes any odd prime.
+The checks are `require_odd_prime`, `odd_primes` (a range of primes),
+`nontrivial_label` and `require_jobs`; the command line and the layers
+both call them, so each refusal has one text.  The prime bound is the
+commands' cost policy (`--bound`), not the mathematics': only `cli`
+passes one, before any layer is loaded, and every library entry point
+takes any odd prime.
 """
 
 from typing import NamedTuple
@@ -50,6 +51,12 @@ def odd_primes(lo, hi, bound=None):
     if not primes:
         raise UsageError(f"no odd primes in range {lo}..{hi}")
     return primes
+
+
+def require_jobs(jobs):
+    """UsageError unless scan's worker count is at least 1."""
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
 
 
 def nontrivial_label(label, p):

@@ -22,20 +22,20 @@ class representative g = (v, M) is conjugated by every element of G
 once, by blocks of one matrix part N: x = (w, N) is the translation
 (w, I) times (0, N), so x g x^-1 is (0, N) g (0, N)^-1 = (N v, M'),
 M' = N M N^-1, conjugated by (w, I), which is ((I - M') w + N v, M').
-One product per block gives that affine map, and each x still counts its
-own conjugate; every label reads the counts of conjugates in V.  Each
-element is squared once, and `square_map_total`, `square_roots_count`
-and every row of the element-wise indicator read those squares.  The
-memos are bounded, hold elements, counts or indices only, and are keyed
-on the group object (and the representative), never on a label, so what
-they hold is a fact about G alone; the one exception is the indicator's
-grouping of those squares by class, which is keyed on the class table
-whose `class_of` it reads, and no row changes it.  The oracles stay
-independent of the routes they check: the averaging sum still runs over
-every x in G and never uses orbits, and the indicator is still one term
-per element, each square found by multiplication, not read from the
-class table's squaring pass or root counts, and only then grouped by
-the class of g^2.
+One product per block gives M' and that affine map.  The labels read
+only conjugates in V, so a block with M' != I is skipped, and each x of
+every other block counts its own conjugate.  Each element is squared
+once, and `square_map_total`, `square_roots_count` and every row of the
+element-wise indicator read those squares.  The memos are bounded, hold
+elements, counts or indices only, and are keyed on the group object (and
+the representative), never on a label, so what they hold is a fact about
+G alone; the one exception is the indicator's grouping of those squares
+by class, which is keyed on the class table whose `class_of` it reads,
+and no row changes it.  The oracles stay independent of the routes they
+check: the averaging sum still runs over every x in G and never uses
+orbits, and the indicator is still one term per element, each square
+found by multiplication, not read from the class table's squaring pass
+or root counts, and only then grouped by the class of g^2.
 """
 
 import operator
@@ -46,14 +46,13 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .characters import (IDENTITY_MATRIX, Q8_ROWS, TABLE_CHECKS,
-                         assemble_character_table, check_second_orthogonality,
-                         default_label, family_class_count, fs_indicator_direct,
-                         inner_product, label_orbit, label_orbits,
+from .characters import (Q8_ROWS, TABLE_CHECKS, assemble_character_table,
+                         check_second_orthogonality, default_label, family_class_count,
+                         fs_indicator_direct, inner_product, label_orbit, label_orbits,
                          stabilizer_in_q, tensor_square_decompose)
 from .cyclotomic import Cyclotomic, RootSum, root_of_unity
 from .errors import InvariantError
-from .groups import build_group, conjugacy_classes
+from .groups import IDENTITY_MATRIX, build_group, conjugacy_classes
 from .modp import require_odd_prime
 
 ASSOCIATIVITY_SAMPLES = 300
@@ -75,29 +74,26 @@ def _elements_by_matrix(group):
     return tuple((n, tuple(xs)) for n, xs in blocks.items())
 
 
-def _conjugates_by_matrix(group, g):
-    """{M': Counter({y0 * p + y1: #x})}, x g x^-1 = (y0, y1, M'), over all x in G by blocks."""
-    p, mul, inv = group.p, group.mul, group.inv
-    conjugates = {}
-    for n, xs in _elements_by_matrix(group):
-        h = (0, 0) + n
-        u0, u1, ma, mb, mc, md = mul(mul(h, g), inv(h))
-        ia, ib, ic, id_ = 1 - ma, -mb, -mc, 1 - md
-        counts = conjugates.setdefault((ma, mb, mc, md), Counter())
-        counts.update((ia * w0 + ib * w1 + u0) % p * p + (ic * w0 + id_ * w1 + u1) % p
-                      for w0, w1, _, _, _, _ in xs)
-    return conjugates
-
-
 @lru_cache(maxsize=64)
 def _conjugates_in_core(group, g):
     """The counts {(y0, y1): #x} over every x in G with x g x^-1 = (y0, y1, I).
 
-    One pass of |G| conjugates per group and representative, whatever the
-    label, filtered to V afterwards; counts only, as a tuple of items.
+    By blocks of x = (w, N), as the module docstring says: a block with
+    M' != I is skipped.  One pass per group and representative, whatever
+    the label; counts only, as a tuple of items.
     """
-    in_core = _conjugates_by_matrix(group, g).get(IDENTITY_MATRIX, {})
-    return tuple((divmod(y, group.p), n) for y, n in in_core.items())
+    p, mul, inv = group.p, group.mul, group.inv
+    counts = Counter()
+    for n, xs in _elements_by_matrix(group):
+        h = (0, 0) + n
+        conjugate = mul(mul(h, g), inv(h))
+        if not group.in_core(conjugate):
+            continue
+        u0, u1, ma, mb, mc, md = conjugate
+        ia, ib, ic, id_ = 1 - ma, -mb, -mc, 1 - md
+        counts.update((ia * w0 + ib * w1 + u0) % p * p + (ic * w0 + id_ * w1 + u1) % p
+                      for w0, w1, _, _, _, _ in xs)
+    return tuple((divmod(y, p), n) for y, n in counts.items())
 
 
 def induced_by_averaging(label, ct):
@@ -126,6 +122,14 @@ def induced_by_averaging(label, ct):
     return tuple(values)
 
 
+def _rational_over_order(ct, counts, what):
+    """The sum of counts[e] zeta^e over |G|; InvariantError, naming what, unless rational."""
+    r = Cyclotomic(ct.p, counts).as_rational()
+    if r is None:
+        raise InvariantError(f"{what} is not rational")
+    return Fraction(r, ct.order)
+
+
 def exact_inner_product(ct, f, g):
     """Independent inner-product oracle: the exact sum on counts in Z[zeta_p], where
     zeta^i times the conjugate of zeta^j is zeta^(i - j)."""
@@ -137,10 +141,7 @@ def exact_inner_product(ct, f, g):
             if x:
                 for j, y in terms:
                     total[(i - j) % p] += size * x * y
-    r = Cyclotomic(p, total).as_rational()
-    if r is None:
-        raise InvariantError("inner product of class functions is not rational")
-    return Fraction(r, ct.order)
+    return _rational_over_order(ct, total, "inner product of class functions")
 
 
 @lru_cache(maxsize=4)
@@ -161,10 +162,7 @@ def element_wise_indicator(ct, values):
     as n_K chi(K) on counts, n_K the number of elements whose square lies in K."""
     landed = _landing_counts(ct)
     total = [sum(n * values[k].counts[e] for k, n in landed) for e in range(ct.p)]
-    r = Cyclotomic(ct.p, total).as_rational()
-    if r is None:
-        raise InvariantError("element-wise indicator sum is not rational")
-    return Fraction(r, ct.order)
+    return _rational_over_order(ct, total, "element-wise indicator sum")
 
 
 def q8_table_checks():
@@ -254,10 +252,8 @@ def run_selftest(p):
     check("label_stabilizers", stab_ok,
           f"all {len(nontrivial)} nontrivial labels have trivial stabilizer in Q")
 
-    orbits = label_orbits(q)
-    orbit_sizes_ok = all(len(label_orbit(q, l)) == 8 for l in orbits)
-    check("label_orbits",
-          len(orbits) == (p * p - 1) // 8 and orbit_sizes_ok,
+    orbits = label_orbits(q)  # raises unless every orbit has size 8
+    check("label_orbits", len(orbits) == (p * p - 1) // 8,
           f"orbit count {len(orbits)} = ({p}^2-1)/8, all of size 8")
 
     check("q8_table", q8_table_checks(),

@@ -29,10 +29,10 @@ from .characters import (TABLE_CHECKS, assemble_character_table, character_table
                          default_label, fs_indicator_direct, label_orbit, label_orbits,
                          quaternionic_row_unique, restriction_to_core_inner,
                          stabilizer_in_q, tensor_square_decompose)
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 from .groups import (build_group, conjugacy_classes, conjugated_subgroup,
                      quaternion_subgroup)
-from .modp import Mat2, nontrivial_label, odd_primes, require_odd_prime
+from .modp import Mat2, nontrivial_label, odd_primes, require_jobs, require_odd_prime
 
 
 class Report:
@@ -213,8 +213,7 @@ def scan_primes(lo, hi, alt_subgroup=False, jobs=1):
     or in min(jobs, number of primes) workers.  Returns a list of per-prime
     summary dicts in prime order, each deterministic apart from "seconds".
     """
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+    require_jobs(jobs)
     primes = odd_primes(lo, hi)
     workers = min(jobs, len(primes))
     if workers > 1:

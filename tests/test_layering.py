@@ -14,6 +14,11 @@ imports `dataclasses`, which would load `inspect` at every start-up, and
 `serialize` takes only `RootSum` from the package.  The table checks decide
 on classes: the squaring pass of `conjugacy_classes` is the only code that
 squares every element, so no check walks the elements or multiplies.
+`groups` decides the Frobenius structure once: the identity matrix is
+spelled and compared with a matrix part only there (`in_core`), and the
+class partition has one predicate, which `conjugacy_classes` calls.  The
+det-1 premise, the free label orbit, the partition and the `--jobs`
+refusal each raise from one place, so each has one text.
 """
 
 import ast
@@ -172,6 +177,69 @@ def test_table_checks_never_walk_the_elements_or_multiply():
     for f in checks:
         attrs = {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)}
         assert not attrs & {"elements", "mul"}, f.name
+
+
+def _tuple_literal(node):
+    """The value of a tuple of constants, else None."""
+    if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
+        return tuple(e.value for e in node.elts)
+    return None
+
+
+def identity_matrix_spellings(path):
+    """"literal" for each tuple of constants ending in the entries (1, 0, 0, 1), and
+    "slice" for each comparison of a slice with IDENTITY_MATRIX or such a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        literal = _tuple_literal(node)
+        if literal is not None and literal[-4:] == (1, 0, 0, 1):
+            found.append("literal")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(s, ast.Subscript) and isinstance(s.slice, ast.Slice)
+                    for s in sides)
+                    and any(isinstance(s, ast.Name) and s.id == "IDENTITY_MATRIX"
+                            or (_tuple_literal(s) or ())[-4:] == (1, 0, 0, 1)
+                            for s in sides)):
+                found.append("slice")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.name for m in MODULES])
+def test_only_groups_spells_the_identity_matrix_or_tests_membership_in_v(path):
+    in_groups = path.name == "groups.py"
+    # IDENTITY_MATRIX itself, and the one comparison of `SemidirectGroup.in_core`
+    assert identity_matrix_spellings(path) == (["literal", "slice"] if in_groups else [])
+    assert ("in_core" in {f.name for f in functions(path)}) == in_groups
+
+
+def test_conjugacy_classes_decides_its_partition_with_the_table_check_predicate():
+    assert {path.name for path in MODULES for f in functions(path)
+            if f.name == "class_partition_holds"} == {"groups.py"}
+    [path] = [m for m in MODULES if m.name == "groups.py"]
+    [f] = [f for f in functions(path) if f.name == "conjugacy_classes"]
+    called = {node.func.id for node in ast.walk(f)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "class_partition_holds" in called
+    assert characters.class_partition_holds is q8family.groups.class_partition_holds
+
+
+# fragments of the texts each one fact raises; each fact must raise from one place
+ONE_TEXT = {
+    "det_one": ("has det != 1",),
+    "free_label_orbit": ("not 8", "nontrivial stabilizer"),
+    "class_partition": ("class sizes do not", "does not divide |G|"),
+    "jobs": ("--jobs must be >= 1",),
+}
+
+
+@pytest.mark.parametrize("fragments", ONE_TEXT.values(), ids=ONE_TEXT)
+def test_each_structural_fact_and_the_jobs_refusal_have_one_text(fragments):
+    found = [(path.name, node.value) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(f in node.value for f in fragments)]
+    assert len(found) == 1, found
 
 
 def test_each_export_is_what_its_module_defines():

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 from conftest import rebuilt
 from q8family import modular
-from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, character_table,
-                                 check_first_orthogonality,
+from q8family.characters import (TABLE_CHECKS, character_table, check_first_orthogonality,
                                  check_second_orthogonality, fs_indicator,
                                  fs_indicator_direct, inner_product, label_orbits,
                                  restriction_to_core_inner, tensor_square_decompose)
 from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
+from q8family.groups import IDENTITY_MATRIX
 from q8family.modp import is_odd_prime
 from q8family.modular import (ModularImage, galois_class_permutation, image_of,
                               slot_bits, split_prime)

@@ -17,8 +17,8 @@ from q8family.characters import (CharacterTable, assemble_character_table,
                                  label_orbits)
 from q8family.cyclotomic import Cyclotomic, RootSum, root_of_unity
 from q8family.errors import InvariantError
-from q8family.groups import (SemidirectGroup, build_group, conjugacy_classes,
-                             conjugated_subgroup, quaternion_subgroup)
+from q8family.groups import (IDENTITY_MATRIX, SemidirectGroup, build_group,
+                             conjugacy_classes, conjugated_subgroup, quaternion_subgroup)
 from q8family.modp import Mat2
 from q8family.selftest import (element_wise_indicator, exact_inner_product,
                                induced_by_averaging, run_selftest)
@@ -114,10 +114,13 @@ class TestOracleCost:
 
 
 def _conjugate_multiset(group, g):
-    """The averaging kernel's counts as a Counter of conjugates (y0, y1, a, b, c, d)."""
-    return Counter({divmod(y, group.p) + m: n
-                    for m, counts in selftest._conjugates_by_matrix(group, g).items()
-                    for y, n in counts.items()})
+    """The averaging kernel's counts as a Counter of conjugates (y0, y1, 1, 0, 0, 1) in V."""
+    return Counter({y + IDENTITY_MATRIX: n for y, n in selftest._conjugates_in_core(group, g)})
+
+
+def _literal_conjugates_in_core(group, g, conjugate):
+    """Counter of conjugate(x, g) over every x in G, kept when it lies in V."""
+    return Counter(c for c in (conjugate(x, g) for x in group.elements) if group.in_core(c))
 
 
 class TestConjugateCounts:
@@ -129,7 +132,10 @@ class TestConjugateCounts:
         assert all(x[2:] == n for n, xs in blocks for x in xs)
         ct = conjugacy_classes(group)
         for k in range(ct.n_classes):
-            assert sum(_conjugate_multiset(group, ct.rep_element(k)).values()) == len(group)
+            # V is normal: every conjugate of a g in V lies in V, none of a g off it
+            g = ct.rep_element(k)
+            total = sum(_conjugate_multiset(group, g).values())
+            assert total == (len(group) if group.in_core(g) else 0)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -139,16 +145,16 @@ class TestConjugateCounts:
         for k in range(ct.n_classes):
             g = ct.rep_element(k)
             counted = _conjugate_multiset(group, g)
-            assert counted == Counter(group.conj(x, g) for x in group.elements)
-            assert counted == Counter(group.mul(group.mul(x, g), group.inv(x))
-                                      for x in group.elements)
+            assert counted == _literal_conjugates_in_core(group, g, group.conj)
+            assert counted == _literal_conjugates_in_core(
+                group, g, lambda x, h: group.mul(group.mul(x, h), group.inv(x)))
 
     @settings(max_examples=12, deadline=None)
     @given(p=st.sampled_from([11, 13]), conjugated=st.booleans(), data=st.data())
     def test_sampled_conjugates_are_those_of_conj(self, p, conjugated, data):
         group = _group(p, conjugated)
         g = group.elements[data.draw(st.integers(0, len(group) - 1))]
-        assert _conjugate_multiset(group, g) == Counter(group.conj(x, g) for x in group.elements)
+        assert _conjugate_multiset(group, g) == _literal_conjugates_in_core(group, g, group.conj)
 
 
 def _cyclotomic_inner_product(ct, f, g):

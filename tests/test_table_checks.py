@@ -21,12 +21,11 @@ import pytest
 from conftest import assert_edit_rebuilt, rebuilt
 
 from q8family import characters
-from q8family.characters import (IDENTITY_MATRIX, TABLE_CHECKS, CharacterTable,
-                                 assemble_character_table,
+from q8family.characters import (TABLE_CHECKS, CharacterTable, assemble_character_table,
                                  check_second_orthogonality)
 from q8family.cyclotomic import RootSum
 from q8family.errors import InvariantError
-from q8family.groups import SemidirectGroup, build_group, conjugacy_classes
+from q8family.groups import IDENTITY_MATRIX, SemidirectGroup, build_group, conjugacy_classes
 from q8family.modp import Mat2
 from q8family.serialize import (canonical_json, load_cached_table, store_cached_table,
                                 table_document)
