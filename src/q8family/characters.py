@@ -26,7 +26,8 @@ Characters of V are labelled by pairs (a, b) of residues: the label (a, b)
 sends v to zeta_p^(a v0 + b v1).  A matrix M moves labels by the
 inverse-transpose, matching the convention that M sends the character
 lambda to v |-> lambda(M^-1 v).  Q acts freely on the nontrivial labels
-(`_free_orbit`); which classes lie in V is `SemidirectGroup.in_core`'s.
+(`_free_orbit`).  Which classes lie in V, and which is V z, is read off
+the class table (`ClassTable.core` and `z_class`).
 """
 
 from fractions import Fraction
@@ -130,14 +131,10 @@ def induced_values(label, ct):
     label = nontrivial_label(label, ct.p)
     p = ct.p
     orbit = _free_orbit(ct.group.quaternion, label)
-    in_core, zero = ct.group.in_core, _pooled(ct, 0)
-    values = []
-    for e in map(ct.group.elements.__getitem__, ct.reps):
-        if not in_core(e):
-            values.append(zero)
-            continue
-        v0, v1 = e[0], e[1]
-        values.append(_pooled(ct, tuple(sorted([(a * v0 + b * v1) % p for a, b in orbit]))))
+    values = [_pooled(ct, 0)] * ct.n_classes
+    for k in sorted(ct.core):
+        v0, v1 = ct.rep_element(k)[:2]
+        values[k] = _pooled(ct, tuple(sorted([(a * v0 + b * v1) % p for a, b in orbit])))
     return tuple(values)
 
 
@@ -163,7 +160,7 @@ def inner_product(ct, f, g):
 
 def restriction_to_core_inner(ct, values):
     """Exact [f restricted to V, trivial character of V]."""
-    mask = [int(ct.group.in_core(ct.rep_element(k))) for k in range(ct.n_classes)]
+    mask = [int(k in ct.core) for k in range(ct.n_classes)]
     if sum(map(mul, ct.sizes, mask)) != ct.p ** 2:
         raise InvariantError("classes inside V do not cover V")
     image = image_of(ct, (values,))
@@ -279,7 +276,7 @@ class CharacterTable:
     def square_locus(self):
         """{g : g^2 in V} as the classes K with sq(K) inside V, read from the square map."""
         ct = self.class_table
-        return tuple(k for k, t in enumerate(ct.square_map) if ct.group.in_core(ct.rep_element(t)))
+        return tuple(k for k, t in enumerate(ct.square_map) if t in ct.core)
 
     @property
     def square_roots_count(self):
@@ -462,30 +459,24 @@ def _sum_rule(table):
     return ok, f"sum rule: {total} = 1 + {p}^2"
 
 
-def _z_class(ct):  # the class of (0, z), which is V z; None when z is not in G
-    i = ct.group.index.get((0, 0) + ct.group.quaternion.z.entries())
-    return None if i is None else ct.class_of[i]
-
-
 def _square_locus(table):
     """{g : g^2 in V}, a union of classes, is exactly V together with the z-coset of V."""
     ct, locus = table.class_table, table.square_locus
-    core = {k for k in range(ct.n_classes) if ct.group.in_core(ct.rep_element(k))}
     size = sum(ct.sizes[k] for k in locus)
-    return (set(locus) == core | {_z_class(ct)} and size == 2 * table.prime ** 2,
+    return (set(locus) == ct.core | {ct.z_class} and size == 2 * table.prime ** 2,
             f"|{{g : g^2 in V}}| = {size} = 2 p^2")
 
 
 def _core_involution_squares(table):
     # the squaring pass sent every element of the class V z to class 0, {1}
-    ct, kz = table.class_table, _z_class(table.class_table)
+    ct, kz = table.class_table, table.class_table.z_class
     return (kz is not None and ct.sizes[kz] == table.prime ** 2 and ct.square_map[kz] == 0,
             "every (v z)^2 = 1")
 
 
 def _induced_vanish_off_core(table):
     ct = table.class_table
-    off_core = [k for k in range(ct.n_classes) if not ct.group.in_core(ct.rep_element(k))]
+    off_core = [k for k in range(ct.n_classes) if k not in ct.core]
     return (all(r.values[k].is_zero()
                 for r in table.rows if r.name.startswith("ind_") for k in off_core),
             "every induced row is zero outside V")

@@ -4,8 +4,9 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 internal
 invariant violation, 141 stdout closed by its reader.  Output to --out
 goes through an atomic temp-file rename, so failed runs never leave
 partial files.  Every --bound, --prime, --primes, --label and --jobs
-value is checked here, by `modp`, before any layer is loaded: a usage
-error compiles none.
+value is checked here, by `modp`, before any layer is loaded, and an
+empty --out or --cache is refused while parsing: a usage error compiles
+none.
 """
 
 import argparse
@@ -44,6 +45,13 @@ def _parse_prime_range(text):
     return lo, hi
 
 
+def _nonempty(text):
+    """The path given to --out or --cache; refused while parsing when empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own print_help drops write errors, a closed stdout among them
@@ -60,7 +68,7 @@ def build_parser():
     def finish(sp, handler, fmt_choices=None):
         if fmt_choices:
             sp.add_argument("--format", dest="fmt", choices=fmt_choices, default="text")
-            sp.add_argument("--out", help="write output to this path (atomically)")
+            sp.add_argument("--out", type=_nonempty, help="write output to this path (atomically)")
         sp.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND,
                         help="largest admissible prime (default %(default)s)")
         sp.set_defaults(handler=handler)
@@ -75,7 +83,7 @@ def build_parser():
 
     sp = sub.add_parser("table", help="emit the full character table")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--cache", dest="cache_dir",
+    sp.add_argument("--cache", dest="cache_dir", type=_nonempty,
                     help=f"cache directory (default ${CACHE_ENV})")
     finish(sp, cmd_table, ("text", "json", "csv"))
 

@@ -8,8 +8,9 @@ part.  That encoding is what appears in JSON reports.
 
 G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
 fixes a nonzero vector.  Only this module decides that structure: the
-det-1 premise, membership in V (`SemidirectGroup.in_core`) and the class
-partition (`class_partition_holds`).  Classes are read off it (Q-orbits
+det-1 premise, membership in V (`SemidirectGroup.in_core`), the class
+partition (`class_partition_holds`) and which classes make up V and V z
+(`ClassTable.core` and `z_class`).  Classes are read off it (Q-orbits
 on V, whole cosets of V off it), then one pass squares every element
 (|G| = 8 p^2 for any odd prime p: 75,272 at the commands' default bound
 97, which only they check): the one source of square facts.
@@ -167,7 +168,8 @@ class SemidirectGroup:
         For g = (w, N) and h = (v, M) this is (w + N v - M' w, M') with
         M' = N M N^-1, and det N = 1 makes N^-1 = [[d, -b], [-c, a]].  It
         equals mul(mul(g, h), inv(g)) at well under the cost of the three
-        calls, which matters to `selftest`'s averaging oracle.
+        calls.  `conjugacy_classes` and `selftest`'s z-inverts-V line call
+        it; the tests' brute-force and closure oracles call it most.
         """
         p = self.p
         g0, g1, a, b, c, d = g
@@ -198,15 +200,19 @@ def build_group(p, quaternion=None):
 class ClassTable:
     """Conjugacy data for one group: reps, sizes, lookups and the squaring pass.
 
-    Two caches ride along, and a table made anew, even from another
-    table's fields, starts with both empty: `modular_image`, the last
-    `modular.image_of` result, and `value_pool`, the character values of
-    this table's build (`characters.induced_values` and `inflated_values`
-    share one `RootSum` per distinct value through it).  Equality is identity.
+    Only here are `core`, the classes inside V (`SemidirectGroup.in_core`),
+    and `z_class`, the class V z of (0, z) (None when (0, z) is not an
+    element), derived from `group` and `reps`.  Two caches ride along:
+    `modular_image`, the last `modular.image_of` result, and `value_pool`,
+    the character values of this table's build (`characters.induced_values`
+    and `inflated_values` share one `RootSum` per distinct value through
+    it).  A table made anew, even from another table's fields, derives
+    `core` and `z_class` again and starts with both caches empty.
+    Equality is identity.
     """
 
-    __slots__ = ("group", "reps", "sizes", "centralizer_orders", "class_of",
-                 "square_map", "root_counts", "modular_image", "value_pool")
+    __slots__ = ("group", "reps", "sizes", "centralizer_orders", "class_of", "square_map",
+                 "root_counts", "core", "z_class", "modular_image", "value_pool")
 
     def __init__(self, group, reps, sizes, centralizer_orders, class_of,
                  square_map, root_counts):
@@ -217,6 +223,9 @@ class ClassTable:
         self.class_of = class_of            # element index -> class index
         self.square_map = square_map        # class index -> class index of rep^2
         self.root_counts = root_counts      # class index K -> #{g : g^2 in K}
+        self.core = frozenset(k for k, i in enumerate(reps) if group.in_core(group.elements[i]))
+        z = group.index.get((0, 0) + group.quaternion.z.entries())
+        self.z_class = None if z is None else class_of[z]
         self.modular_image = None
         self.value_pool = {}
 

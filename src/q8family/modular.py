@@ -121,13 +121,10 @@ def galois_class_permutation(ct):
     """
     p = ct.p
     g = primitive_root(p)
-    perm = []
-    for k in range(ct.n_classes):
+    perm = list(range(ct.n_classes))
+    for k in ct.core:
         e = ct.rep_element(k)
-        if ct.group.in_core(e):
-            perm.append(ct.class_of_element((g * e[0] % p, g * e[1] % p) + e[2:]))
-        else:
-            perm.append(k)
+        perm[k] = ct.class_of_element((g * e[0] % p, g * e[1] % p) + e[2:])
     if sorted(perm) != list(range(ct.n_classes)):
         raise InvariantError("the Galois action on V does not permute the classes")
     if any(ct.sizes[pk] != ct.sizes[k] for k, pk in enumerate(perm)):

@@ -284,6 +284,14 @@ class TestInnerProducts:
 
 
 class TestCorruptInputsRejected:
+    def test_classes_inside_v_that_do_not_cover_v(self, table5):
+        # a nonidentity class inside V given one element more: |V| + 1 elements in V
+        ct = table5.class_table
+        k = min(ct.core - {0})
+        bad = rebuilt(ct, sizes=ct.sizes[:k] + (ct.sizes[k] + 1,) + ct.sizes[k + 1:])
+        with pytest.raises(InvariantError, match="classes inside V do not cover V"):
+            restriction_to_core_inner(bad, table5.row("triv").values)
+
     def test_non_rational_inner_product(self, classes3):
         z3 = RootSum(3, [0, 1, 0])
         zero = RootSum(3, [0, 0, 0])

@@ -632,6 +632,21 @@ class TestHarness:
     def test_unknown_format_rejected_by_parser(self, capsys):
         assert cli.main(["verify", "--prime", "3", "--format", "csv"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--prime", "3", "--out", ""],
+        ["table", "--prime", "3", "--format", "json", "--out", ""],
+        ["table", "--prime", "3", "--cache", ""],
+        ["scan", "--primes", "3..5", "--out", ""],
+    ], ids=["verify-out", "table-out", "table-cache", "scan-out"])
+    def test_an_empty_path_is_refused_by_parser(self, tmp_path, capsys, monkeypatch, argv):
+        # not stdout, and not the environment's cache directory either
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must not be empty" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_import_leaves_out_process_pool(self):
         code = ("import sys, q8family.cli; "
                 "sys.exit('concurrent.futures' in sys.modules)")
@@ -666,6 +681,7 @@ class TestHarness:
         (["selftest", "--prime", "101"], 2, []),
         (["scan", "--primes", "5..3"], 2, []),
         (["scan", "--primes", "3..101"], 2, []),
+        (["table", "--prime", "5", "--cache", ""], 2, []),
         (["verify", "--prime", "5", "--format", "json"], 0,
          ["cyclotomic", "groups", "modular", "characters", "verify", "serialize"]),
         (["scan", "--primes", "3..5"], 0,
@@ -675,8 +691,8 @@ class TestHarness:
         (["selftest", "--prime", "3"], 0,
          ["cyclotomic", "groups", "modular", "characters", "selftest"]),
     ], ids=["help", "usage-error", "verify-not-prime", "verify-bound", "verify-trivial-label",
-            "selftest-bound", "scan-bad-range", "scan-bound", "verify-json", "scan", "table",
-            "selftest"])
+            "selftest-bound", "scan-bad-range", "scan-bound", "table-empty-cache", "verify-json",
+            "scan", "table", "selftest"])
     def test_a_command_runs_only_the_layers_it_uses(self, tmp_path, argv, code, layers):
         # counted, not timed: compiling a layer is start-up in every call that runs it
         got, loaded = _run_loaded(tmp_path, argv)

@@ -293,6 +293,24 @@ class TestConjugacyClasses:
             if (v0, v1) != (0, 0))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_core_and_z_class_against_brute_force(self, p):
+        g = build_group(p)
+        ct = conjugacy_classes(g)
+        z = g.quaternion.z.entries()
+        members = [{e for e in g.elements if ct.class_of_element(e) == k}
+                   for k in range(ct.n_classes)]
+        assert ct.core == {k for k, m in enumerate(members) if all(e[2:] == IDENT for e in m)}
+        assert members[ct.z_class] == {(v0, v1) + z for v0 in range(p) for v1 in range(p)}
+
+    def test_a_rebuilt_table_derives_core_and_z_class_again(self, classes3):
+        q = classes3.group.quaternion
+        swapped = rebuilt(classes3, group=build_group(3, rebuilt(q, z=q.x)))
+        assert swapped.core == classes3.core
+        assert swapped.z_class == classes3.class_of_element((0, 0) + q.x.entries())
+        absent = rebuilt(classes3, group=build_group(3, rebuilt(q, z=Mat2.make(1, 1, 0, 1, 3))))
+        assert absent.z_class is None
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_partition_invariants(self, p):
         ct = conjugacy_classes(build_group(p))
         order = ct.order

@@ -17,6 +17,8 @@ squares every element, so no check walks the elements or multiplies.
 `groups` decides the Frobenius structure once: the identity matrix is
 spelled and compared with a matrix part only there (`in_core`), and the
 class partition has one predicate, which `conjugacy_classes` calls.  The
+classes inside V and the class V z are derived once, by `ClassTable`, so
+no function of `characters` or `modular` reads `in_core` or z.  The
 det-1 premise, the free label orbit, the partition and the `--jobs`
 refusal each raise from one place, so each has one text.
 """
@@ -170,8 +172,8 @@ def test_groups_has_one_conjugation_formula():
 
 def test_table_checks_never_walk_the_elements_or_multiply():
     [path] = [m for m in MODULES if m.name == "characters.py"]
-    # the checks, the class lookup they share and the square locus they read
-    names = {fn.__name__ for _, fn in characters.TABLE_CHECKS} | {"_z_class", "square_locus"}
+    # the checks and the square locus they read
+    names = {fn.__name__ for _, fn in characters.TABLE_CHECKS} | {"square_locus"}
     checks = [f for f in functions(path) if f.name in names]
     assert {f.name for f in checks} == names
     for f in checks:
@@ -211,6 +213,17 @@ def test_only_groups_spells_the_identity_matrix_or_tests_membership_in_v(path):
     # IDENTITY_MATRIX itself, and the one comparison of `SemidirectGroup.in_core`
     assert identity_matrix_spellings(path) == (["literal", "slice"] if in_groups else [])
     assert ("in_core" in {f.name for f in functions(path)}) == in_groups
+
+
+def test_the_classes_of_v_and_of_vz_are_read_off_the_class_table():
+    # `ClassTable` derives `core` and `z_class`; the class-level readers take them from it
+    readers = [m for m in MODULES if m.name in ("characters.py", "modular.py")]
+    assert len(readers) == 2
+    found = {(path.name, f.name) for path in readers for f in functions(path)
+             for node in ast.walk(f)
+             if isinstance(node, ast.Attribute) and node.attr in ("in_core", "z")
+             or isinstance(node, ast.Name) and node.id == "in_core"}
+    assert found == set()
 
 
 def test_conjugacy_classes_decides_its_partition_with_the_table_check_predicate():

@@ -314,7 +314,7 @@ def test_a_class_permutation_not_squaring_to_negation_is_refused():
     # need not be real.  Sizes, centralizers and the square map pass.
     reps = [(0, 0), (1, 0), (2, 0), (4, 0), (3, 0)]
     ct = SimpleNamespace(p=5, n_classes=5, sizes=(1,) * 5, centralizer_orders=(5,) * 5,
-                         square_map=(0,) * 5, group=SimpleNamespace(in_core=lambda e: True),
+                         square_map=(0,) * 5, core=frozenset(range(5)),
                          rep_element=lambda k: reps[k] + IDENTITY_MATRIX,
                          class_of_element=lambda e: reps.index(e[:2]))
     with pytest.raises(InvariantError, match=r"permutation of v -> -v is not the identity"):

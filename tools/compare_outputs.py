@@ -8,11 +8,13 @@ exported with `git archive` into a temporary directory (or --parent-src
 names one), and every command of COMMANDS runs as `python -m q8family
 ...` once against it and once against the repository's `src/`, each in
 an empty temporary directory, without the cache environment variable.
-Only timing values are masked: the value of every JSON key ending in
-`seconds`, and `scan`'s `(N.NNs)`.  One line per command reads `same` or
-`DIFF`, and a DIFF names the streams that differ (stdout, stderr, exit
-code) with the first differing line of each.  Exits 1 on any difference.
-Standard library only.
+The files a command leaves in that directory (its `--out` file, its
+`--cache` directory) are compared too.  Only timing values are masked:
+the value of every JSON key ending in `seconds`, and `scan`'s `(N.NNs)`.
+One line per command reads `same` or `DIFF`, and a DIFF names the
+streams that differ (stdout, stderr, exit code) and each file that
+differs or exists on one side only, with the first differing line of
+each.  Exits 1 on any difference.  Standard library only.
 """
 
 import argparse
@@ -40,6 +42,10 @@ def _commands():
     out += [("selftest", "--prime", str(p)) for p in (3, 7, 13)]
     out += [("table", "--prime", str(p), "--format", fmt)
             for p in (5, 17) for fmt in ("json", "text", "csv")]
+    # the files a command writes: a cold cache miss, and an --out file of each kind
+    out += [("table", "--prime", "5", "--cache", "c", "--format", "json"),
+            ("table", "--prime", "5", "--format", "csv", "--out", "t.csv"),
+            ("verify", "--prime", "5", "--format", "json", "--out", "r.json")]
     # usage errors: exit 2, each checked before any layer is loaded
     out += [("verify", "--prime", "9"), ("verify", "--prime", "5", "--label", "0,0"),
             ("verify", "--prime", "101"), ("verify", "--prime", "7", "--bound", "5"),
@@ -65,26 +71,42 @@ def mask(text):
 
 
 def run(src, args):
-    """(masked stdout, masked stderr, exit code) of `python -m q8family args` on src."""
+    """(masked stdout, masked stderr, exit code, files) of `python -m q8family args` on src.
+
+    files maps the relative path of every file the command left in its
+    working directory to its masked text.
+    """
     env = {k: v for k, v in os.environ.items() if k != "Q8FAMILY_CACHE_DIR"}
     env["PYTHONPATH"] = str(Path(src).resolve())
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as cwd:
         proc = subprocess.run([sys.executable, "-m", "q8family", *args], cwd=cwd, env=env,
                               capture_output=True, text=True)
-    return mask(proc.stdout), mask(proc.stderr), proc.returncode
+        files = {path.relative_to(cwd).as_posix():
+                 mask(path.read_bytes().decode("utf-8", "backslashreplace"))
+                 for path in Path(cwd).rglob("*") if path.is_file()}
+    return mask(proc.stdout), mask(proc.stderr), proc.returncode, files
+
+
+def _first_change(a, b):
+    """The first removed or added line of the diff of two different texts."""
+    return next((line for line in difflib.unified_diff(
+        a.splitlines(), b.splitlines(), lineterm="", n=0)
+        if line[:1] in "-+" and line[:3] not in ("---", "+++")),
+        "(line endings differ)")
 
 
 def differences(parent, change):
-    """One line per differing stream of two `run` results: its name and first changed line."""
-    out = []
-    for name, a, b in zip(("stdout", "stderr"), parent, change):
-        if a != b:
-            first = next(line for line in difflib.unified_diff(
-                a.splitlines(), b.splitlines(), lineterm="", n=0)
-                if line[:1] in "-+" and line[:3] not in ("---", "+++"))
-            out.append(f"{name}: {first}")
+    """One line per differing stream or file of two `run` results, with its first change."""
+    out = [f"{name}: {_first_change(a, b)}"
+           for name, a, b in zip(("stdout", "stderr"), parent, change) if a != b]
     if parent[2] != change[2]:
         out.append(f"exit code: {parent[2]} -> {change[2]}")
+    for name in sorted(parent[3].keys() | change[3].keys()):
+        a, b = parent[3].get(name), change[3].get(name)
+        if a is None or b is None:
+            out.append(f"file {name}: only in the {'parent' if b is None else 'change'}")
+        elif a != b:
+            out.append(f"file {name}: {_first_change(a, b)}")
     return out
 
 
