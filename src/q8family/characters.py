@@ -326,9 +326,10 @@ def check_second_orthogonality(ct, values_list):
     image = image_of(ct, values_list)
     rows = [image.position(f) for f in values_list]
     cols = list(zip(*(image.residues[i] for i in rows)))
+    centralizers = ct.centralizer_orders
     for k in range(ct.n_classes):
         for k2 in range(k, ct.n_classes):
-            want = ct.centralizer_orders[k] if k == k2 else 0
+            want = centralizers[k] if k == k2 else 0
             if (sum(map(mul, cols[k], cols[k2])) - want) % image.ell:
                 raise InvariantError(
                     f"second orthogonality fails at classes ({k}, {k2})")
@@ -426,15 +427,14 @@ def _second_orthogonality(table):
     # Assembly has as many rows as classes, so the table X is square.  With
     # D = diag(|K| / |G|), first orthogonality X D X^* = I gives X^-1 = D X^*,
     # hence X^* X = D^-1: the column sums are delta |G| / |K|, which is
-    # delta |C(K)| once |K| |C(K)| = |G| (Isaacs, proof of Theorem 2.18).
+    # delta |C(K)|, as |C(K)| = |G| / |K| (Isaacs, proof of Theorem 2.18).
     # That |G| is the one assembly used: the trivial row's norm gives it as
     # sum |K|, which `class_partition_holds` also checks.
     ct = table.class_table
-    ok = (_first_orthogonality(table)[0]
-          and class_partition_holds(ct.order, ct.sizes, ct.centralizer_orders))
+    ok = _first_orthogonality(table)[0] and class_partition_holds(ct.order, ct.sizes)
     return ok, ("all class pairs match centralizer orders" if ok
                 else "not implied: rows not certified orthonormal, or class sizes "
-                     "times centralizer orders are not |G|")
+                     "are not positive divisors of |G| summing to it")
 
 
 def _degree_sum(table):
@@ -445,7 +445,7 @@ def _degree_sum(table):
 
 def _class_partition(table):
     ct = table.class_table
-    return (class_partition_holds(ct.order, ct.sizes, ct.centralizer_orders),
+    return (class_partition_holds(ct.order, ct.sizes),
             f"{ct.n_classes} classes, sizes {sorted(ct.sizes)}")
 
 
@@ -470,7 +470,7 @@ def _square_locus(table):
 def _core_involution_squares(table):
     # the squaring pass sent every element of the class V z to class 0, {1}
     ct, kz = table.class_table, table.class_table.z_class
-    return (kz is not None and ct.sizes[kz] == table.prime ** 2 and ct.square_map[kz] == 0,
+    return (ct.sizes[kz] == table.prime ** 2 and ct.square_map[kz] == 0,
             "every (v z)^2 = 1")
 
 

@@ -2,18 +2,24 @@
 
 The quaternion subgroup of SL2(p) is fixed canonically: X = [[0,-1],[1,0]]
 and Y = [[a,b],[b,-a]] for the lexicographically smallest (a, b) with
-a^2 + b^2 = -1 (mod p).  Group elements are 6-tuples of residues
+a^2 + b^2 = -1 (mod p), which exists as every residue mod an odd prime
+is a sum of two squares.  Group elements are 6-tuples of residues
 (v0, v1, a, b, c, d): the vector part followed by the row-major matrix
 part.  That encoding is what appears in JSON reports.
 
-G is a Frobenius group with kernel V = C_p x C_p: no element of Q but I
-fixes a nonzero vector.  Only this module decides that structure: the
-det-1 premise, membership in V (`SemidirectGroup.in_core`), the class
-partition (`class_partition_holds`) and which classes make up V and V z
-(`ClassTable.core` and `z_class`).  Classes are read off it (Q-orbits
-on V, whole cosets of V off it), then one pass squares every element
-(|G| = 8 p^2 for any odd prime p: 75,272 at the commands' default bound
-97, which only they check): the one source of square facts.
+Q is checked once, where it is made: `QuaternionSubgroup` checks the two
+defining relations, and its docstring argues what they imply (det 1,
+eight elements, -I the only involution, det(I - M) in {2, 4} for
+M != I); the tests check those consequences at every odd prime up to
+the commands' default bound 97.  So G is a Frobenius group with kernel
+V = C_p x C_p: no element of Q but I has a nonzero fixed vector.  Only
+this module decides that structure: membership in V
+(`SemidirectGroup.in_core`), the class partition
+(`class_partition_holds`) and which classes make up V and V z
+(`ClassTable.core` and `z_class`).  Classes are read off it (Q-orbits on
+V, whole cosets of V off it), then one pass squares every element
+(|G| = 8 p^2 for any odd prime p: 75,272 at the bound 97): the one
+source of square facts.
 """
 
 from .errors import InvariantError, UsageError
@@ -25,83 +31,61 @@ IDENTITY_MATRIX = (1, 0, 0, 1)  # the matrix part of every element of V
 
 
 class QuaternionSubgroup:
-    """A quaternion subgroup of order 8 in SL2(p); immutable.
+    """The quaternion subgroup <X, Y> of SL2(p), the one place Q is checked; immutable.
 
-    elements are ordered (I, z, X, -X, Y, -Y, XY, -XY); class_of maps a
-    matrix's entry 4-tuple to its class index in the order
-    {1}, {z}, {X,-X}, {Y,-Y}, {XY,-XY}.  Equality and hash read every
-    field but class_of, which the others determine.
+    The constructor checks that p is an odd prime and the defining
+    relations X^2 = Y^2 = -I and Y X Y^-1 = X^-1, and derives the rest
+    from x and y: z = X^2, the elements in the order
+    (I, z, X, -X, Y, -Y, XY, -XY), and class_of, which maps a matrix's
+    entry 4-tuple to its class index in the order
+    {1}, {z}, {X,-X}, {Y,-Y}, {XY,-XY}.  Equality and hash read (p, x, y).
+
+    What the relations imply for odd p, argued here and tested at every
+    odd p <= 97: by Cayley-Hamilton, M^2 = -I gives tr(M) M = (det M - 1) I,
+    so a non-scalar M with M^2 = -I has trace 0 and det 1.  X, Y and XY
+    are such M: (XY)^2 = X (Y X Y^-1) Y^2 = -I, and if one of them were
+    scalar, X and Y would commute, giving X = Y X Y^-1 = X^-1 and
+    X^2 = I != -I.  So +-X, +-Y and +-XY have det 1 and trace 0, while
+    +-I have trace +-2; the eight are distinct (two of the six agreeing
+    up to sign would again make X and Y commute), and -I is the only
+    involution, as the six others square to -I.  det(I - M) = 2 - tr M
+    is 2 or 4 for M != I, nonzero mod p, so no M != I has a nonzero fixed
+    vector.  Y X = -X Y reduces every word in X and Y to one of the
+    eight, so they form a group, in which conjugating by X or Y negates
+    the other: its five classes are those above.
     """
 
     __slots__ = ("p", "x", "y", "z", "elements", "class_of")
 
-    def __init__(self, p, x, y, z, elements, class_of):
+    def __init__(self, p, x, y):
+        ident, z = Mat2.identity(require_odd_prime(p)), x * x
+        if z != y * y or z != ident.neg():
+            raise InvariantError("quaternion relations fail: X^2 = Y^2 = -I expected")
+        if y * x * y.inv() != x.inv():
+            raise InvariantError("quaternion relations fail: Y X Y^-1 != X^-1")
+        xy = x * y
+        elements = (ident, z, x, x.neg(), y, y.neg(), xy, xy.neg())
+        class_of = {m.entries(): k for m, k in zip(elements, (0, 1, 2, 2, 3, 3, 4, 4))}
         for name, value in zip(self.__slots__, (p, x, y, z, elements, class_of)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuaternionSubgroup is immutable")
 
-    def _key(self):
-        return (self.p, self.x, self.y, self.z, self.elements)
-
     def __eq__(self, other):
         if type(other) is not QuaternionSubgroup:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.p, self.x, self.y) == (other.p, other.x, other.y)
 
     def __hash__(self):
-        return hash(self._key())
-
-
-def _require_det_one(matrices):
-    """InvariantError unless every matrix of Q has det 1, i.e. Q lies in SL2(p)."""
-    for m in matrices:
-        if m.det() != 1:
-            raise InvariantError(f"quaternion element {m.entries()} has det != 1")
-
-
-def _build_subgroup(p, x, y):
-    ident = Mat2.identity(p)
-    z = x * x
-    if z != y * y or z != ident.neg():
-        raise InvariantError("quaternion relations fail: X^2 = Y^2 = -I expected")
-    if y * x * y.inv() != x.inv():
-        raise InvariantError("quaternion relations fail: Y X Y^-1 != X^-1")
-    xy = x * y
-    elements = (ident, z, x, x.neg(), y, y.neg(), xy, xy.neg())
-    if len(set(elements)) != 8:
-        raise InvariantError("quaternion subgroup has fewer than 8 distinct elements")
-    _require_det_one(elements)
-    involutions = [m for m in elements if m * m == ident and m != ident]
-    if involutions != [z]:
-        raise InvariantError("quaternion subgroup must have -I as its unique involution")
-    class_of = {
-        ident.entries(): 0,
-        z.entries(): 1,
-        x.entries(): 2, x.neg().entries(): 2,
-        y.entries(): 3, y.neg().entries(): 3,
-        xy.entries(): 4, xy.neg().entries(): 4,
-    }
-    return QuaternionSubgroup(p=p, x=x, y=y, z=z, elements=elements, class_of=class_of)
+        return hash((self.p, self.x, self.y))
 
 
 def quaternion_subgroup(p):
     """The canonical quaternion subgroup of SL2(p) for an odd prime p."""
     require_odd_prime(p)
-    x = Mat2.make(0, -1, 1, 0, p)
-    y = None
-    target = p - 1  # -1 mod p
-    for a in range(p):
-        for b in range(p):
-            if (a * a + b * b) % p == target:
-                y = Mat2.make(a, b, b, -a, p)
-                break
-        if y is not None:
-            break
-    if y is None:
-        raise InvariantError(f"no (a, b) with a^2 + b^2 = -1 mod {p}")
-    return _build_subgroup(p, x, y)
+    a, b = next((a, b) for a in range(p) for b in range(p) if (a * a + b * b) % p == p - 1)
+    return QuaternionSubgroup(p, Mat2.make(0, -1, 1, 0, p), Mat2.make(a, b, b, -a, p))
 
 
 def conjugated_subgroup(q, t):
@@ -109,7 +93,7 @@ def conjugated_subgroup(q, t):
     if t.det() != 1:
         raise UsageError("conjugating matrix must have det 1")
     ti = t.inv()
-    return _build_subgroup(q.p, t * q.x * ti, t * q.y * ti)
+    return QuaternionSubgroup(q.p, t * q.x * ti, t * q.y * ti)
 
 
 class SemidirectGroup:
@@ -168,8 +152,8 @@ class SemidirectGroup:
         For g = (w, N) and h = (v, M) this is (w + N v - M' w, M') with
         M' = N M N^-1, and det N = 1 makes N^-1 = [[d, -b], [-c, a]].  It
         equals mul(mul(g, h), inv(g)) at well under the cost of the three
-        calls.  `conjugacy_classes` and `selftest`'s z-inverts-V line call
-        it; the tests' brute-force and closure oracles call it most.
+        calls.  `selftest`'s z-inverts-V line calls it, and the tests'
+        brute-force and closure oracles call it most.
         """
         p = self.p
         g0, g1, a, b, c, d = g
@@ -201,31 +185,28 @@ class ClassTable:
     """Conjugacy data for one group: reps, sizes, lookups and the squaring pass.
 
     Only here are `core`, the classes inside V (`SemidirectGroup.in_core`),
-    and `z_class`, the class V z of (0, z) (None when (0, z) is not an
-    element), derived from `group` and `reps`.  Two caches ride along:
-    `modular_image`, the last `modular.image_of` result, and `value_pool`,
-    the character values of this table's build (`characters.induced_values`
-    and `inflated_values` share one `RootSum` per distinct value through
-    it).  A table made anew, even from another table's fields, derives
-    `core` and `z_class` again and starts with both caches empty.
-    Equality is identity.
+    and `z_class`, the class V z of (0, z), derived from `group` and
+    `reps`; the centralizer orders |G| / |K| are read off the sizes.  Two
+    caches ride along: `modular_image`, the last `modular.image_of`
+    result, and `value_pool`, the character values of this table's build
+    (`characters.induced_values` and `inflated_values` share one `RootSum`
+    per distinct value through it).  A table made anew, even from another
+    table's fields, derives `core` and `z_class` again and starts with
+    both caches empty.  Equality is identity.
     """
 
-    __slots__ = ("group", "reps", "sizes", "centralizer_orders", "class_of", "square_map",
-                 "root_counts", "core", "z_class", "modular_image", "value_pool")
+    __slots__ = ("group", "reps", "sizes", "class_of", "square_map", "root_counts",
+                 "core", "z_class", "modular_image", "value_pool")
 
-    def __init__(self, group, reps, sizes, centralizer_orders, class_of,
-                 square_map, root_counts):
+    def __init__(self, group, reps, sizes, class_of, square_map, root_counts):
         self.group = group
         self.reps = reps                    # class index -> element index of the minimal rep
         self.sizes = sizes                  # class index -> class size
-        self.centralizer_orders = centralizer_orders
         self.class_of = class_of            # element index -> class index
         self.square_map = square_map        # class index -> class index of rep^2
         self.root_counts = root_counts      # class index K -> #{g : g^2 in K}
         self.core = frozenset(k for k, i in enumerate(reps) if group.in_core(group.elements[i]))
-        z = group.index.get((0, 0) + group.quaternion.z.entries())
-        self.z_class = None if z is None else class_of[z]
+        self.z_class = class_of[group.index[(0, 0) + group.quaternion.z.entries()]]
         self.modular_image = None
         self.value_pool = {}
 
@@ -240,6 +221,12 @@ class ClassTable:
     @property
     def order(self):
         return len(self.group.elements)
+
+    @property
+    def centralizer_orders(self):
+        """|C(K)| = |G| / |K| for every class K, by orbit-stabilizer; a new tuple per read."""
+        order = self.order
+        return tuple(order // s for s in self.sizes)
 
     def rep_element(self, k):
         return self.group.elements[self.reps[k]]
@@ -256,34 +243,18 @@ def conjugacy_classes(group):
     is the Q-orbit {(N v, I) : N in Q}.  For M != I, det(I - M') =
     det(I - M) != 0 mod p, so w -> (I - M') w is onto V and, for each N,
     the conjugates fill the whole coset V x {M'}: the class of (v, M) is
-    V x {N M N^-1 : N in Q}.  Every premise is checked (each M in Q has
-    det 1, det(I - M) != 0 for M != I, each N M N^-1 lies in Q), as is the
-    result: every element lies in exactly one class, and the sizes pass
-    `class_partition_holds`.  Classes are numbered in order of their minimal
-    element index, which is their representative; centralizer orders come
-    from the orbit-stabilizer relation.  One squaring pass over the
-    elements fills in the square map and the root counts, raising unless a
-    class squares into one class, so square facts are read off it by class.
+    V x K, K the class of M in Q (`QuaternionSubgroup.class_of`).  Those
+    premises are the subgroup's, argued where it is made; what is checked
+    here is the result: every element lies in exactly one class, and the
+    sizes pass `class_partition_holds`.  Classes are numbered in order of
+    their minimal element index, which is their representative.  One
+    squaring pass over the elements fills in the square map and the root
+    counts, raising unless a class squares into one class, so square facts
+    are read off it by class.
     """
     p, elements, index = group.p, group.elements, group.index
     order = len(elements)
-    q = group.quaternion.elements
-    in_q = {m.entries() for m in q}
-    ident = Mat2.identity(p)
-    _require_det_one(q)
-    for m in q:
-        if m != ident and ((1 - m.a) * (1 - m.d) - m.b * m.c) % p == 0:
-            raise InvariantError(f"quaternion element {m.entries()} fixes a nonzero vector")
-    # M -> the entries of its class in Q, for M != I: the matrix parts of
-    # (0, N) (0, M) (0, N)^-1, so `group.conj` is the one conjugation formula
-    q_class = {}
-    for m in q:
-        if m != ident:
-            h = (0, 0) + m.entries()
-            conj = {group.conj((0, 0) + n.entries(), h)[2:] for n in q}
-            if not conj <= in_q:
-                raise InvariantError(f"a conjugate of {m.entries()} is not in Q")
-            q_class[m.entries()] = conj
+    q = group.quaternion
     vectors = [(v0, v1) for v0 in range(p) for v1 in range(p)]
     class_of = [-1] * order
     reps, sizes = [], []
@@ -292,11 +263,13 @@ def conjugacy_classes(group):
             continue
         v0, v1, m = e[0], e[1], e[2:]
         if group.in_core(e):
-            members = {((n.a * v0 + n.b * v1) % p, (n.c * v0 + n.d * v1) % p) + m for n in q}
+            members = {((n.a * v0 + n.b * v1) % p, (n.c * v0 + n.d * v1) % p) + m
+                       for n in q.elements}
             size = len(members)
         else:  # generated, not stored: a coset class has up to 2 p^2 members
-            members = (v + c for c in q_class[m] for v in vectors)
-            size = len(q_class[m]) * len(vectors)
+            conj = [c for c, k in q.class_of.items() if k == q.class_of[m]]
+            members = (v + c for c in conj for v in vectors)
+            size = len(conj) * len(vectors)
         k = len(reps)
         for h in members:
             j = index[h]
@@ -305,8 +278,7 @@ def conjugacy_classes(group):
             class_of[j] = k
         reps.append(i)
         sizes.append(size)
-    cents = [order // s for s in sizes]
-    if not class_partition_holds(order, sizes, cents):
+    if not class_partition_holds(order, sizes):
         raise InvariantError(f"class sizes do not partition |G| = {order}")
     # the squaring pass: the class of g^2 must be the same for all g in a class
     square_map, root_counts = [-1] * len(reps), [0] * len(reps)
@@ -320,19 +292,15 @@ def conjugacy_classes(group):
         group=group,
         reps=tuple(reps),
         sizes=tuple(sizes),
-        centralizer_orders=tuple(cents),
         class_of=tuple(class_of),
         square_map=tuple(square_map),
         root_counts=tuple(root_counts),
     )
 
 
-def class_partition_holds(order, sizes, centralizers):
-    """Class sizes sum to |G|, divide it, and |K| |C(K)| = |G| for every class."""
-    # products before the modulus, so a zero size fails instead of raising
-    return (sum(sizes) == order
-            and all(s * c == order for s, c in zip(sizes, centralizers))
-            and all(order % s == 0 for s in sizes))
+def class_partition_holds(order, sizes):
+    """Class sizes are positive, sum to |G| and divide it, so each |G| / |K| is an order."""
+    return all(s > 0 and order % s == 0 for s in sizes) and sum(sizes) == order
 
 
 def count_square_roots_of_identity(ct):

@@ -16,8 +16,9 @@ image is built:
 1. Galois closure and realness, checked on the counts.  Let g generate
    (Z/p)^*, sigma_g the automorphism zeta -> zeta^g, and pi the class
    permutation induced by v -> g v on V (the identity off V).  pi must be
-   a bijection preserving class sizes and centralizer orders and
-   commuting with the square map (sq(pi K) = pi(sq K)); and
+   a bijection preserving class sizes, and so the centralizer orders
+   |C(K)| = |G| / |K|, and commuting with the square map
+   (sq(pi K) = pi(sq K)); and
    sigma_g(f(K)) = f(pi K) for every function f and class K, checked as:
    the counts of f(K) moved by e -> g e, minus the counts of f(pi K), are
    a constant vector (so re-representing a value is never a false
@@ -35,7 +36,8 @@ image is built:
 2. Bound.  With m the largest l1-norm of a stored count vector,
    |f(K)| <= m, as roots of unity have absolute value 1, so
    |S| <= |G| m^3 <= B with B = max(|G| m^3, 2 n m^2 + max |C(K)|, 1) for
-   n functions; the Gram, indicator and restriction sums are smaller
+   n functions, |C(K)| = |G| / |K| read off the sizes, which are checked
+   positive first; the Gram, indicator and restriction sums are smaller
    (m is 0 or at least 1).  Table rows have m = 8 (8 labels per orbit),
    so l has 27 bits even at p = 97.
 3. Modulus.  l is a prime with l = 1 (mod p) and l > 2B, and w has order
@@ -46,9 +48,10 @@ image is built:
    `verify` derives it from the first (`characters._second_orthogonality`).
    A column sum T(K, K') = sum_chi chi(K) conj(chi(K')) = sum_chi
    chi(K) chi(K') (step 1) is not rational, but it is symmetric in K and
-   K', sigma_g T(K, K') = T(pi K, pi K') and pi preserves centralizer
-   orders, so checking D = T - delta |C(K)| against w for every unordered
-   pair of classes checks D at all p - 1 primes of Z[zeta_p] above l.
+   K', sigma_g T(K, K') = T(pi K, pi K') and pi preserves class sizes,
+   hence the centralizer orders |G| / |K|, so checking
+   D = T - delta |C(K)| against w for every unordered pair of classes
+   checks D at all p - 1 primes of Z[zeta_p] above l.
    Then every power-basis coefficient of D is divisible by l.  T has a
    count vector t of l1-norm at most n m^2 (a sum of n products of two
    vectors of l1-norm at most m), so each coefficient t_i - t_(p-1), less
@@ -115,9 +118,9 @@ def galois_class_permutation(ct):
     """(g, pi): a generator g of (Z/p)^* and the class permutation of v -> g v.
 
     pi is the identity off V.  Raises unless pi is a bijection that
-    preserves class sizes and centralizer orders, commutes with the square
-    map, and composed (p - 1)/2 times is the identity: then every
-    Galois-closed class function is real (step 1 above).
+    preserves class sizes (so centralizer orders, |G| / |K|), commutes with
+    the square map, and composed (p - 1)/2 times is the identity: then
+    every Galois-closed class function is real (step 1 above).
     """
     p = ct.p
     g = primitive_root(p)
@@ -129,8 +132,6 @@ def galois_class_permutation(ct):
         raise InvariantError("the Galois action on V does not permute the classes")
     if any(ct.sizes[pk] != ct.sizes[k] for k, pk in enumerate(perm)):
         raise InvariantError("the Galois class permutation does not preserve class sizes")
-    if any(ct.centralizer_orders[pk] != ct.centralizer_orders[k] for k, pk in enumerate(perm)):
-        raise InvariantError("the Galois class permutation does not preserve centralizer orders")
     if any(ct.square_map[pk] != perm[ct.square_map[k]] for k, pk in enumerate(perm)):
         raise InvariantError("the Galois class permutation does not commute with the square map")
     negation = list(range(ct.n_classes))
@@ -188,12 +189,14 @@ class ModularImage:
                         f"class function {i} is not Galois-closed at class {k}, "
                         "so its inner products are not rational")
                 closed.add(pair)
+        if min(ct.sizes) <= 0:  # before |G| / |K| is read off them
+            raise InvariantError("class sizes must be positive")
         m = max((sum(map(abs, c)) for c in counts.values()), default=0)
         self.bound = max(ct.order * m ** 3,
                          2 * len(functions) * m * m + max(ct.centralizer_orders), 1)
         self.ell, self.w = split_prime(p, self.bound)
-        if not all(0 < s < self.ell for s in ct.sizes):
-            raise InvariantError("class sizes must be positive and below l")
+        if max(ct.sizes) >= self.ell:
+            raise InvariantError("class sizes must be below l")
         powers = [pow(self.w, i, self.ell) for i in range(p)]
         residue = {key: sum(map(mul, c, powers)) % self.ell for key, c in counts.items()}
         self.sizes = ct.sizes

@@ -59,10 +59,10 @@ def table_document(table):
         "classes": [
             {
                 "rep": list(ct.rep_element(k)),
-                "size": ct.sizes[k],
-                "centralizer": ct.centralizer_orders[k],
+                "size": size,
+                "centralizer": centralizer,
             }
-            for k in range(ct.n_classes)
+            for k, (size, centralizer) in enumerate(zip(ct.sizes, ct.centralizer_orders))
         ],
         "characters": [
             {

@@ -1,4 +1,5 @@
-"""The statistics of `tools/bench_pairs.py`, on fixed numbers, without running the benchmark.
+"""The statistics of `tools/bench_pairs.py`, on fixed numbers, without running the benchmark,
+and what its parent copy holds.
 
 The numbers are BENCH_20.json's certify runs, whose summary was written
 by hand; the tool must give the same.  Whether a gain is shown is read
@@ -76,6 +77,13 @@ def test_workload_entry_sums_calls_and_reads_every_metric():
     assert entry["correct"] is False
     main = entry["metrics"]["main_call_s"]
     assert main["parent"]["runs"] == [0.3, 0.2, 0.4] and main["change_lower_in_pairs"] == 2
+
+
+def test_the_parent_copy_holds_only_src(tmp_path):
+    # both sides run the working tree's harness, so the parent gives only its source
+    bench_pairs.export_parent("HEAD", tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["src"]
+    assert (tmp_path / "src" / "q8family" / "cli.py").is_file()
 
 
 @pytest.mark.parametrize("text, parsed", [("certify=10", {"certify": 10}),

@@ -19,6 +19,8 @@ from q8family.cyclotomic import Cyclotomic, RootSum
 from q8family.serialize import canonical_json, load_cached_table, table_document
 from q8family.verify import verify_prime
 
+HUGE_PRIME = 10 ** 18 + 3  # the first prime past 10^18
+
 # ---------------------------------------------------------------- verify
 
 
@@ -735,6 +737,19 @@ class TestHarness:
         _, err = proc.communicate()
         assert proc.returncode == 141
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--prime", str(HUGE_PRIME)], ["table", "--prime", str(HUGE_PRIME)],
+        ["selftest", "--prime", str(HUGE_PRIME)],
+        ["scan", "--primes", f"{10 ** 18}..{10 ** 18 + 100}"],
+    ], ids=["verify", "table", "selftest", "scan"])
+    def test_a_huge_prime_is_refused_at_once(self, argv):
+        src = str(Path(q8family.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "q8family", *argv], timeout=2,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: p={HUGE_PRIME} exceeds the prime bound 97\n")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

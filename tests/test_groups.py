@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import rebuilt
 from q8family.errors import InvariantError, UsageError
-from q8family.groups import (ClassTable, build_group, conjugacy_classes,
+from q8family.groups import (ClassTable, QuaternionSubgroup, build_group, conjugacy_classes,
                              conjugated_subgroup, count_square_roots_of_identity,
                              quaternion_subgroup, square_locus)
-from q8family.modp import Mat2
+from q8family.modp import DEFAULT_PRIME_BOUND, Mat2, is_odd_prime
 from q8family.verify import ALT_CONJUGATOR
 
 IDENT = (1, 0, 0, 1)
@@ -64,6 +64,10 @@ class TestQuaternionSubgroup:
             quaternion_subgroup(9)
         with pytest.raises(UsageError, match="not an odd prime"):
             quaternion_subgroup(3.0)
+        # X and Y = [[2, 2], [2, -2]] satisfy the relations mod 9, but the
+        # argument behind them needs a field
+        with pytest.raises(UsageError, match="p=9: not an odd prime"):
+            QuaternionSubgroup(9, Mat2.make(0, -1, 1, 0, 9), Mat2.make(2, 2, 2, -2, 9))
 
     def test_takes_any_odd_prime(self):
         # the prime bound is the commands' cost policy, not the builders'
@@ -79,6 +83,29 @@ class TestQuaternionSubgroup:
         if p == 5:
             # for p = 5 the conjugate really is a different subgroup
             assert set(alt.elements) != set(q.elements)
+
+
+class TestArguedPremises:
+    """What the relations imply, argued in `QuaternionSubgroup`'s docstring and
+    checked nowhere else, at every odd prime up to the commands' bound."""
+
+    @pytest.mark.parametrize("alt", [False, True], ids=["canonical", "conjugated"])
+    @pytest.mark.parametrize("p", [p for p in range(DEFAULT_PRIME_BOUND + 1) if is_odd_prime(p)])
+    def test_the_consequences_of_the_relations_hold(self, p, alt):
+        q = quaternion_subgroup(p)
+        if alt:
+            q = conjugated_subgroup(q, Mat2.make(*ALT_CONJUGATOR, p))
+        ident, elements = Mat2.identity(p), q.elements
+        off_center = [m for m in elements if m not in (ident, q.z)]
+        assert len(set(elements)) == 8 and all(m.det() == 1 for m in elements)
+        assert [m for m in elements if m * m == ident and m != ident] == [q.z] == [ident.neg()]
+        assert all((m.a + m.d) % p == 0 for m in off_center)
+        # det(I - M) = 2 - tr M: 4 at M = -I, 2 off the center, never 0 mod p
+        assert [((1 - m.a) * (1 - m.d) - m.b * m.c) % p for m in elements[1:]] == [4 % p] + [2] * 6
+        assert {m * n for m in elements for n in elements} == set(elements)
+        classes = {frozenset(n * m * n.inv() for n in elements) for m in elements}
+        assert classes == {frozenset(m for m in elements if q.class_of[m.entries()] == k)
+                           for k in range(5)}
 
 
 class TestSemidirectProduct:
@@ -199,13 +226,11 @@ def closure_classes(group):
         root_counts[target] += 1
     return ClassTable(
         group=group, reps=tuple(reps), sizes=tuple(sizes),
-        centralizer_orders=tuple(order // s for s in sizes),
         class_of=tuple(class_of), square_map=tuple(square_map),
         root_counts=tuple(root_counts))
 
 
-CLASS_TABLE_FIELDS = ("group", "reps", "sizes", "centralizer_orders", "class_of",
-                      "square_map", "root_counts")
+CLASS_TABLE_FIELDS = ("group", "reps", "sizes", "class_of", "square_map", "root_counts")
 
 
 def test_class_table_fields_are_every_constructor_field():
@@ -215,11 +240,6 @@ def test_class_table_fields_are_every_constructor_field():
 def assert_same_class_table(got, oracle):
     for name in CLASS_TABLE_FIELDS:
         assert getattr(got, name) == getattr(oracle, name), name
-
-
-def group_on(q, elements):
-    """The group built on the subgroup q with its element list replaced."""
-    return build_group(q.p, quaternion=rebuilt(q, elements=tuple(elements)))
 
 
 class TestAgainstClosureOracle:
@@ -241,33 +261,31 @@ class TestAgainstClosureOracle:
 
 
 class TestFrobeniusPremisesChecked:
-    """A list of matrices that is not a fixed-point-free group is refused."""
+    """A Y that is not a fixed-point-free partner of X is refused where Q is made."""
 
     Q5 = quaternion_subgroup(5)
+    SQUARES = r"X\^2 = Y\^2 = -I expected"
+
+    def refused(self, y, match):
+        with pytest.raises(InvariantError, match=match):
+            QuaternionSubgroup(5, self.Q5.x, y)
+        with pytest.raises(InvariantError, match=match):
+            rebuilt(self.Q5, y=y)
 
     def test_a_matrix_with_eigenvalue_one_is_refused(self):
-        # [[1, 1], [0, 1]] has det 1 and fixes (1, 0)
-        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(1, 1, 0, 1, 5),))
-        with pytest.raises(InvariantError, match="fixes a nonzero vector"):
-            conjugacy_classes(g)
+        # [[1, 1], [0, 1]] has det 1 and fixes (1, 0); its square is not -I
+        self.refused(Mat2.make(1, 1, 0, 1, 5), self.SQUARES)
 
     def test_elements_not_closed_under_conjugation_are_refused(self):
-        # [[1, 1], [-1, 0]] has det 1 and no eigenvalue 1, but trace 1: its
-        # conjugates are not among the trace-0 elements of Q
-        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(1, 1, -1, 0, 5),))
-        with pytest.raises(InvariantError, match="is not in Q"):
-            conjugacy_classes(g)
+        # [[1, 1], [-1, 0]] has det 1 and no eigenvalue 1, but trace 1, so Y^2 = Y - I
+        self.refused(Mat2.make(1, 1, -1, 0, 5), self.SQUARES)
 
     def test_a_singular_matrix_is_refused(self):
-        g = group_on(self.Q5, self.Q5.elements[:7] + (Mat2.make(0, 0, 0, 0, 5),))
-        with pytest.raises(InvariantError, match="det != 1"):
-            conjugacy_classes(g)
+        self.refused(Mat2.make(0, 0, 0, 0, 5), self.SQUARES)
 
     def test_a_set_that_is_not_a_group_is_refused(self):
-        # {I, X, -X} passes every premise, but its "orbits" on V overlap
-        g = group_on(self.Q5, (self.Q5.elements[0], self.Q5.x, self.Q5.x.neg()))
-        with pytest.raises(InvariantError, match="failed to partition"):
-            conjugacy_classes(g)
+        # Y = X squares to -I but commutes with X: <X, Y> is cyclic of order 4
+        self.refused(self.Q5.x, r"Y X Y\^-1 != X\^-1")
 
 
 class TestConjugacyClasses:
@@ -303,12 +321,12 @@ class TestConjugacyClasses:
         assert members[ct.z_class] == {(v0, v1) + z for v0 in range(p) for v1 in range(p)}
 
     def test_a_rebuilt_table_derives_core_and_z_class_again(self, classes3):
-        q = classes3.group.quaternion
-        swapped = rebuilt(classes3, group=build_group(3, rebuilt(q, z=q.x)))
-        assert swapped.core == classes3.core
-        assert swapped.z_class == classes3.class_of_element((0, 0) + q.x.entries())
-        absent = rebuilt(classes3, group=build_group(3, rebuilt(q, z=Mat2.make(1, 1, 0, 1, 3))))
-        assert absent.z_class is None
+        # the classes renumbered k -> n - 1 - k, with the reps to match
+        n = classes3.n_classes
+        flipped = rebuilt(classes3, reps=classes3.reps[::-1],
+                          class_of=tuple(n - 1 - k for k in classes3.class_of))
+        assert flipped.core == {n - 1 - k for k in classes3.core}
+        assert flipped.z_class == n - 1 - classes3.z_class
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_partition_invariants(self, p):

@@ -14,16 +14,18 @@ imports `dataclasses`, which would load `inspect` at every start-up, and
 `serialize` takes only `RootSum` from the package.  The table checks decide
 on classes: the squaring pass of `conjugacy_classes` is the only code that
 squares every element, so no check walks the elements or multiplies.
-`groups` decides the Frobenius structure once: the identity matrix is
-spelled and compared with a matrix part only there (`in_core`), and the
-class partition has one predicate, which `conjugacy_classes` calls.  The
-classes inside V and the class V z are derived once, by `ClassTable`, so
-no function of `characters` or `modular` reads `in_core` or z.  The
-det-1 premise, the free label orbit, the partition and the `--jobs`
-refusal each raise from one place, so each has one text.
+`groups` decides the Frobenius structure once: Q is checked only where
+it is made (`QuaternionSubgroup`, from p, X and Y alone), the identity
+matrix is spelled and compared with a matrix part only there (`in_core`),
+and the class partition has one predicate, which `conjugacy_classes`
+calls without conjugating anything.  The classes inside V and the class
+V z are derived once, by `ClassTable`, so no function of `characters` or
+`modular` reads `in_core` or z.  The free label orbit, the partition and
+the `--jobs` refusal each raise from one place, so each has one text.
 """
 
 import ast
+import inspect
 from importlib import import_module
 from pathlib import Path
 
@@ -32,6 +34,7 @@ import pytest
 import q8family
 from q8family import characters, cyclotomic
 from q8family.cyclotomic import Cyclotomic, RootSum
+from q8family.groups import ClassTable, QuaternionSubgroup
 
 MODULES = sorted(Path(q8family.__file__).parent.glob("*.py"))
 
@@ -237,9 +240,37 @@ def test_conjugacy_classes_decides_its_partition_with_the_table_check_predicate(
     assert characters.class_partition_holds is q8family.groups.class_partition_holds
 
 
+def test_q_is_checked_only_where_it_is_made():
+    raisers = {(path.name, f.name) for path in MODULES for f in functions(path)
+               for node in ast.walk(f) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and "quaternion relations fail" in node.value}
+    assert raisers == {("groups.py", "__init__")}
+    [path] = [m for m in MODULES if m.name == "groups.py"]
+    [owner] = [c.name for c in ast.parse(path.read_text()).body if isinstance(c, ast.ClassDef)
+               and "quaternion relations fail" in ast.unparse(c)]
+    assert owner == "QuaternionSubgroup"
+
+
+def test_the_premises_the_relations_imply_are_not_checked_again():
+    gone = ("has det != 1", "fixes a nonzero vector", "is not in Q", "unique involution",
+            "no (a, b)", "preserve centralizer orders")
+    assert [(path.name, text) for path in MODULES for text in gone
+            if text in path.read_text()] == []
+
+
+def test_the_constructors_take_only_what_nothing_else_derives():
+    assert tuple(inspect.signature(QuaternionSubgroup).parameters) == ("p", "x", "y")
+    assert "centralizer_orders" not in inspect.signature(ClassTable).parameters
+
+
+def test_conjugacy_classes_conjugates_nothing():
+    [path] = [m for m in MODULES if m.name == "groups.py"]
+    [f] = [f for f in functions(path) if f.name == "conjugacy_classes"]
+    assert "conj" not in {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)}
+
+
 # fragments of the texts each one fact raises; each fact must raise from one place
 ONE_TEXT = {
-    "det_one": ("has det != 1",),
     "free_label_orbit": ("not 8", "nontrivial stabilizer"),
     "class_partition": ("class sizes do not", "does not divide |G|"),
     "jobs": ("--jobs must be >= 1",),

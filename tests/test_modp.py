@@ -28,6 +28,26 @@ def test_is_odd_prime():
     assert not is_odd_prime(9)
 
 
+def test_miller_rabin_agrees_with_trial_division_below_10_5():
+    # is_odd_prime divides by trial at this size; the test is called directly
+    assert [n for n in range(3, 10 ** 5, 2) if modp._strong_probable_prime(n)] == [
+        n for n in range(3, 10 ** 5, 2) if is_odd_prime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,         # ... to every prime base up to 23
+    318665857834031151167461,    # ... up to 37
+])
+def test_strong_pseudoprimes_are_refused(n):
+    assert not modp._strong_probable_prime(n) and not is_odd_prime(n)
+
+
+def test_large_primes_are_found_by_miller_rabin():
+    # 2^61 - 1 and 2^31 - 1 (below the cutoff, so by trial division)
+    assert is_odd_prime(10 ** 18 + 3) and is_odd_prime(2 ** 61 - 1) and is_odd_prime(2 ** 31 - 1)
+    assert not is_odd_prime((2 ** 31 - 1) * (2 ** 32 + 15)) and not is_odd_prime(10 ** 18 + 1)
+
 
 class TestOddPrimes:
     def test_odd_primes_of_a_range(self):

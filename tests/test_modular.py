@@ -280,17 +280,18 @@ def test_galois_consistent_edit_is_refused_by_the_residues(p):
 
 
 def test_centralizer_orders_must_be_galois_invariant(table7):
+    # |C(K)| = |G| / |K|, so a class size edit is what moves a centralizer order
     ct = table7.class_table
     _, perm = galois_class_permutation(ct)
     k = next(k for k in range(ct.n_classes) if perm[k] != k)
-    cents = list(ct.centralizer_orders)
-    cents[k] += 1
-    bad = rebuilt(table7, class_table=rebuilt(ct, centralizer_orders=tuple(cents)))
-    with pytest.raises(InvariantError, match="does not preserve centralizer orders"):
+    sizes = list(ct.sizes)
+    sizes[k] -= 1  # 8 -> 7, which still divides |G| = 392
+    bad = rebuilt(table7, class_table=rebuilt(ct, sizes=tuple(sizes)))
+    assert bad.class_table.centralizer_orders[k] == 56 != ct.centralizer_orders[perm[k]]
+    with pytest.raises(InvariantError, match="does not preserve class sizes"):
         galois_class_permutation(bad.class_table)
-    ok, detail = dict(TABLE_CHECKS)["second_orthogonality"](bad)
-    assert ok is False and "centralizer orders" in detail
-    with pytest.raises(InvariantError, match="does not preserve centralizer orders"):
+    assert dict(TABLE_CHECKS)["second_orthogonality"](bad)[0] is False
+    with pytest.raises(InvariantError, match="does not preserve class sizes"):
         check_second_orthogonality(bad.class_table, _values(bad))
 
 
@@ -311,10 +312,10 @@ def test_a_class_permutation_not_squaring_to_negation_is_refused():
     # A stub at p = 5, g = 2, whose classes 1..4 are the single vectors
     # (1, 0), (2, 0), (4, 0), (3, 0): v -> 2v is one 4-cycle, so pi^2, the
     # permutation of v -> -v, is not the identity and closed functions
-    # need not be real.  Sizes, centralizers and the square map pass.
+    # need not be real.  Sizes and the square map pass.
     reps = [(0, 0), (1, 0), (2, 0), (4, 0), (3, 0)]
-    ct = SimpleNamespace(p=5, n_classes=5, sizes=(1,) * 5, centralizer_orders=(5,) * 5,
-                         square_map=(0,) * 5, core=frozenset(range(5)),
+    ct = SimpleNamespace(p=5, n_classes=5, sizes=(1,) * 5, square_map=(0,) * 5,
+                         core=frozenset(range(5)),
                          rep_element=lambda k: reps[k] + IDENTITY_MATRIX,
                          class_of_element=lambda e: reps.index(e[:2]))
     with pytest.raises(InvariantError, match=r"permutation of v -> -v is not the identity"):

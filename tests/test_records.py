@@ -11,7 +11,7 @@ import pytest
 
 from conftest import rebuilt
 from q8family.characters import character_table
-from q8family.groups import ClassTable, quaternion_subgroup
+from q8family.groups import ClassTable, QuaternionSubgroup, quaternion_subgroup
 from q8family.modular import image_of
 from q8family.selftest import CheckResult
 from q8family.serialize import report_document
@@ -50,11 +50,13 @@ def test_a_rebuilt_table_row_keeps_its_fields(table):
 
 
 def test_quaternion_subgroup_equality_and_hash_ignore_class_of():
+    # they read (p, x, y), from which z, elements and class_of are derived
     q = quaternion_subgroup(7)
-    same = rebuilt(q, class_of={})
-    assert same == q and hash(same) == hash(q)
-    assert rebuilt(q, z=q.x) != q
-    assert q != (q.p, q.x, q.y, q.z, q.elements)
+    same = QuaternionSubgroup(7, q.x, q.y)
+    assert same is not q and same == q and hash(same) == hash(q)
+    swapped = rebuilt(q, x=q.y, y=q.x)  # Y and X satisfy the relations too
+    assert swapped != q and set(swapped.elements) == set(q.elements)
+    assert q != (q.p, q.x, q.y)
     assert quaternion_subgroup(7) == q and hash(quaternion_subgroup(7)) == hash(q)
 
 

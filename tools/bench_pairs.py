@@ -3,11 +3,13 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_21.json \\
         --workloads certify=10,scan=5,table-cache=5,selftest=5 --seconds 10
 
-Run from the root of the repository.  The parent ref (through
-`git archive`) and the working tree are each exported into a temporary
-directory holding only `src/`, `perfbench/` and `BENCHMARK.json`; the
-working tree's files are those git would commit (tracked, or untracked
-and not ignored).  For each workload, pair i runs
+Run from the root of the repository.  Both sides run one harness, the
+working tree's `perfbench/` and `BENCHMARK.json`, so a workload that the
+change adds has a parent side too; only `src/` differs.  Each side is a
+temporary directory holding the harness and a `src/`: the parent ref's
+(through `git archive`) or the working tree's.  The working tree's files
+are those git would commit (tracked, or untracked and not ignored).  For
+each workload, pair i runs
 `python3 perfbench/run.py --workload W --seconds S --seed N` once in each
 directory with the same seed N = first seed + i, the parent first in odd
 pairs and the change first in even ones, so that drift of the machine
@@ -38,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPORTED = ("src", "perfbench", "BENCHMARK.json")
+HARNESS = ("perfbench", "BENCHMARK.json")
 
 
 def summarize(runs):
@@ -85,14 +87,16 @@ def workload_entry(seeds, results, metrics):
 
 
 def export_parent(ref, dest):
-    archive = subprocess.run(["git", "archive", ref, *EXPORTED], cwd=ROOT,
+    """The parent ref's `src/`, and nothing else, into dest."""
+    archive = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def export_working_tree(dest):
+def export_working_tree(dest, names):
+    """The working tree's files under the given names, as git would commit them, into dest."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
-                             "--exclude-standard", "--", *EXPORTED],
+                             "--exclude-standard", "--", *names],
                             cwd=ROOT, check=True, capture_output=True, text=True).stdout
     for name in filter(None, listed.split("\0")):
         if (ROOT / name).is_file():  # a tracked file deleted in the tree is left out
@@ -143,7 +147,8 @@ def main(argv=None):
                  "perfbench/run.py with tracing off."),
         "machine": (f"{os.cpu_count()}-core, {platform.system()}, "
                     f"{platform.python_implementation()} {platform.python_version()}; "
-                    "each side run from a copy holding src/, perfbench/ and BENCHMARK.json only"),
+                    "both sides run the working tree's perfbench/ and BENCHMARK.json, "
+                    "each on its own src/"),
         "commands": {"all_workloads": "python3 tools/bench_pairs.py " + shlex.join(
             argv if argv is not None else sys.argv[1:])},
         "statistics": ("median and quartiles (inclusive method) of each side's per-run "
@@ -159,7 +164,8 @@ def main(argv=None):
         for path in sides.values():
             path.mkdir()
         export_parent(args.parent, sides["parent"])
-        export_working_tree(sides["change"])
+        export_working_tree(sides["parent"], HARNESS)
+        export_working_tree(sides["change"], ("src", *HARNESS))
         for workload, pairs in workloads.items():
             seeds = list(range(seed, seed + pairs))
             seed += pairs

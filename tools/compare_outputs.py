@@ -39,6 +39,8 @@ def _commands():
     for fmt in ("json", "text"):
         for extra in ((), ("--jobs", "2"), ("--alt-subgroup",)):
             out.append(("scan", "--primes", "3..13", "--format", fmt, *extra))
+    # the conjugated subgroup at the largest benchmark prime
+    out.append(("verify", "--prime", "17", "--alt-subgroup", "--format", "json"))
     out += [("selftest", "--prime", str(p)) for p in (3, 7, 13)]
     out += [("table", "--prime", str(p), "--format", fmt)
             for p in (5, 17) for fmt in ("json", "text", "csv")]
