@@ -18,43 +18,31 @@ from .errors import UsageError
 
 DEFAULT_PRIME_BOUND = 97
 
-# Trial division below 2^32, which covers p <= 97 and every l `modular.split_prime`
-# seeks for one; then Miller-Rabin on the prime bases 2..41, exact below the bound
-# (Sorenson and Webster, Math. Comp. 86, 2017), so a huge input is refused at once.
-# Past that bound trial division is exact but slow.
-_TRIAL_DIVISION_BELOW = 1 << 32
+# Miller-Rabin on the prime bases 2..41 is exact below this bound (Sorenson and
+# Webster, Math. Comp. 86, 2017); an odd input at or past it is refused.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-def _strong_probable_prime(n):
-    """True when the odd n > 2 is a strong probable prime to every base 2..41."""
-    d, s = n - 1, 0
+def is_odd_prime(p):
+    """True when p is an odd prime; UsageError for an odd p past the proven bound."""
+    if p < 3 or p % 2 == 0:
+        return False
+    if p >= _MILLER_RABIN_BELOW:
+        raise UsageError(f"p={p}: too large to test for primality (limit {_MILLER_RABIN_BELOW})")
+    d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if a % n == 0 or x in (1, n - 1):
+        x = pow(a, d, p)
+        if a % p == 0 or x in (1, p - 1):
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            x = x * x % p
+            if x == p - 1:
                 break
         else:
             return False
-    return True
-
-
-def is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    if _TRIAL_DIVISION_BELOW <= p < _MILLER_RABIN_BELOW:
-        return _strong_probable_prime(p)
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
     return True
 
 

@@ -1,4 +1,5 @@
 import inspect
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,15 @@ class TestFrobeniusPremisesChecked:
     def test_a_set_that_is_not_a_group_is_refused(self):
         # Y = X squares to -I but commutes with X: <X, Y> is cyclic of order 4
         self.refused(self.Q5.x, r"Y X Y\^-1 != X\^-1")
+
+    def test_orbits_that_overlap_are_refused_by_the_partition_check(self):
+        # a stub subgroup {I, X, -X}, not closed under products: the orbit of X v
+        # holds -v, which the orbit of v already claimed
+        x, ident = self.Q5.x, Mat2.identity(5)
+        stub = SimpleNamespace(p=5, elements=(ident, x, x.neg()), z=self.Q5.z,
+                               class_of={ident.entries(): 0, x.entries(): 2, x.neg().entries(): 2})
+        with pytest.raises(InvariantError, match="conjugacy classes failed to partition the group"):
+            conjugacy_classes(build_group(5, quaternion=stub))
 
 
 class TestConjugacyClasses:

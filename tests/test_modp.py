@@ -29,9 +29,11 @@ def test_is_odd_prime():
 
 
 def test_miller_rabin_agrees_with_trial_division_below_10_5():
-    # is_odd_prime divides by trial at this size; the test is called directly
-    assert [n for n in range(3, 10 ** 5, 2) if modp._strong_probable_prime(n)] == [
-        n for n in range(3, 10 ** 5, 2) if is_odd_prime(n)]
+    def by_trial(n):
+        return all(n % d for d in range(3, int(n ** 0.5) + 1, 2))
+
+    assert [n for n in range(3, 10 ** 5, 2) if is_odd_prime(n)] == [
+        n for n in range(3, 10 ** 5, 2) if by_trial(n)]
 
 
 @pytest.mark.parametrize("n", [
@@ -40,13 +42,22 @@ def test_miller_rabin_agrees_with_trial_division_below_10_5():
     318665857834031151167461,    # ... up to 37
 ])
 def test_strong_pseudoprimes_are_refused(n):
-    assert not modp._strong_probable_prime(n) and not is_odd_prime(n)
+    assert not is_odd_prime(n)
 
 
 def test_large_primes_are_found_by_miller_rabin():
-    # 2^61 - 1 and 2^31 - 1 (below the cutoff, so by trial division)
     assert is_odd_prime(10 ** 18 + 3) and is_odd_prime(2 ** 61 - 1) and is_odd_prime(2 ** 31 - 1)
     assert not is_odd_prime((2 ** 31 - 1) * (2 ** 32 + 15)) and not is_odd_prime(10 ** 18 + 1)
+
+
+def test_an_odd_input_past_the_proven_bound_is_refused():
+    limit = modp._MILLER_RABIN_BELOW
+    assert type(is_odd_prime(limit - 2)) is bool and not is_odd_prime(limit + 1)  # decided; even
+    for n in (limit, 2 ** 89 - 1):  # the smallest 13-base strong pseudoprime; a Mersenne prime
+        with pytest.raises(UsageError, match=f"p={n}: too large to test for primality"):
+            is_odd_prime(n)
+        with pytest.raises(UsageError, match="too large to test"):
+            odd_primes(n, n + 100, 97)
 
 
 class TestOddPrimes:
